@@ -14,15 +14,22 @@ import csv
 import json
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 from . import antagonistic as core
 from .aero import bet_numeric_thrust, derive_coefficients, thrust
-from .config import ConfigError, RunConfig, build_dual_rotor, build_rotor_geometry, build_vsa
+from .config import (
+    ConfigError,
+    RunConfig,
+    build_dual_rotor,
+    build_rotor_geometry,
+    build_schedule,
+    build_vsa,
+)
 from .dual_rotor import TrimPoint, allocate, as_antagonistic_at_trim
 from .dynamics import (
     BodyConfig,
-    InputSchedule,
     apparent_damping,
     equilibrium_velocity,
     mode_decomposition,
@@ -37,7 +44,7 @@ EXIT_USAGE = 2
 
 
 def _emit(record: dict, out_dir: Path | None, filename: str) -> None:
-    text = json.dumps(record, indent=2, sort_keys=True)
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if out_dir is not None:
         (out_dir / filename).write_text(text + "\n")
@@ -157,27 +164,29 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
     for key in ("mass", "nu0", "t_end", "dt", "schedule"):
         if key not in params:
             raise ConfigError(f"params.{key} required for simulate")
-    body = BodyConfig(mass=params["mass"], dual_rotor=dr)
-    sched_cfg = params["schedule"]
-    schedule = InputSchedule(
-        speeds=[tuple(v) for v in sched_cfg["speeds"]],
-        forces=[float(f) for f in sched_cfg["forces"]],
-        breakpoints=[float(b) for b in sched_cfg.get("breakpoints", [])],
-    )
-    traj = simulate(body, schedule, params["nu0"], params["t_end"], params["dt"])
+    for key in ("mass", "nu0", "t_end", "dt"):
+        if isinstance(params[key], bool) or not isinstance(params[key], (int, float)):
+            raise ConfigError(f"params.{key} must be a number, got {params[key]!r}")
+    schedule = build_schedule(params["schedule"])
+    try:
+        body = BodyConfig(mass=params["mass"], dual_rotor=dr)
+        traj = simulate(body, schedule, params["nu0"], params["t_end"], params["dt"])
+    except ValueError as exc:
+        # every check on this path is on a configured value: mass, t_end,
+        # dt, or speeds against the speed box
+        raise ConfigError(f"params: {exc}") from exc
     if out_dir is not None:
         traj.to_csv(out_dir / "trajectory.csv")
 
     segments = []
-    edges = [0.0] + list(schedule.breakpoints) + [params["t_end"]]
-    for i, (a, b) in enumerate(zip(edges, edges[1:])):
-        v = schedule.speeds[i]
-        f_ext = schedule.forces[i]
+    for a, b, v, f_ext in schedule.segments(params["t_end"]):
         c_app = apparent_damping(body, v)
         nu_eq = equilibrium_velocity(body, v)
         nu_inf = nu_eq + f_ext / c_app
-        seg_samples = [(t, x) for t, x in zip(traj.times, traj.nu) if a <= t <= b]
-        tau_fit = _fit_time_constant(*zip(*seg_samples), nu_inf) if len(seg_samples) > 2 else None
+        lo, hi = bisect_left(traj.times, a), bisect_right(traj.times, b)
+        tau_fit = (
+            _fit_time_constant(traj.times[lo:hi], traj.nu[lo:hi], nu_inf) if hi - lo > 2 else None
+        )
         tau_model = body.mass / c_app
         segments.append(
             {

@@ -17,6 +17,12 @@ Model sections:
                   [[lo, hi], [lo, hi]] (null upper bound = unbounded)
   vsa:            law {"kind": "quadratic"|"exponential"|"cubic", "k",
                   ["alpha"]}, pulley_radius, state [x1, x2]
+
+simulate params.schedule: speeds [[v1, v2], ...], forces [f, ...], optional
+breakpoints [t, ...] (strictly increasing, positive), one fewer than speeds.
+
+Every number must be finite: NaN, Infinity and literals that overflow a
+float are rejected when the file is read.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass, field
 
 from .aero import AffineThrustModel, RotorGeometry, derive_coefficients
 from .dual_rotor import DualRotor
+from .dynamics import InputSchedule
 from .vsa import TendonLaw, VsaConfig
 
 __all__ = [
@@ -34,6 +41,7 @@ __all__ = [
     "RunConfig",
     "build_rotor_geometry",
     "build_dual_rotor",
+    "build_schedule",
     "build_vsa",
 ]
 
@@ -78,9 +86,16 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         try:
             with open(path) as fh:
-                data = json.load(fh)
+                data = json.load(
+                    fh,
+                    parse_constant=_reject_constant,
+                    parse_float=_finite_float,
+                    parse_int=_finite_int,
+                )
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
@@ -88,6 +103,22 @@ class RunConfig:
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+
+def _reject_constant(literal: str):
+    raise ConfigError(f"non-finite number {literal} is not allowed")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"number {literal} overflows a float")
+    return value
+
+
+def _finite_int(literal: str) -> int:
+    _finite_float(literal)
+    return int(literal)
 
 
 def _require(section: dict, keys: tuple[str, ...], where: str) -> None:
@@ -137,6 +168,21 @@ def build_dual_rotor(model: dict) -> DualRotor:
         (float(lo), math.inf if hi is None else float(hi)) for lo, hi in box
     )
     return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, speed_box=speed_box)
+
+
+def build_schedule(section: dict) -> InputSchedule:
+    _require(section, ("speeds", "forces"), "params.schedule")
+    try:
+        speeds = [tuple(float(x) for x in v) for v in section["speeds"]]
+        if any(len(v) != 2 for v in speeds):
+            raise ValueError(f"each speeds entry must be a pair [v1, v2], got {section['speeds']}")
+        return InputSchedule(
+            speeds=speeds,
+            forces=[float(f) for f in section["forces"]],
+            breakpoints=[float(b) for b in section.get("breakpoints", [])],
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params.schedule: {exc}") from exc
 
 
 _LAW_BUILDERS = {

@@ -69,6 +69,13 @@ class TestConfig:
             cfg = build_vsa({"vsa": {"law": law, "pulley_radius": 1.0, "state": [1.0, 1.0]}})
             assert cfg.law.r_prime(1.0) > 0.0
 
+    def test_non_finite_literals_rejected(self, tmp_path):
+        for literal in ("NaN", "Infinity", "-Infinity", "1e999", "-2e400", "9" * 400):
+            path = tmp_path / "config.json"
+            path.write_text('{"scenario": "verify", "params": {"seed": %s}}' % literal)
+            with pytest.raises(ConfigError, match=literal):
+                RunConfig.load(path)
+
     def test_bad_law_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             build_vsa({"vsa": {"law": {"kind": "linear", "k": 1.0}, "pulley_radius": 1.0, "state": [1, 1]}})
@@ -271,6 +278,59 @@ class TestSimulate:
         first, second = summary["segments"]
         assert second["nu_eq"] == pytest.approx(first["nu_eq"], abs=1e-12)
         assert second["c_app"] > first["c_app"]
+
+    def test_breakpoint_past_t_end_leaves_one_segment(self, tmp_path):
+        schedule = {"speeds": [[1.5, 0.5], [2.5, 1.5]], "forces": [0.0, 0.0], "breakpoints": [2.0]}
+        config = write_config(tmp_path, self.base_config(schedule, t_end=1.0))
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+        (seg,) = json.loads((tmp_path / "summary.json").read_text())["segments"]
+        assert (seg["t_start"], seg["t_end"]) == (0.0, 1.0)
+        assert seg["c_app"] == pytest.approx(2.0, rel=1e-12)
+
+    def test_three_segments_summarised_in_order(self, tmp_path):
+        schedule = {
+            "speeds": [[1.5, 0.5], [2.5, 1.5], [3.5, 2.5]],
+            "forces": [0.0, 0.0, 0.0],
+            "breakpoints": [0.5, 1.2],
+        }
+        config = write_config(tmp_path, self.base_config(schedule))
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+        segments = json.loads((tmp_path / "summary.json").read_text())["segments"]
+        assert [(s["t_start"], s["t_end"]) for s in segments] == [(0.0, 0.5), (0.5, 1.2), (1.2, 2.0)]
+        assert all(s["fit_relative_deviation"] <= 1e-4 for s in segments)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: cfg["params"].update(nu0=math.nan),
+            lambda cfg: cfg["params"].update(dt=math.inf),
+            lambda cfg: cfg["model"]["dual_rotor"].update(k_thrust=math.inf),
+            lambda cfg: cfg["params"]["schedule"].pop("forces"),
+            lambda cfg: cfg["params"]["schedule"].update(breakpoints=[1.5, 0.5]),
+            lambda cfg: cfg["params"]["schedule"].update(forces=["heavy", "light", "none"]),
+            lambda cfg: cfg["params"]["schedule"]["speeds"].__setitem__(1, [2.5]),
+            lambda cfg: cfg["params"].update(dt=0.0),
+            lambda cfg: cfg["params"].update(mass="1.0"),
+            lambda cfg: cfg["params"].update(nu0="nan"),
+            lambda cfg: cfg["model"]["dual_rotor"].update(speed_box=[[1.0, 3.0], [0.0, None]]),
+        ],
+        ids=["nu0-nan", "dt-infinity", "k_thrust-infinity", "missing-forces",
+             "decreasing-breakpoints", "non-numeric-force", "speed-not-a-pair",
+             "dt-zero", "mass-string", "nu0-string", "speeds-outside-box"],
+    )
+    def test_config_faults_exit_2_with_one_line(self, tmp_path, capsys, edit):
+        schedule = {
+            "speeds": [[1.5, 0.5], [2.5, 1.5], [3.5, 2.5]],
+            "forces": [0.0, 0.0, 0.0],
+            "breakpoints": [0.5, 1.5],
+        }
+        cfg = self.base_config(schedule)
+        edit(cfg)
+        config = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 import csv
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -23,6 +24,30 @@ UNIT = AffineThrustModel(k_thrust=1.0, k_inflow=1.0)
 def unit_body(mass=1.0, k_thrust=1.0, k_inflow=1.0):
     model = AffineThrustModel(k_thrust=k_thrust, k_inflow=k_inflow)
     return BodyConfig(mass=mass, dual_rotor=DualRotor.identical(model))
+
+
+def stepwise_simulate(body, schedule, nu0, t_end, dt):
+    """Reference RK4: four net_force stages per step, then every sample's
+    inputs looked up by time and its force evaluated by net_force."""
+    dr, m = body.dual_rotor, body.mass
+    times, nus, nu = [0.0], [float(nu0)], float(nu0)
+    for a, b, v, f_ext in schedule.segments(t_end):
+        n = max(1, math.ceil((b - a) / dt - 1e-12))
+        h = (b - a) / n
+        for i in range(n):
+            k1 = (net_force(dr, v, nu) + f_ext) / m
+            k2 = (net_force(dr, v, nu + 0.5 * h * k1) + f_ext) / m
+            k3 = (net_force(dr, v, nu + 0.5 * h * k2) + f_ext) / m
+            k4 = (net_force(dr, v, nu + h * k3) + f_ext) / m
+            nu = nu + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            times.append(a + (i + 1) * h)
+            nus.append(nu)
+    seg = [bisect_right(schedule.breakpoints, t) for t in times]
+    v1 = [schedule.speeds[i][0] for i in seg]
+    v2 = [schedule.speeds[i][1] for i in seg]
+    f_ext = [schedule.forces[i] for i in seg]
+    force = [net_force(dr, (a, b), x) for a, b, x in zip(v1, v2, nus)]
+    return times, nus, v1, v2, force, f_ext
 
 
 class TestImpedanceDecomposition:
@@ -253,6 +278,80 @@ class TestSimulate:
             InputSchedule(
                 speeds=[(1.0, 1.0), (2.0, 2.0)], forces=[0.0, 0.0], breakpoints=[-0.5]
             )
+
+    def test_breakpoints_must_increase(self):
+        speeds, forces = [(1.0, 1.0)] * 3, [0.0] * 3
+        InputSchedule(speeds=speeds, forces=forces, breakpoints=[0.5, 1.5])
+        for breakpoints in ([1.5, 0.5], [1.0, 1.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                InputSchedule(speeds=speeds, forces=forces, breakpoints=breakpoints)
+
+    def test_segments_clip_at_t_end(self):
+        schedule = InputSchedule(
+            speeds=[(2.0, 1.0), (3.0, 1.0), (4.0, 1.0)], forces=[0.1, 0.2, 0.3],
+            breakpoints=[0.4, 2.0],
+        )
+        assert list(schedule.segments(1.0)) == [
+            (0.0, 0.4, (2.0, 1.0), 0.1),
+            (0.4, 1.0, (3.0, 1.0), 0.2),
+        ]
+        assert list(schedule.segments(0.4))[-1] == (0.0, 0.4, (2.0, 1.0), 0.1)
+
+    def test_out_of_box_speeds_rejected(self):
+        body = BodyConfig(mass=1.0, dual_rotor=DualRotor.identical(UNIT, ((1.0, 5.0), (1.0, 5.0))))
+        schedule = InputSchedule(
+            speeds=[(2.0, 2.0), (6.0, 2.0)], forces=[0.0, 0.0], breakpoints=[0.5]
+        )
+        with pytest.raises(ValueError, match="outside admissible box"):
+            simulate(body, schedule, 0.0, 1.0, 1e-2)
+        # a segment that starts after t_end is never simulated
+        assert simulate(body, schedule, 0.0, 0.4, 1e-2).times[-1] == pytest.approx(0.4)
+
+
+class TestStepwiseOracle:
+    """The closed-form recurrence against generic stepwise RK4."""
+
+    @staticmethod
+    def random_case(rng):
+        segments = int(rng.integers(1, 5))
+        t_end = rng.uniform(0.05, 0.5)
+        dt = rng.uniform(2e-4, 2e-3)
+        # off-grid breakpoints, some possibly past t_end
+        breakpoints = np.sort(rng.uniform(0.0, 1.2 * t_end, segments - 1)).tolist()
+        if segments >= 3 and rng.uniform() < 0.5:
+            # a segment shorter than one step
+            first = rng.uniform(0.1, 0.6) * t_end
+            breakpoints[:2] = [first, first + 0.3 * dt]
+            breakpoints[2:] = np.sort(rng.uniform(breakpoints[1], 1.2 * t_end, segments - 3)).tolist()
+        fwd = AffineThrustModel(k_thrust=rng.uniform(0.5, 2.0), k_inflow=rng.uniform(0.5, 2.0))
+        bwd = AffineThrustModel(k_thrust=rng.uniform(0.5, 2.0), k_inflow=rng.uniform(0.5, 2.0))
+        body = BodyConfig(mass=rng.uniform(0.5, 2.0), dual_rotor=DualRotor(fwd, bwd))
+        schedule = InputSchedule(
+            speeds=[tuple(v) for v in rng.uniform(1.0, 5.0, (segments, 2)).tolist()],
+            forces=rng.uniform(-1.0, 1.0, segments).tolist(),
+            breakpoints=[float(b) for b in breakpoints],
+        )
+        return body, schedule, rng.uniform(-2.0, 2.0), t_end, dt
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_stepwise_rk4(self, seed):
+        body, schedule, nu0, t_end, dt = self.random_case(np.random.default_rng(seed))
+        traj = simulate(body, schedule, nu0, t_end, dt)
+        times, nus, v1, v2, force, f_ext = stepwise_simulate(body, schedule, nu0, t_end, dt)
+        assert traj.times == times
+        assert traj.v1 == v1 and traj.v2 == v2 and traj.f_ext == f_ext
+        for got, want in ((traj.nu, nus), (traj.force, force)):
+            assert len(got) == len(want)
+            assert all(abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in zip(got, want))
+
+    def test_cases_cover_the_edge_segments(self):
+        past_end = short = 0
+        for seed in range(12):
+            _, schedule, _, t_end, dt = self.random_case(np.random.default_rng(seed))
+            edges = [0.0, *schedule.breakpoints]
+            past_end += any(b >= t_end for b in schedule.breakpoints)
+            short += any(0.0 < b - a < dt for a, b in zip(edges, edges[1:]) if b < t_end)
+        assert past_end >= 2 and short >= 2
 
 
 class TestTrajectoryOutput:

@@ -34,7 +34,6 @@ from .dual_rotor import (
     damping_at_trim,
     force_promptness,
     net_force,
-    wind_trim,
 )
 from .dynamics import (
     BodyConfig,

@@ -22,7 +22,9 @@ simulate params.schedule: speeds [[v1, v2], ...], forces [f, ...], optional
 breakpoints [t, ...] (strictly increasing, positive), one fewer than speeds.
 
 Every number must be finite: NaN, Infinity and literals that overflow a
-float are rejected when the file is read.
+float are rejected when the file is read. Numeric fields must be JSON
+numbers, not strings or booleans. fiber-sweep params.steps is an integer
+of at least 2 (default 50).
 """
 
 from __future__ import annotations
@@ -71,16 +73,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"the config must be a JSON object, got {data!r}")
         if "scenario" not in data:
             raise ConfigError("missing required key 'scenario'")
         unknown = set(data) - {"scenario", "model", "params"}
         if unknown:
             raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-        return cls(
-            scenario=data["scenario"],
-            model=data.get("model", {}),
-            params=data.get("params", {}),
-        )
+        model, params = data.get("model", {}), data.get("params", {})
+        if not (isinstance(model, dict) and isinstance(params, dict)
+                and all(isinstance(model[k], dict) for k in _MODEL_SECTIONS if k in model)):
+            raise ConfigError("'model', 'params' and each model section must be JSON objects")
+        return cls(scenario=data["scenario"], model=model, params=params)
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -97,12 +101,6 @@ class RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         return cls.from_dict(data)
-
-    def to_dict(self) -> dict:
-        return {"scenario": self.scenario, "model": self.model, "params": self.params}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _reject_constant(literal: str):
@@ -127,22 +125,46 @@ def _require(section: dict, keys: tuple[str, ...], where: str) -> None:
         raise ConfigError(f"{where}: missing field(s) {missing}")
 
 
+def _number(section, key, where: str, default=None):
+    """section[key] if it is a JSON number (not a boolean), else ConfigError.
+
+    A missing key gives `default` when one is set.
+    """
+    if default is not None and key not in section:
+        return default
+    try:
+        value = section[key]
+    except (KeyError, IndexError, TypeError):
+        raise ConfigError(f"{where}: missing field {key!r}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    return value
+
+
+def _integer(params: dict, key: str, default: int, least: int) -> int:
+    """params[key] (or default) as an int, if it is a whole number >= least."""
+    value = _number(params, key, "params", default)
+    if value < least or value != int(value):
+        raise ConfigError(f"params.{key} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def build_rotor_geometry(model: dict) -> RotorGeometry:
     section = model.get("rotor_geometry")
     if section is None:
         raise ConfigError("model section 'rotor_geometry' required for this scenario")
     keys = ("blade_count", "radius", "chord", "pitch_angle", "lift_slope", "air_density")
-    _require(section, keys, "rotor_geometry")
     try:
-        return RotorGeometry(**{k: section[k] for k in keys})
+        return RotorGeometry(**{k: _number(section, k, "rotor_geometry") for k in keys})
     except ValueError as exc:
         raise ConfigError(f"rotor_geometry: {exc}") from exc
 
 
 def _thrust_model(section: dict, where: str) -> AffineThrustModel:
-    _require(section, ("k_thrust", "k_inflow"), where)
     try:
-        return AffineThrustModel(k_thrust=section["k_thrust"], k_inflow=section["k_inflow"])
+        return AffineThrustModel(
+            k_thrust=_number(section, "k_thrust", where), k_inflow=_number(section, "k_inflow", where)
+        )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -164,10 +186,18 @@ def build_dual_rotor(model: dict) -> DualRotor:
     box = section.get("speed_box")
     if box is None:
         return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd)
-    speed_box = tuple(
-        (float(lo), math.inf if hi is None else float(hi)) for lo, hi in box
-    )
-    return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, speed_box=speed_box)
+    if not (isinstance(box, list) and len(box) == 2
+            and all(isinstance(lo_hi, list) and len(lo_hi) == 2 for lo_hi in box)):
+        raise ConfigError(f"dual_rotor.speed_box must be [[lo, hi], [lo, hi]], got {box!r}")
+    speed_box = []
+    for lo_hi in box:
+        lo = float(_number(lo_hi, 0, "dual_rotor.speed_box"))
+        hi = math.inf if lo_hi[1] is None else float(_number(lo_hi, 1, "dual_rotor.speed_box"))
+        speed_box.append((lo, hi))
+    try:
+        return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, speed_box=tuple(speed_box))
+    except ValueError as exc:
+        raise ConfigError(f"dual_rotor: {exc}") from exc
 
 
 def build_schedule(section: dict) -> InputSchedule:
@@ -185,10 +215,11 @@ def build_schedule(section: dict) -> InputSchedule:
         raise ConfigError(f"params.schedule: {exc}") from exc
 
 
-_LAW_BUILDERS = {
-    "quadratic": lambda law: TendonLaw.quadratic(law["k"]),
-    "exponential": lambda law: TendonLaw.exponential(law["k"], law["alpha"]),
-    "cubic": lambda law: TendonLaw.cubic(law["k"]),
+# kind -> (constructor, its parameters in call order)
+_LAWS = {
+    "quadratic": (TendonLaw.quadratic, ("k",)),
+    "exponential": (TendonLaw.exponential, ("k", "alpha")),
+    "cubic": (TendonLaw.cubic, ("k",)),
 }
 
 
@@ -198,16 +229,14 @@ def build_vsa(model: dict) -> VsaConfig:
         raise ConfigError("model section 'vsa' required for this scenario")
     _require(section, ("law", "pulley_radius", "state"), "vsa")
     law = section["law"]
-    kind = law.get("kind")
-    if kind not in _LAW_BUILDERS:
-        raise ConfigError(f"vsa.law.kind must be one of {sorted(_LAW_BUILDERS)}, got {kind!r}")
-    if "k" not in law or (kind == "exponential" and "alpha" not in law):
-        raise ConfigError(f"vsa.law: missing parameter(s) for kind {kind!r}")
+    kind = law.get("kind") if isinstance(law, dict) else None
+    if kind not in _LAWS:
+        raise ConfigError(f"vsa.law.kind must be one of {sorted(_LAWS)}, got {kind!r}")
+    make_law, keys = _LAWS[kind]
+    law_params = [_number(law, key, "vsa.law") for key in keys]
+    pulley_radius = _number(section, "pulley_radius", "vsa")
+    state = (_number(section["state"], 0, "vsa.state"), _number(section["state"], 1, "vsa.state"))
     try:
-        return VsaConfig(
-            law=_LAW_BUILDERS[kind](law),
-            pulley_radius=section["pulley_radius"],
-            state=tuple(section["state"]),
-        )
+        return VsaConfig(law=make_law(*law_params), pulley_radius=pulley_radius, state=state)
     except ValueError as exc:
         raise ConfigError(f"vsa: {exc}") from exc

@@ -19,7 +19,7 @@ from .aero import (
     monotone_regime_bound,
     speed_sensitivity,
 )
-from .antagonistic import AntagonisticActuator, ChannelLaw, ConvergenceError
+from .antagonistic import AntagonisticActuator, ChannelLaw
 
 __all__ = [
     "DualRotor",
@@ -30,12 +30,7 @@ __all__ = [
     "force_promptness",
     "as_antagonistic_at_trim",
     "allocate",
-    "wind_trim",
 ]
-
-# contract is 1e-9 relative; iterate to 1e-12 so round-trip checks have margin
-_ALLOC_TOL = 1e-12
-_ALLOC_MAX_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -153,78 +148,56 @@ def as_antagonistic_at_trim(dr: DualRotor, nu_bar: float = 0.0) -> AntagonisticA
 def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResult:
     """Invert (net force, damping) -> rotor speeds at the trim.
 
-    Identical rotors admit a closed form in common/differential modes:
-    s = sigma_des / k_D and d = (F_bar / s + k_D nu_bar) / k_T. Distinct
-    rotors fall back to a 2-D Newton seeded from that closed form. An
-    infeasible request (|d| >= s or a box violation) is reported with the
-    unconstrained candidate, never clamped.
+    On the damping line k_D1 v1 + k_D2 v2 = sigma_des the inflow terms of
+    the net force add up to -nu_bar sigma_des, so the request is
+    k_T1 v1^2 - k_T2 v2^2 = F_bar + nu_bar sigma_des on that line: one
+    quadratic a x^2 + b x + c = 0 in the speed x whose k_D is smaller (the
+    other speed y comes off the line, dividing by the larger k_D). Its
+    roots are c/q and q/a with q = -(b + sqrt(b^2 - 4ac))/2, which is free
+    of cancellation since b > 0 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 1.8); identical rotors give a = 0 and the single
+    root c/q. F rises strictly along the line inside the positive
+    quadrant, so at most one root lies in the box. An infeasible request
+    is reported with the unconstrained candidate, never clamped: the root
+    c/q, or the vertex -b/(2a) when no real root exists.
     """
     if not sigma_des > 0.0:
         raise ValueError(f"requested damping must be positive, got {sigma_des}")
     fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
-    nu_bar, f_bar = trim.nu_bar, trim.force_level
+    g = trim.force_level + trim.nu_bar * sigma_des
+    # rx drives the solved speed x, ry the speed y read off the damping line
+    swap = bwd.k_inflow < fwd.k_inflow
+    rx, ry = (bwd, fwd) if swap else (fwd, bwd)
+    if swap:
+        g = -g
+    a = rx.k_thrust * ry.k_inflow * ry.k_inflow - ry.k_thrust * rx.k_inflow * rx.k_inflow
+    b = 2.0 * ry.k_thrust * rx.k_inflow * sigma_des
+    c = -(ry.k_thrust * sigma_des * sigma_des + g * ry.k_inflow * ry.k_inflow)
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        xs = [-b / (2.0 * a)]
+    else:
+        q = -0.5 * (b + math.sqrt(disc))
+        xs = [c / q] if a == 0.0 else [c / q, q / a]
 
-    # closed-form candidate using averaged coefficients as the seed
-    k_t = 0.5 * (fwd.k_thrust + bwd.k_thrust)
-    k_d = 0.5 * (fwd.k_inflow + bwd.k_inflow)
-    s = sigma_des / k_d
-    d = (f_bar / s + k_d * nu_bar) / k_t
-    v1, v2 = 0.5 * (s + d), 0.5 * (s - d)
+    # c/q comes last, so it is what is left when neither root is in the box
+    for x in reversed(xs):
+        y = (sigma_des - rx.k_inflow * x) / ry.k_inflow
+        v1, v2 = (y, x) if swap else (x, y)
+        feasible = dr.in_box((v1, v2))
+        if feasible:
+            break
 
-    if fwd != bwd:
-        try:
-            v1, v2 = _newton_allocate(dr, nu_bar, f_bar, sigma_des, v1, v2)
-        except ConvergenceError:
-            return AllocationResult(
-                speeds=(v1, v2),
-                achieved_force=_raw_force(dr, v1, v2, nu_bar),
-                achieved_damping=fwd.k_inflow * v1 + bwd.k_inflow * v2,
-                feasible=False,
-                reason="newton-divergence",
-            )
-
-    achieved_force = _raw_force(dr, v1, v2, nu_bar)
-    achieved_damping = fwd.k_inflow * v1 + bwd.k_inflow * v2
-    if not dr.in_box((v1, v2)):
-        reason = "differential mode exceeds common mode" if min(v1, v2) <= 0 else "speed box violation"
-        return AllocationResult(
-            speeds=(v1, v2),
-            achieved_force=achieved_force,
-            achieved_damping=achieved_damping,
-            feasible=False,
-            reason=reason,
-        )
+    if feasible:
+        reason = ""
+    elif min(v1, v2) <= 0:
+        reason = "differential mode exceeds common mode"
+    else:
+        reason = "speed box violation"
     return AllocationResult(
         speeds=(v1, v2),
-        achieved_force=achieved_force,
-        achieved_damping=achieved_damping,
-        feasible=True,
+        achieved_force=_raw_force(dr, v1, v2, trim.nu_bar),
+        achieved_damping=fwd.k_inflow * v1 + bwd.k_inflow * v2,
+        feasible=feasible,
+        reason=reason,
     )
-
-
-def _newton_allocate(
-    dr: DualRotor, nu_bar: float, f_bar: float, sigma_des: float, v1: float, v2: float
-) -> tuple[float, float]:
-    fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
-    tol_f = _ALLOC_TOL * max(1.0, abs(f_bar))
-    tol_s = _ALLOC_TOL * max(1.0, sigma_des)
-    for _ in range(_ALLOC_MAX_ITERS):
-        rf = _raw_force(dr, v1, v2, nu_bar) - f_bar
-        rs = fwd.k_inflow * v1 + bwd.k_inflow * v2 - sigma_des
-        if abs(rf) <= tol_f and abs(rs) <= tol_s:
-            return v1, v2
-        # J = [[dF/dv1, dF/dv2], [k_D1, k_D2]]
-        a = 2.0 * fwd.k_thrust * v1 - fwd.k_inflow * nu_bar
-        b = -(2.0 * bwd.k_thrust * v2 + bwd.k_inflow * nu_bar)
-        c, e = fwd.k_inflow, bwd.k_inflow
-        det = a * e - b * c
-        if det == 0.0:
-            raise ConvergenceError("singular allocation Jacobian")
-        v1 -= (e * rf - b * rs) / det
-        v2 -= (-c * rf + a * rs) / det
-    raise ConvergenceError("allocation Newton did not converge")
-
-
-def wind_trim(body_speed: float, wind_speed: float) -> float:
-    """Air-relative trim velocity under steady wind along the axis."""
-    return body_speed - wind_speed

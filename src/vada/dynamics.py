@@ -94,18 +94,6 @@ class Trajectory:
             for row in zip(self.times, self.nu, self.v1, self.v2, self.force, self.f_ext):
                 writer.writerow([repr(x) for x in row])
 
-    def to_record(self) -> dict:
-        return {
-            "dt": self.dt,
-            "integrator": self.integrator,
-            "samples": [
-                {"t": t, "nu": n, "v1": a, "v2": b, "F": f, "F_ext": fe}
-                for t, n, a, b, f, fe in zip(
-                    self.times, self.nu, self.v1, self.v2, self.force, self.f_ext
-                )
-            ],
-        }
-
 
 def apparent_damping(body: BodyConfig, v: Sequence[float]) -> float:
     """Viscous coefficient multiplying nu; equals the trim damping for

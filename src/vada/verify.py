@@ -70,8 +70,8 @@ def _random_geometry(rng) -> RotorGeometry:
     )
 
 
-def _random_model(rng) -> AffineThrustModel:
-    return AffineThrustModel(k_thrust=rng.uniform(0.1, 2.0), k_inflow=rng.uniform(0.1, 2.0))
+def _random_model(rng, low: float = 0.1, high: float = 2.0) -> AffineThrustModel:
+    return AffineThrustModel(k_thrust=rng.uniform(low, high), k_inflow=rng.uniform(low, high))
 
 
 def check_bet_quadrature(rng, draws: int = 1000) -> dict:
@@ -228,14 +228,20 @@ def check_trim_damping_fd(rng, draws: int = 1000) -> dict:
 
 
 def check_allocation_roundtrip(rng, draws: int = 1000) -> dict:
+    """Round trip of requests made from in-box speeds, with k in [0.05, 5],
+    v in [0.01, 50] and nu_bar in [-20, 20] on the default (0, inf) box:
+    ranges wide enough to reach requests where picking the wrong root of
+    the allocation quadratic shows."""
     worst = 0.0
     ok = True
     for _ in range(draws):
         symmetric = bool(rng.integers(0, 2))
-        dr = _random_dual_rotor(rng, symmetric)
+        fwd = _random_model(rng, 0.05, 5.0)
+        bwd = fwd if symmetric else _random_model(rng, 0.05, 5.0)
+        dr = DualRotor(rotor_fwd=fwd, rotor_bwd=bwd)
         # feasible request: derive it from a valid speed pair
-        v = (rng.uniform(2.0, 15.0), rng.uniform(2.0, 15.0))
-        nu_bar = rng.uniform(-1.0, 1.0)
+        v = (rng.uniform(0.01, 50.0), rng.uniform(0.01, 50.0))
+        nu_bar = rng.uniform(-20.0, 20.0)
         trim = TrimPoint(nu_bar=nu_bar, force_level=net_force(dr, v, nu_bar))
         sigma_des = damping_at_trim(dr, v, nu_bar)
         result = allocate(dr, trim, sigma_des)
@@ -335,4 +341,6 @@ def run_verify(seed: int = 0, inject_constant_damping: bool = False) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """Strict JSON: a non-finite number raises ValueError instead of
+    being written as NaN or Infinity."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)

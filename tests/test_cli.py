@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from vada import verify
 from vada.cli import main
 from vada.config import ConfigError, RunConfig, build_dual_rotor, build_vsa
 
@@ -25,16 +26,6 @@ GEOMETRY = {
 
 
 class TestConfig:
-    def test_roundtrip_identity(self):
-        cfg = RunConfig(
-            scenario="allocate",
-            model={"dual_rotor": {"k_thrust": 1.0, "k_inflow": 1.0}},
-            params={"force_level": 3.0, "sigma_des": 4.0},
-        )
-        again = RunConfig.from_dict(json.loads(cfg.dumps()))
-        assert again == cfg
-        assert again.dumps() == cfg.dumps()
-
     def test_missing_field_names_field(self):
         with pytest.raises(ConfigError, match="radius"):
             build_dual_rotor({"rotor_geometry": {k: v for k, v in GEOMETRY.items() if k != "radius"}})
@@ -151,19 +142,21 @@ class TestFiberSweep:
         assert all(b > a for a, b in zip(passive, passive[1:]))
         assert all(b > a for a, b in zip(prompt, prompt[1:]))
 
-    def test_zero_step_sweep_vacuous(self, tmp_path, capsys):
+    @pytest.mark.parametrize("steps", [0, -5, 1, 2.5, "x"])
+    def test_steps_must_be_an_integer_of_at_least_two(self, tmp_path, capsys, steps):
         config = write_config(
             tmp_path,
             {
                 "scenario": "fiber-sweep",
                 "model": {"dual_rotor": {"k_thrust": 1.0, "k_inflow": 1.0}},
-                "params": {"start": [2.0, 1.0], "steps": 0},
+                "params": {"start": [2.0, 1.0], "steps": steps},
             },
         )
-        assert main(["fiber-sweep", "--config", config, "--out", str(tmp_path)]) == 0
-        assert "vacuous" in capsys.readouterr().out
-        with open(tmp_path / "fiber_sweep.csv") as fh:
-            assert len(list(csv.DictReader(fh))) == 1
+        assert main(["fiber-sweep", "--config", config, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "fiber_sweep.csv").exists()
 
     def test_csv_roundtrips_to_exact_values(self, tmp_path):
         config = write_config(
@@ -229,6 +222,27 @@ class TestAllocate:
         record = json.loads(capsys.readouterr().out)
         assert not record["feasible"]
         assert "reason" in record
+
+    def test_unreachable_force_reports_finite_speeds(self, tmp_path, capsys):
+        # the net force on this damping line never drops below -1/3
+        config = write_config(
+            tmp_path,
+            {
+                "scenario": "allocate",
+                "model": {
+                    "dual_rotor": {
+                        "fwd": {"k_thrust": 1.0, "k_inflow": 1.0},
+                        "bwd": {"k_thrust": 1.0, "k_inflow": 2.0},
+                    }
+                },
+                "params": {"force_level": -1.0, "sigma_des": 1.0, "nu_bar": 0.0},
+            },
+        )
+        assert main(["allocate", "--config", config]) == 1
+        record = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert not record["feasible"]
+        assert record["reason"] == "differential mode exceeds common mode"
+        assert record["speeds"] == pytest.approx([-1.0 / 3.0, 2.0 / 3.0], rel=1e-12)
 
 
 class TestSimulate:
@@ -359,6 +373,85 @@ class TestVerify:
         failed = [r for r in report["records"] if not r["passed"]]
         assert len(failed) == 1
         assert "injected" in failed[0]["property"]
+
+    def test_non_finite_worst_is_never_printed(self, tmp_path, capsys, monkeypatch):
+        def check_isomorphism(rng):
+            return verify._record("vsa-vada-isomorphism", 1, True, math.nan)
+
+        monkeypatch.setattr(verify, "check_isomorphism", check_isomorphism)
+        config = write_config(tmp_path, {"scenario": "verify", "params": {"seed": 3}})
+        assert main(["verify", "--config", config, "--out", str(tmp_path)]) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "verification_report.json").exists()
+
+
+UNIT_ROTOR = {"k_thrust": 1.0, "k_inflow": 1.0}
+
+
+def allocate_config(dual_rotor=UNIT_ROTOR, **params):
+    return {
+        "scenario": "allocate",
+        "model": {"dual_rotor": dual_rotor},
+        "params": dict({"force_level": 3.0, "sigma_des": 4.0}, **params),
+    }
+
+
+def vsa_sweep_config(**edits):
+    vsa = {"law": {"kind": "quadratic", "k": 1.0}, "pulley_radius": 1.0, "state": [1.0, 1.0]}
+    return {"scenario": "fiber-sweep", "model": {"vsa": dict(vsa, **edits)}}
+
+
+class TestConfigFaults:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            allocate_config({"k_thrust": "1", "k_inflow": 1.0}),
+            allocate_config({"k_thrust": 1.0, "k_inflow": True}),
+            allocate_config(force_level="1"),
+            allocate_config(sigma_des=None),
+            allocate_config(sigma_des=0.0),
+            allocate_config(nu_bar="0"),
+            allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, "a"], [0.0, None]])),
+            allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, None]])),
+            allocate_config(dict(UNIT_ROTOR, speed_box=[[2.0, 1.0], [0.0, None]])),
+            {"scenario": "fiber-sweep", "model": {"vsa": 5}},
+            dict(vsa_sweep_config(), params=[50]),
+            {"scenario": "derive-coeffs", "model": {"rotor_geometry": dict(GEOMETRY, blade_count="2")}},
+            {"scenario": "derive-coeffs", "model": {"rotor_geometry": GEOMETRY},
+             "params": {"sample_speed": "fast"}},
+            vsa_sweep_config(law={"kind": "quadratic", "k": "1"}),
+            vsa_sweep_config(law={"kind": "exponential", "k": 1.0, "alpha": [0.5]}),
+            vsa_sweep_config(law="quadratic"),
+            vsa_sweep_config(pulley_radius="1"),
+            vsa_sweep_config(state=["a", 1.0]),
+            vsa_sweep_config(state=[1.0]),
+            dict(vsa_sweep_config(), params={"u1_end": "x"}),
+            {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
+             "params": {"start": ["a", 1.0]}},
+            {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
+             "params": {"start": [2.0, 1.0], "nu_bar": "x"}},
+            {"scenario": "verify", "params": {"seed": "x"}},
+            {"scenario": "verify", "params": {"seed": 1.5}},
+        ],
+        ids=["k_thrust-string", "k_inflow-bool", "force_level-string", "sigma_des-null",
+             "sigma_des-zero", "nu_bar-string", "speed_box-string", "speed_box-one-pair",
+             "speed_box-inverted", "vsa-number", "params-list", "blade_count-string",
+             "sample_speed-string", "k-string", "alpha-list", "law-string",
+             "pulley_radius-string", "state-string", "state-short", "u1_end-string",
+             "start-string", "sweep-nu_bar-string", "seed-string", "seed-fraction"],
+    )
+    def test_exit_2_with_one_line(self, tmp_path, capsys, data):
+        config = write_config(tmp_path, data)
+        assert main([data["scenario"], "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        assert main(["verify", "--config", write_config(tmp_path, 5)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestUsageErrors:

@@ -15,13 +15,11 @@ from vada.antagonistic import (
 from vada.dual_rotor import (
     DualRotor,
     TrimPoint,
-    _newton_allocate,
     allocate,
     as_antagonistic_at_trim,
     damping_at_trim,
     force_promptness,
     net_force,
-    wind_trim,
 )
 
 FD_H = 1e-5
@@ -198,22 +196,32 @@ class TestAllocate:
             assert abs(result.achieved_force - f_bar) <= 1e-9 * max(1.0, abs(f_bar))
             assert abs(result.achieved_damping - sigma_des) <= 1e-9 * max(1.0, sigma_des)
 
-    def test_newton_agrees_with_closed_form(self):
-        dr = DualRotor.identical(UNIT)
-        # seed away from the closed-form solution
-        v1, v2 = _newton_allocate(dr, 0.0, 3.0, 4.0, 3.5, 0.5)
-        assert v1 == pytest.approx(2.375, abs=1e-9)
-        assert v2 == pytest.approx(1.625, abs=1e-9)
+    def test_distinct_rotors_keep_the_in_box_root(self):
+        # the other root of the quadratic has a negative forward speed
+        dr = DualRotor(
+            AffineThrustModel(k_thrust=0.59, k_inflow=0.074),
+            AffineThrustModel(k_thrust=2.5, k_inflow=1.48),
+        )
+        v, nu_bar = (35.5, 0.52), -12.5
+        trim = TrimPoint(nu_bar=nu_bar, force_level=net_force(dr, v, nu_bar))
+        result = allocate(dr, trim, damping_at_trim(dr, v, nu_bar))
+        assert result.feasible
+        assert result.speeds == pytest.approx(v, rel=1e-12)
+
+    def test_unreachable_force_reports_the_vertex(self):
+        # on k_D1 v1 + k_D2 v2 = 1 the net force never drops below -1/3
+        dr = DualRotor(
+            AffineThrustModel(k_thrust=1.0, k_inflow=1.0),
+            AffineThrustModel(k_thrust=1.0, k_inflow=2.0),
+        )
+        result = allocate(dr, TrimPoint(nu_bar=0.0, force_level=-1.0), sigma_des=1.0)
+        assert not result.feasible
+        assert result.reason == "differential mode exceeds common mode"
+        assert result.speeds == pytest.approx((-1.0 / 3.0, 2.0 / 3.0), rel=1e-12)
+        assert result.achieved_force == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
     def test_nonpositive_damping_request_rejected(self):
         dr = DualRotor.identical(UNIT)
         with pytest.raises(ValueError):
             allocate(dr, TrimPoint(nu_bar=0.0, force_level=1.0), sigma_des=0.0)
 
-
-class TestWindTrim:
-    @pytest.mark.parametrize(
-        "body,wind,expected", [(0.0, 0.0, 0.0), (5.0, 2.0, 3.0), (2.0, 5.0, -3.0)]
-    )
-    def test_values(self, body, wind, expected):
-        assert wind_trim(body, wind) == expected

@@ -367,11 +367,3 @@ class TestTrajectoryOutput:
             assert float(row["t"]) == t
             assert float(row["nu"]) == x
             assert float(row["F"]) == f
-
-    def test_record_structure(self):
-        body = unit_body()
-        traj = simulate(body, InputSchedule.constant((2.0, 1.0)), 0.0, 0.05, 1e-2)
-        record = traj.to_record()
-        assert record["integrator"] == "rk4"
-        assert len(record["samples"]) == len(traj.times)
-        assert set(record["samples"][0]) == {"t", "nu", "v1", "v2", "F", "F_ext"}

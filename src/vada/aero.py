@@ -4,12 +4,20 @@ Blade-element derivation of the affine-inflow thrust model
 T(v, nu_in) = k_T v^2 - k_D v nu_in, its derivatives, and a Simpson
 quadrature of the elemental thrust used as an independent cross-check
 of the closed form.
+
+Every formula takes floats or numpy arrays (speeds, inflows and model or
+geometry fields alike) and broadcasts them; the validity checks then hold
+at every entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from ._array import everywhere
 
 __all__ = [
     "RotorGeometry",
@@ -36,13 +44,14 @@ class RotorGeometry:
     air_density: float      # kg/m^3
 
     def __post_init__(self):
-        if self.blade_count <= 0 or int(self.blade_count) != self.blade_count:
-            raise ValueError(f"blade_count must be a positive integer, got {self.blade_count}")
+        count = self.blade_count
+        if not everywhere((count > 0) & (np.floor(count) == count)):
+            raise ValueError(f"blade_count must be a positive integer, got {count}")
         for name in ("radius", "chord", "pitch_angle", "lift_slope", "air_density"):
             value = getattr(self, name)
-            if not value > 0.0:
+            if not everywhere(value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value}")
-        if not self.pitch_angle < math.pi / 2:
+        if not everywhere(self.pitch_angle < math.pi / 2):
             raise ValueError(f"pitch_angle must lie in (0, pi/2), got {self.pitch_angle}")
 
 
@@ -54,9 +63,9 @@ class AffineThrustModel:
     k_inflow: float   # N s^2 / (rad m)
 
     def __post_init__(self):
-        if not self.k_thrust > 0.0:
+        if not everywhere(self.k_thrust > 0.0):
             raise ValueError(f"k_thrust must be strictly positive, got {self.k_thrust}")
-        if not self.k_inflow > 0.0:
+        if not everywhere(self.k_inflow > 0.0):
             raise ValueError(f"k_inflow must be strictly positive, got {self.k_inflow}")
 
 
@@ -68,14 +77,18 @@ def derive_coefficients(geom: RotorGeometry) -> AffineThrustModel:
     return AffineThrustModel(k_thrust=k_thrust, k_inflow=k_inflow)
 
 
+def _require_nonnegative(v) -> None:
+    if not everywhere(v >= 0.0):
+        raise ValueError(f"rotor speed must be nonnegative, got {v}")
+
+
 def thrust(model: AffineThrustModel, v: float, nu_in: float) -> float:
     """Closed-form thrust at rotor speed v (rad/s) and axial inflow nu_in (m/s).
 
     No clamping: the value may be negative outside the validity regime;
     callers gate on monotone_regime_bound if they need monotone behavior.
     """
-    if v < 0.0:
-        raise ValueError(f"rotor speed must be nonnegative, got {v}")
+    _require_nonnegative(v)
     return model.k_thrust * v * v - model.k_inflow * v * nu_in
 
 
@@ -84,36 +97,40 @@ def bet_numeric_thrust(geom: RotorGeometry, v: float, nu_in: float, panels: int 
 
     Integrand: 0.5 N rho c a (theta_0 v^2 b^2 - v b nu_in) db on b in [0, B].
     It is quadratic in b, so Simpson is exact for any panel count; this is
-    the independent oracle for the closed form.
+    the independent oracle for the closed form. The 2 panels + 1 nodes are
+    evaluated in one array along a trailing axis, so array speeds, inflows
+    and geometry fields give one quadrature per entry.
     """
-    if v <= 0.0:
+    if not everywhere(v > 0.0):
         raise ValueError(f"rotor speed must be strictly positive, got {v}")
     if panels < 2:
         raise ValueError(f"need at least 2 Simpson panels, got {panels}")
 
-    prefactor = 0.5 * geom.blade_count * geom.air_density * geom.chord * geom.lift_slope
-
-    def elemental(b: float) -> float:
-        return prefactor * (geom.pitch_angle * v * v * b * b - v * b * nu_in)
+    def column(x):
+        return np.expand_dims(x, -1)
 
     n = 2 * panels  # subintervals, always even
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
     h = geom.radius / n
-    acc = elemental(0.0) + elemental(geom.radius)
-    for i in range(1, n):
-        acc += (4.0 if i % 2 else 2.0) * elemental(i * h)
-    return acc * h / 3.0
+    b = column(h) * np.arange(n + 1)
+    prefactor = 0.5 * geom.blade_count * geom.air_density * geom.chord * geom.lift_slope
+    v, nu_in = column(v), column(nu_in)
+    elemental = column(prefactor) * (column(geom.pitch_angle) * v * v * b * b - v * b * nu_in)
+    return (elemental * weights).sum(axis=-1) * h / 3.0
 
 
 def inflow_sensitivity(model: AffineThrustModel, v: float, nu_in: float = 0.0) -> float:
     """lambda = -dT/d(nu_in) = k_inflow v; inflow-independent for this model."""
-    if v < 0.0:
-        raise ValueError(f"rotor speed must be nonnegative, got {v}")
+    _require_nonnegative(v)
     return model.k_inflow * v
 
 
 def hardening_rate(model: AffineThrustModel, v: float = 0.0, nu_in: float = 0.0) -> float:
-    """d(lambda)/dv = k_inflow, a strictly positive constant."""
-    return model.k_inflow
+    """d(lambda)/dv = k_inflow, a strictly positive constant (an array of
+    v's shape when v is an array)."""
+    return model.k_inflow + np.zeros_like(v) if np.ndim(v) else model.k_inflow
 
 
 def speed_sensitivity(model: AffineThrustModel, v: float, nu_in: float) -> float:
@@ -123,6 +140,5 @@ def speed_sensitivity(model: AffineThrustModel, v: float, nu_in: float) -> float
 
 def monotone_regime_bound(model: AffineThrustModel, v: float) -> float:
     """Supremum of inflows at which dT/dv stays positive: 2 (k_T/k_D) v."""
-    if v < 0.0:
-        raise ValueError(f"rotor speed must be nonnegative, got {v}")
+    _require_nonnegative(v)
     return 2.0 * model.k_thrust / model.k_inflow * v

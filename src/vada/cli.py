@@ -81,7 +81,11 @@ def _build_actuator(cfg: RunConfig):
         dr = build_dual_rotor(cfg.model)
         if "start" not in params:
             raise ConfigError("params.start required for a dual-rotor fiber sweep")
-        act = as_antagonistic_at_trim(dr, _number(params, "nu_bar", "params", 0.0))
+        try:
+            act = as_antagonistic_at_trim(dr, _number(params, "nu_bar", "params", 0.0))
+        except ValueError as exc:
+            # the configured trim leaves the monotone regime of the configured box
+            raise ConfigError(f"params.nu_bar: {exc}") from exc
         start = params["start"]
     return act, (_number(start, 0, "params.start"), _number(start, 1, "params.start"))
 
@@ -91,12 +95,13 @@ def run_fiber_sweep(cfg: RunConfig, out_dir: Path | None) -> int:
     steps = _integer(cfg.params, "steps", 50, least=2)
     u1_end = _number(cfg.params, "u1_end", "params", start[0] + 1.0)
     path = core.trace_fiber(act, start, u1_end, steps)
+    passive = core.monotonicity_sweep(act, path, "passive")
+    prompt = core.monotonicity_sweep(act, path, "promptness")
 
-    rows = []
-    for (u1, u2), res in zip(path.points, path.residuals):
-        rows.append(
-            [u1, u2, res, core.passive_coefficient(act, (u1, u2)), core.promptness(act, (u1, u2))]
-        )
+    rows = [
+        [u1, u2, res, p, r]
+        for (u1, u2), res, p, r in zip(path.points, path.residuals, passive.values, prompt.values)
+    ]
     target = (out_dir / "fiber_sweep.csv") if out_dir is not None else None
     writer_target = open(target, "w", newline="") if target else sys.stdout
     try:
@@ -108,8 +113,8 @@ def run_fiber_sweep(cfg: RunConfig, out_dir: Path | None) -> int:
         if target:
             writer_target.close()
 
-    passive_ok = core.monotonicity_sweep(act, path, "passive").is_strictly_increasing
-    prompt_ok = core.monotonicity_sweep(act, path, "promptness").is_strictly_increasing
+    passive_ok = passive.is_strictly_increasing
+    prompt_ok = prompt.is_strictly_increasing
     print(f"verdict: passive_coeff strict increase: {'PASS' if passive_ok else 'FAIL'}")
     print(f"verdict: promptness strict increase: {'PASS' if prompt_ok else 'FAIL'}")
     return EXIT_OK if passive_ok and prompt_ok else EXIT_NEGATIVE
@@ -207,7 +212,9 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
 
 def run_verify_scenario(cfg: RunConfig, out_dir: Path | None, seed_override) -> int:
     seed = seed_override if seed_override is not None else _integer(cfg.params, "seed", 0, least=0)
-    inject = bool(cfg.params.get("inject_constant_damping", False))
+    inject = cfg.params.get("inject_constant_damping", False)
+    if not isinstance(inject, bool):
+        raise ConfigError(f"params.inject_constant_damping must be true or false, got {inject!r}")
     report = run_verify(seed=seed, inject_constant_damping=inject)
     text = report_to_json(report)
     print(text)

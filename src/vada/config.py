@@ -19,7 +19,9 @@ Model sections:
                   ["alpha"]}, pulley_radius, state [x1, x2]
 
 simulate params.schedule: speeds [[v1, v2], ...], forces [f, ...], optional
-breakpoints [t, ...] (strictly increasing, positive), one fewer than speeds.
+breakpoints [t, ...] (strictly increasing, positive), one fewer than speeds;
+every entry a JSON number. verify params.inject_constant_damping is a JSON
+boolean (default false).
 
 Every number must be finite: NaN, Infinity and literals that overflow a
 float are rejected when the file is read. Numeric fields must be JSON
@@ -200,18 +202,31 @@ def build_dual_rotor(model: dict) -> DualRotor:
         raise ConfigError(f"dual_rotor: {exc}") from exc
 
 
+def _numbers(values, where: str) -> list:
+    """A JSON list of numbers, each read as `_number` reads one."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
+    return [_number(values, i, where) for i in range(len(values))]
+
+
 def build_schedule(section: dict) -> InputSchedule:
+    if not isinstance(section, dict):
+        raise ConfigError(f"params.schedule must be a JSON object, got {section!r}")
     _require(section, ("speeds", "forces"), "params.schedule")
+    speeds = section["speeds"]
+    if not isinstance(speeds, list):
+        raise ConfigError(f"params.schedule.speeds must be a list of pairs, got {speeds!r}")
+    pairs = [tuple(_numbers(v, f"params.schedule.speeds.{i}")) for i, v in enumerate(speeds)]
+    if any(len(v) != 2 for v in pairs):
+        raise ConfigError(f"params.schedule: each speeds entry must be a pair [v1, v2], "
+                          f"got {speeds}")
     try:
-        speeds = [tuple(float(x) for x in v) for v in section["speeds"]]
-        if any(len(v) != 2 for v in speeds):
-            raise ValueError(f"each speeds entry must be a pair [v1, v2], got {section['speeds']}")
         return InputSchedule(
-            speeds=speeds,
-            forces=[float(f) for f in section["forces"]],
-            breakpoints=[float(b) for b in section.get("breakpoints", [])],
+            speeds=pairs,
+            forces=_numbers(section["forces"], "params.schedule.forces"),
+            breakpoints=_numbers(section.get("breakpoints", []), "params.schedule.breakpoints"),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"params.schedule: {exc}") from exc
 
 

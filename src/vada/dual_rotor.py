@@ -4,6 +4,8 @@ Two counter-facing rotors on a common translation axis see opposite
 inflows (+nu on the forward rotor, -nu on the backward one). Net force,
 trim-linearized damping, promptness, the bridge into the antagonistic
 core, and the inverse (force, damping) -> speeds allocation live here.
+net_force and damping_at_trim also take a pair of speed arrays, with
+float or array rotor coefficients; allocate is scalar.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._array import everywhere, inside
 from .aero import (
     AffineThrustModel,
     hardening_rate,
@@ -55,11 +58,13 @@ class DualRotor:
         return cls(rotor_fwd=model, rotor_bwd=model, speed_box=speed_box)
 
     def in_box(self, v: Sequence[float]) -> bool:
+        """Scalar speed pairs only: the allocator's per-candidate test."""
         (lo1, hi1), (lo2, hi2) = self.speed_box
         return lo1 < v[0] < hi1 and lo2 < v[1] < hi2
 
     def require_in_box(self, v: Sequence[float]) -> None:
-        if not self.in_box(v):
+        """Raise unless v, or every point of a pair of speed arrays, is in the box."""
+        if not everywhere(inside(self.speed_box, v)):
             raise ValueError(f"speeds {tuple(v)} outside admissible box {self.speed_box}")
 
 

@@ -85,7 +85,6 @@ class Trajectory:
     force: list[float]
     f_ext: list[float]
     dt: float
-    integrator: str = "rk4"
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -119,11 +118,11 @@ def analytic_response(
     body: BodyConfig, v: Sequence[float], nu0: float, f_ext: float, t: float
 ) -> float:
     """Exact solution under constant inputs:
-    nu_inf + (nu0 - nu_inf) exp(-c_app t / m)."""
+    nu_inf + (nu0 - nu_inf) exp(-c_app t / m); t may be an array of times."""
     body.dual_rotor.require_in_box(v)
     c_app = apparent_damping(body, v)
     nu_inf = equilibrium_velocity(body, v) + f_ext / c_app
-    return nu_inf + (nu0 - nu_inf) * math.exp(-c_app * t / body.mass)
+    return nu_inf + (nu0 - nu_inf) * np.exp(-c_app * np.asarray(t) / body.mass)
 
 
 def simulate(

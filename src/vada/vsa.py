@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
+from ._array import everywhere
 from .antagonistic import AntagonisticActuator, ChannelLaw
 
 __all__ = [
@@ -25,7 +28,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TendonLaw:
-    """Tendon force-extension law r(x) with r' > 0 and r'' > 0 for x > 0."""
+    """Tendon force-extension law r(x) with r' > 0 and r'' > 0 for x > 0.
+
+    r and its derivatives take a float or an array of extensions; the
+    constructors' parameters may be arrays too, one law per entry.
+    """
 
     kind: str
     r: Callable[[float], float]
@@ -35,10 +42,10 @@ class TendonLaw:
     @classmethod
     def quadratic(cls, k: float) -> "TendonLaw":
         """r(x) = k x^2 / 2; linearly hardening, the canonical choice."""
-        if not k > 0.0:
+        if not everywhere(k > 0.0):
             raise ValueError(f"k must be positive, got {k}")
         return cls(
-            kind=f"quadratic(k={k})",
+            kind=f"quadratic(k={_label(k)})",
             r=lambda x: 0.5 * k * x * x,
             r_prime=lambda x: k * x,
             r_double_prime=lambda x: k,
@@ -47,26 +54,32 @@ class TendonLaw:
     @classmethod
     def exponential(cls, k: float, alpha: float) -> "TendonLaw":
         """r(x) = k (exp(alpha x) - 1)."""
-        if not (k > 0.0 and alpha > 0.0):
+        if not (everywhere(k > 0.0) and everywhere(alpha > 0.0)):
             raise ValueError(f"k and alpha must be positive, got k={k}, alpha={alpha}")
         return cls(
-            kind=f"exponential(k={k}, alpha={alpha})",
-            r=lambda x: k * (math.exp(alpha * x) - 1.0),
-            r_prime=lambda x: k * alpha * math.exp(alpha * x),
-            r_double_prime=lambda x: k * alpha * alpha * math.exp(alpha * x),
+            kind=f"exponential(k={_label(k)}, alpha={_label(alpha)})",
+            r=lambda x: k * (np.exp(alpha * x) - 1.0),
+            r_prime=lambda x: k * alpha * np.exp(alpha * x),
+            r_double_prime=lambda x: k * alpha * alpha * np.exp(alpha * x),
         )
 
     @classmethod
     def cubic(cls, k: float) -> "TendonLaw":
         """r(x) = k (x + x^3 / 3); r'' = 2 k x > 0 only for x > 0."""
-        if not k > 0.0:
+        if not everywhere(k > 0.0):
             raise ValueError(f"k must be positive, got {k}")
         return cls(
-            kind=f"cubic(k={k})",
+            kind=f"cubic(k={_label(k)})",
             r=lambda x: k * (x + x ** 3 / 3.0),
             r_prime=lambda x: k * (1.0 + x * x),
             r_double_prime=lambda x: 2.0 * k * x,
         )
+
+
+def _label(param) -> str:
+    """A law parameter as it appears in TendonLaw.kind; arrays by their size
+    alone, since printing every entry costs more than the law is used for."""
+    return str(param) if np.ndim(param) == 0 else f"<{np.size(param)} values>"
 
 
 @dataclass(frozen=True)

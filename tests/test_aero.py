@@ -207,3 +207,79 @@ class TestMonotoneRegime:
         eps = 1e-6
         assert speed_sensitivity(model, v, bound - eps) > 0.0
         assert speed_sensitivity(model, v, bound + eps) < 0.0
+
+
+class TestArrayInputs:
+    """Every formula takes arrays (speeds, inflows, model or geometry
+    fields) and gives what one scalar call per entry gives."""
+
+    def draws(self, n=200):
+        rng = np.random.default_rng(41)
+        geoms = [random_geometry(rng) for _ in range(n)]
+        v = rng.uniform(10.0, 500.0, n)
+        nu = rng.uniform(-5.0, 5.0, n)
+        return geoms, v, nu
+
+    @staticmethod
+    def stacked(geoms):
+        return RotorGeometry(
+            **{name: np.array([getattr(g, name) for g in geoms]) for name in vars(geoms[0])}
+        )
+
+    def test_derive_coefficients(self):
+        geoms, _, _ = self.draws()
+        batch = derive_coefficients(self.stacked(geoms))
+        scalar = [derive_coefficients(g) for g in geoms]
+        # numpy's power may round the cube of the radius differently
+        np.testing.assert_allclose(batch.k_thrust, [m.k_thrust for m in scalar], rtol=1e-15)
+        np.testing.assert_allclose(batch.k_inflow, [m.k_inflow for m in scalar], rtol=1e-15)
+
+    def test_formulas_of_one_model(self):
+        _, v, nu = self.draws()
+        model = AffineThrustModel(k_thrust=0.7, k_inflow=1.3)
+        for fn in (thrust, inflow_sensitivity, speed_sensitivity, hardening_rate):
+            batch = fn(model, v, nu)
+            assert batch.shape == v.shape
+            assert batch.tolist() == [fn(model, x, y) for x, y in zip(v.tolist(), nu.tolist())]
+        assert monotone_regime_bound(model, v).tolist() == [
+            monotone_regime_bound(model, x) for x in v.tolist()
+        ]
+
+    def test_formulas_of_array_models(self):
+        geoms, v, nu = self.draws()
+        models = derive_coefficients(self.stacked(geoms))
+        pairs = list(
+            zip(models.k_thrust.tolist(), models.k_inflow.tolist(), v.tolist(), nu.tolist())
+        )
+        for fn in (thrust, inflow_sensitivity, speed_sensitivity, hardening_rate):
+            assert fn(models, v, nu).tolist() == [
+                fn(AffineThrustModel(k_t, k_d), x, y) for k_t, k_d, x, y in pairs
+            ]
+
+    @pytest.mark.parametrize("panels", [2, 8, 19])
+    def test_bet_numeric_thrust(self, panels):
+        geoms, v, nu = self.draws()
+        batch = bet_numeric_thrust(self.stacked(geoms), v, nu, panels=panels)
+        scalar = [bet_numeric_thrust(g, x, y, panels=panels) for g, x, y in zip(geoms, v, nu)]
+        # the Simpson sum may run in another order for a batch
+        np.testing.assert_allclose(batch, scalar, rtol=1e-14)
+
+    def test_bet_numeric_thrust_scalar_is_one_value(self):
+        assert np.ndim(bet_numeric_thrust(sample_geometry(), 100.0, 1.0)) == 0
+
+    def test_one_bad_entry_rejects_the_array(self):
+        model = AffineThrustModel(k_thrust=1.0, k_inflow=1.0)
+        with pytest.raises(ValueError):
+            thrust(model, np.array([1.0, -1.0]), 0.0)
+        with pytest.raises(ValueError):
+            inflow_sensitivity(model, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            bet_numeric_thrust(sample_geometry(), np.array([10.0, 0.0]), 0.0)
+        with pytest.raises(ValueError):
+            AffineThrustModel(k_thrust=np.array([1.0, 0.0]), k_inflow=1.0)
+        geoms, _, _ = self.draws(3)
+        fields = vars(self.stacked(geoms))
+        with pytest.raises(ValueError, match="blade_count"):
+            RotorGeometry(**dict(fields, blade_count=np.array([1, 2.5, 3])))
+        with pytest.raises(ValueError, match="chord"):
+            RotorGeometry(**dict(fields, chord=np.array([0.01, 0.0, 0.02])))

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from vada.aero import AffineThrustModel
 from vada.antagonistic import (
     FIBER_TOLERANCE,
     AntagonisticActuator,
     ChannelLaw,
+    ConvergenceError,
+    FiberPath,
     fiber_tangent,
     monotonicity_sweep,
     passive_coefficient,
@@ -15,6 +18,8 @@ from vada.antagonistic import (
     task_output,
     trace_fiber,
 )
+from vada.dual_rotor import DualRotor, as_antagonistic_at_trim
+from vada.vsa import TendonLaw, VsaConfig, as_antagonistic
 
 FD_H = 1e-5
 
@@ -31,10 +36,10 @@ def quadratic_channel(k=1.0):
 
 def exponential_channel(k=1.0):
     return ChannelLaw(
-        output_fn=lambda u: k * math.exp(u) - k,
-        output_sensitivity_fn=lambda u: k * math.exp(u),
-        passive_coeff_fn=lambda u: k * math.exp(u),
-        passive_hardening_fn=lambda u: k * math.exp(u),
+        output_fn=lambda u: k * np.exp(u) - k,
+        output_sensitivity_fn=lambda u: k * np.exp(u),
+        passive_coeff_fn=lambda u: k * np.exp(u),
+        passive_hardening_fn=lambda u: k * np.exp(u),
     )
 
 
@@ -225,6 +230,8 @@ class TestMonotonicitySweep:
         act = symmetric_actuator(constant_passive_channel)
         path = trace_fiber(act, (1.0, 0.8), 3.0, 20)
         report = monotonicity_sweep(act, path, "passive")
+        # the constant channel's scalar result is broadcast to every point
+        assert report.values == [2.0] * 20
         assert not report.is_strictly_increasing
         assert report.min_increment == 0.0
 
@@ -315,3 +322,154 @@ class TestIsomorphism:
         for _ in range(100):
             u = rng.uniform(0.2, 20.0, size=2)
             assert abs(passive_coefficient(vsa, u) - passive_coefficient(vada, u)) <= 1e-12
+
+
+def sequential_trace_fiber(act, start, u1_end, steps):
+    """The step-by-step predictor-corrector that trace_fiber replaced: an
+    Euler step along the fiber tangent from the previous point, then Newton
+    in u2 at each point in turn. Returns (points, residuals)."""
+    level = task_output(act, start)
+    tol = FIBER_TOLERANCE * max(1.0, abs(level))
+    du1 = (u1_end - start[0]) / (steps - 1)
+    points, residuals = [], []
+    u1_prev, u2 = float(start[0]), float(start[1])
+    for i in range(steps):
+        u1 = start[0] + i * du1
+        if i > 0:
+            u2 = u2 + fiber_tangent(act, (u1_prev, u2)) * (u1 - u1_prev)
+        target = act.channel_plus.output_fn(u1) - level
+        for _ in range(50):
+            residual = act.channel_minus.output_fn(u2) - target
+            if abs(residual) <= tol:
+                break
+            u2 = u2 - residual / act.channel_minus.output_sensitivity_fn(u2)
+        else:
+            raise AssertionError(f"sequential corrector did not converge at u1={u1}")
+        assert act.in_box((u1, u2))
+        points.append((u1, float(u2)))
+        residuals.append(abs(residual))
+        u1_prev = u1
+    return points, residuals
+
+
+def fiber_workload_cases(seed, per_family=25):
+    """(actuator, start, u1_end) over the benchmark's fiber ranges: tendon
+    laws with k in [0.2, 3], alpha in [0.3, 1.5], R in [0.5, 2] and starts in
+    [0.5, 2]^2; dual rotors with k in [0.1, 2] on a (1, inf) box, starts in
+    [2, 4]^2, identical at zero trim and distinct at a trim within 30 % of
+    the monotone-regime bound; spans of u1 in [1, 3]."""
+    rng = np.random.default_rng(seed)
+    box = ((1.0, math.inf), (1.0, math.inf))
+    for _ in range(per_family):
+        k, alpha, radius = rng.uniform(0.2, 3.0), rng.uniform(0.3, 1.5), rng.uniform(0.5, 2.0)
+        for law in (TendonLaw.quadratic(k), TendonLaw.exponential(k, alpha), TendonLaw.cubic(k)):
+            start = (rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+            cfg = VsaConfig(law=law, pulley_radius=radius, state=start)
+            yield law.kind, as_antagonistic(cfg), start, start[0] + rng.uniform(1.0, 3.0)
+        k_thrust, k_inflow = rng.uniform(0.1, 2.0, 2), rng.uniform(0.1, 2.0, 2)
+        model = AffineThrustModel(k_thrust[0], k_inflow[0])
+        cap = 0.3 * min(2.0 * k_thrust / k_inflow)
+        trims = [
+            ("vada zero trim", DualRotor(model, model, speed_box=box), 0.0),
+            ("vada at trim",
+             DualRotor(model, AffineThrustModel(k_thrust[1], k_inflow[1]), speed_box=box),
+             rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0) * cap),
+        ]
+        for name, dr, nu_bar in trims:
+            start = (rng.uniform(2.0, 4.0), rng.uniform(2.0, 4.0))
+            yield name, as_antagonistic_at_trim(dr, nu_bar), start, start[0] + rng.uniform(1.0, 3.0)
+
+
+class TestBatchedFiberAgainstSequential:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_points_as_the_sequential_corrector(self, seed):
+        for name, act, start, u1_end in fiber_workload_cases(seed):
+            path = trace_fiber(act, start, u1_end, 200)
+            points, _ = sequential_trace_fiber(act, start, u1_end, 200)
+            bound = FIBER_TOLERANCE * max(1.0, abs(path.level))
+            assert max(path.residuals) <= bound, name
+            assert all(act.in_box(u) for u in path.points), name
+            assert [u1 for u1, _ in path.points] == [u1 for u1, _ in points], name
+            assert np.allclose([u2 for _, u2 in path.points], [u2 for _, u2 in points],
+                               rtol=1e-9, atol=0.0), name
+
+    @pytest.mark.parametrize("alpha, u1_end", [(3.0, 3.0), (1.5, 7.0)])
+    def test_far_points_of_a_steep_exponential_fiber(self, alpha, u1_end):
+        # the start's tangent line seeds the far points hundreds of Newton
+        # steps from their roots; they must be reseeded nearer, not given up
+        start = (2.0, 0.5)
+        law = TendonLaw.exponential(1.0, alpha)
+        act = as_antagonistic(VsaConfig(law=law, pulley_radius=1.0, state=start))
+        path = trace_fiber(act, start, u1_end, 200)
+        points, _ = sequential_trace_fiber(act, start, u1_end, 200)
+        assert max(path.residuals) <= FIBER_TOLERANCE * max(1.0, abs(path.level))
+        assert [u1 for u1, _ in path.points] == [u1 for u1, _ in points]
+        assert np.allclose([u2 for _, u2 in path.points], [u2 for _, u2 in points],
+                           rtol=1e-9, atol=0.0)
+
+    def test_points_are_python_floats(self):
+        act = symmetric_actuator(exponential_channel)
+        path = trace_fiber(act, (0.5, 0.9), 2.5, 30)
+        assert all(type(x) is float for u in path.points for x in u)
+        assert all(type(r) is float for r in path.residuals)
+        assert type(path.level) is float
+
+    def test_box_violation_reported_at_the_first_step_outside(self):
+        act = AntagonisticActuator(
+            channel_plus=quadratic_channel(),
+            channel_minus=quadratic_channel(),
+            admissible_box=((0.0, math.inf), (0.0, 2.0)),
+        )
+        # level 4: u2 = sqrt(u1^2 - 8) passes 2 at u1 = sqrt(12) = 3.46, step 5 of 0.1
+        with pytest.raises(ValueError, match="box at step 5:"):
+            trace_fiber(act, (3.0, 1.0), 3.9, 10)
+
+    def test_missing_root_is_an_error(self):
+        # h2 = atan is bounded by pi/2, below the late targets u1^2/2 - 1/2
+        flat = ChannelLaw(
+            output_fn=np.arctan,
+            output_sensitivity_fn=lambda u: 1.0 / (1.0 + u * u),
+            passive_coeff_fn=lambda u: u,
+            passive_hardening_fn=lambda u: 1.0,
+        )
+        act = AntagonisticActuator(
+            channel_plus=quadratic_channel(), channel_minus=flat,
+            admissible_box=((0.0, math.inf), (-math.inf, math.inf)),
+        )
+        with pytest.raises((ConvergenceError, ValueError)), np.errstate(over="ignore"):
+            trace_fiber(act, (1.0, 0.0), 2.5, 5)
+
+
+class TestArrayCommands:
+    @pytest.mark.parametrize("make", CHANNEL_FAMILIES)
+    def test_array_commands_match_pointwise_calls(self, make):
+        act = symmetric_actuator(make)
+        u = np.random.default_rng(31).uniform(0.2, 4.0, (2, 50))
+        points = list(zip(*u.tolist()))
+        for fn in (task_output, passive_coefficient, promptness):
+            batched = fn(act, u)
+            pointwise = [fn(act, p) for p in points]
+            # cubic powers may round differently in numpy; task_output cancels
+            np.testing.assert_allclose(batched, pointwise, rtol=1e-14, atol=1e-12,
+                                       err_msg=fn.__name__)
+
+    def test_one_point_outside_the_box_rejects_the_array(self):
+        act = AntagonisticActuator(
+            channel_plus=quadratic_channel(),
+            channel_minus=quadratic_channel(),
+            admissible_box=((1.0, 5.0), (1.0, 5.0)),
+        )
+        u = np.array([[2.0, 3.0, 4.0], [2.0, 5.0, 3.0]])
+        assert not act.in_box(u)
+        with pytest.raises(ValueError):
+            passive_coefficient(act, u)
+
+    def test_sweep_of_a_hand_made_path_checks_the_box(self):
+        act = AntagonisticActuator(
+            channel_plus=quadratic_channel(),
+            channel_minus=quadratic_channel(),
+            admissible_box=((1.0, 5.0), (1.0, 5.0)),
+        )
+        path = FiberPath(level=0.0, points=[(2.0, 2.0), (6.0, 6.0)], residuals=[0.0, 0.0])
+        with pytest.raises(ValueError):
+            monotonicity_sweep(act, path, "passive")

@@ -101,6 +101,26 @@ class TestDeriveCoeffs:
 
 
 class TestFiberSweep:
+    def test_exponential_sweep_csv_holds_plain_floats(self, tmp_path):
+        law = {"kind": "exponential", "k": 1.0, "alpha": 0.8}
+        config = write_config(
+            tmp_path, dict(vsa_sweep_config(law=law), params={"u1_end": 2.5, "steps": 30})
+        )
+        assert main(["fiber-sweep", "--config", config, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "fiber_sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 30
+        # every cell is a float literal, never a numpy repr such as np.float64(...)
+        assert all(float(value) > 0.0 for row in rows for value in row.values() if value != "0.0")
+
+    def test_steep_exponential_sweep_succeeds(self, tmp_path):
+        # slope 90 at the start: the far end of the default span needs reseeding
+        law = {"kind": "exponential", "k": 1.0, "alpha": 3.0}
+        config = write_config(tmp_path, vsa_sweep_config(law=law, state=[2.0, 0.5]))
+        assert main(["fiber-sweep", "--config", config, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "fiber_sweep.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 50
+
     def test_vsa_symmetric_fiber_is_diagonal(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -327,10 +347,19 @@ class TestSimulate:
             lambda cfg: cfg["params"].update(mass="1.0"),
             lambda cfg: cfg["params"].update(nu0="nan"),
             lambda cfg: cfg["model"]["dual_rotor"].update(speed_box=[[1.0, 3.0], [0.0, None]]),
+            lambda cfg: cfg["params"]["schedule"]["speeds"].__setitem__(0, ["1.5", 0.5]),
+            lambda cfg: cfg["params"]["schedule"].update(forces=[0.0, "0.5", 0.0]),
+            lambda cfg: cfg["params"]["schedule"].update(breakpoints=["0.5", 1.5]),
+            lambda cfg: cfg["params"]["schedule"].update(forces=[0.0, True, 0.0]),
+            lambda cfg: cfg["params"]["schedule"].update(speeds="fast"),
+            lambda cfg: cfg["params"].update(schedule=[1.0]),
+            lambda cfg: cfg["params"].update(schedule=5),
         ],
         ids=["nu0-nan", "dt-infinity", "k_thrust-infinity", "missing-forces",
              "decreasing-breakpoints", "non-numeric-force", "speed-not-a-pair",
-             "dt-zero", "mass-string", "nu0-string", "speeds-outside-box"],
+             "dt-zero", "mass-string", "nu0-string", "speeds-outside-box",
+             "speed-numeric-string", "force-numeric-string", "breakpoint-numeric-string",
+             "force-bool", "speeds-string", "schedule-list", "schedule-number"],
     )
     def test_config_faults_exit_2_with_one_line(self, tmp_path, capsys, edit):
         schedule = {
@@ -434,13 +463,19 @@ class TestConfigFaults:
              "params": {"start": [2.0, 1.0], "nu_bar": "x"}},
             {"scenario": "verify", "params": {"seed": "x"}},
             {"scenario": "verify", "params": {"seed": 1.5}},
+            {"scenario": "verify", "params": {"inject_constant_damping": "no"}},
+            {"scenario": "verify", "params": {"inject_constant_damping": 0}},
+            {"scenario": "fiber-sweep",
+             "model": {"dual_rotor": dict(UNIT_ROTOR, speed_box=[[1.0, None], [1.0, None]])},
+             "params": {"start": [2.0, 2.0], "nu_bar": 5.0}},
         ],
         ids=["k_thrust-string", "k_inflow-bool", "force_level-string", "sigma_des-null",
              "sigma_des-zero", "nu_bar-string", "speed_box-string", "speed_box-one-pair",
              "speed_box-inverted", "vsa-number", "params-list", "blade_count-string",
              "sample_speed-string", "k-string", "alpha-list", "law-string",
              "pulley_radius-string", "state-string", "state-short", "u1_end-string",
-             "start-string", "sweep-nu_bar-string", "seed-string", "seed-fraction"],
+             "start-string", "sweep-nu_bar-string", "seed-string", "seed-fraction",
+             "inject-string", "inject-number", "sweep-nu_bar-outside-monotone-regime"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, data):
         config = write_config(tmp_path, data)

@@ -225,3 +225,32 @@ class TestAllocate:
         with pytest.raises(ValueError):
             allocate(dr, TrimPoint(nu_bar=0.0, force_level=1.0), sigma_des=0.0)
 
+
+
+class TestArraySpeeds:
+    def test_force_and_damping_match_pointwise(self):
+        rng = np.random.default_rng(43)
+        n = 300
+        k_thrust, k_inflow = rng.uniform(0.05, 5.0, (2, 2, n))
+        box = ((1.0, math.inf), (1.0, math.inf))
+        batch = DualRotor(
+            rotor_fwd=AffineThrustModel(k_thrust[0], k_inflow[0]),
+            rotor_bwd=AffineThrustModel(k_thrust[1], k_inflow[1]),
+            speed_box=box,
+        )
+        v = rng.uniform(1.5, 50.0, (2, n))
+        nu = rng.uniform(-20.0, 20.0, n)
+        force, damping = net_force(batch, v, nu), damping_at_trim(batch, v, nu)
+        for i in range(n):
+            dr = DualRotor(
+                rotor_fwd=AffineThrustModel(k_thrust[0, i], k_inflow[0, i]),
+                rotor_bwd=AffineThrustModel(k_thrust[1, i], k_inflow[1, i]),
+                speed_box=box,
+            )
+            assert force[i] == net_force(dr, v[:, i], nu[i])
+            assert damping[i] == damping_at_trim(dr, v[:, i], nu[i])
+
+    def test_one_speed_outside_the_box_rejects_the_array(self):
+        dr = DualRotor.identical(AffineThrustModel(1.0, 1.0), speed_box=((1.0, 10.0), (1.0, 10.0)))
+        with pytest.raises(ValueError):
+            net_force(dr, np.array([[2.0, 3.0], [2.0, 11.0]]), 0.0)

@@ -157,6 +157,25 @@ class TestAnalyticResponse:
         assert val - nu_inf == pytest.approx((nu0 - nu_inf) / math.e, rel=1e-12)
 
 
+    def test_array_of_times_matches_pointwise(self):
+        body = unit_body(mass=1.3)
+        v = (3.0, 1.0)
+        t = np.linspace(0.0, 2.0, 101)
+        batch = analytic_response(body, v, 0.4, -0.2, t)
+        pointwise = [analytic_response(body, v, 0.4, -0.2, x) for x in t.tolist()]
+        # numpy's vectorised exp may round differently from a scalar call
+        np.testing.assert_allclose(batch, pointwise, rtol=1e-15, atol=1e-16)
+
+    def test_array_speeds_match_pointwise(self):
+        body = unit_body(mass=0.8, k_thrust=0.6, k_inflow=1.4)
+        v = np.random.default_rng(47).uniform(1.0, 5.0, (2, 50))
+        for fn in (apparent_damping, active_force, equilibrium_velocity):
+            assert fn(body, v).tolist() == [fn(body, u) for u in v.T.tolist()]
+        batch = analytic_response(body, v, 0.4, -0.2, 0.7)
+        pointwise = [analytic_response(body, u, 0.4, -0.2, 0.7) for u in v.T.tolist()]
+        np.testing.assert_allclose(batch, pointwise, rtol=1e-15, atol=1e-16)
+
+
 class TestSimulate:
     def test_equilibrium_is_fixed_point(self):
         body = unit_body()

@@ -145,3 +145,24 @@ class TestCoContraction:
             assert predicted > 0.0
             assert sb - sa > 0.0
             assert math.copysign(1.0, sb - sa) == math.copysign(1.0, predicted)
+
+
+class TestArrayLaws:
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.kind)
+    def test_law_on_array_matches_pointwise(self, law):
+        x = np.random.default_rng(37).uniform(0.2, 3.0, 100)
+        for fn in (law.r, law.r_prime, law.r_double_prime):
+            batch = np.broadcast_to(fn(x), x.shape)
+            # numpy's exp and power may round differently from a scalar call
+            np.testing.assert_allclose(batch, [fn(v) for v in x.tolist()], rtol=1e-14)
+
+    def test_array_parameters_give_one_law_per_entry(self):
+        k = np.array([0.5, 1.0, 2.0])
+        alpha = np.array([0.3, 0.9, 1.5])
+        batch = TendonLaw.exponential(k, alpha)
+        laws = [TendonLaw.exponential(a, b) for a, b in zip(k.tolist(), alpha.tolist())]
+        expected = [law.r_prime(1.2) for law in laws]
+        np.testing.assert_allclose(batch.r_prime(1.2), expected, rtol=1e-14)
+        assert batch.kind == "exponential(k=<3 values>, alpha=<3 values>)"
+        with pytest.raises(ValueError):
+            TendonLaw.quadratic(np.array([1.0, -1.0]))

@@ -15,7 +15,6 @@ the command and then require every point to lie in the box.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -81,13 +80,18 @@ class AntagonisticActuator:
             raise ValueError(f"command {tuple(u)} outside admissible box {self.admissible_box}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberPath:
-    """Discrete constant-output fiber, parameterized by increasing u1."""
+    """Discrete constant-output fiber, parameterized by increasing u1.
+
+    trace_fiber returns `points` as an (n, 2) float array of (u1, u2) rows and
+    `residuals` as a 1-D array of |f(u) - level|; the sweeps also accept a
+    sequence of (u1, u2) pairs.
+    """
 
     level: float
-    points: list[tuple[float, float]]
-    residuals: list[float] = field(default_factory=list)
+    points: np.ndarray
+    residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 @dataclass(frozen=True)
@@ -197,11 +201,7 @@ def trace_fiber(
                 f"fiber correction did not converge at u1={u1[i]} (last residual {residual[i]:.3e})"
             )
         raise ValueError(f"fiber left the admissible box at step {i}: u=({u1[i]}, {u2[i]})")
-    return FiberPath(
-        level=level,
-        points=list(zip(u1.tolist(), u2.tolist())),
-        residuals=np.abs(residual).tolist(),
-    )
+    return FiberPath(level=level, points=np.column_stack((u1, u2)), residuals=np.abs(residual))
 
 
 def _newton_pass(output_fn, sensitivity_fn, u2, target, tol, done):
@@ -229,14 +229,8 @@ def _on_grid(values, shape) -> np.ndarray:
 
 
 def _grid(path: FiberPath) -> np.ndarray:
-    """The path's points as a (2, n) array: the u1 values, then the u2 values.
-
-    FiberPath keeps a list of Python-float pairs, the form the API returns.
-    Flattening it through fromiter takes 21 us for 200 points against 60 us
-    for np.array(path.points), and a fiber op converts its path three times.
-    """
-    flat = np.fromiter(itertools.chain.from_iterable(path.points), float, 2 * len(path.points))
-    return flat.reshape(-1, 2).T
+    """The path's points as a (2, n) array: the u1 values, then the u2 values."""
+    return np.asarray(path.points, dtype=float).reshape(-1, 2).T
 
 
 def monotonicity_sweep(act: AntagonisticActuator, path: FiberPath, which: str) -> SweepReport:

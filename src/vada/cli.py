@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from bisect import bisect_left, bisect_right
 from pathlib import Path
+
+import numpy as np
 
 from . import antagonistic as core
 from .aero import bet_numeric_thrust, derive_coefficients, thrust
 from .config import (
+    SCENARIOS,
     ConfigError,
     RunConfig,
     _integer,
@@ -44,9 +45,17 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
+# The most samples one run may ask for (fiber-sweep steps, simulate t_end / dt),
+# so that a config cannot demand more memory than a sweep or a trajectory needs.
+MAX_SAMPLES = 1_000_000
+
 
 def _emit(record: dict, out_dir: Path | None, filename: str) -> None:
-    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        # a record holds only numbers computed from the configured ones
+        raise ConfigError(f"{filename}: the configured values leave the float range ({exc})") from exc
     print(text)
     if out_dir is not None:
         (out_dir / filename).write_text(text + "\n")
@@ -87,28 +96,34 @@ def _build_actuator(cfg: RunConfig):
             # the configured trim leaves the monotone regime of the configured box
             raise ConfigError(f"params.nu_bar: {exc}") from exc
         start = params["start"]
-    return act, (_number(start, 0, "params.start"), _number(start, 1, "params.start"))
+    start = (_number(start, 0, "params.start"), _number(start, 1, "params.start"))
+    if not act.in_box(start):
+        raise ConfigError(f"params.start {start} outside admissible box {act.admissible_box}")
+    return act, start
 
 
 def run_fiber_sweep(cfg: RunConfig, out_dir: Path | None) -> int:
     act, start = _build_actuator(cfg)
     steps = _integer(cfg.params, "steps", 50, least=2)
+    if steps > MAX_SAMPLES:
+        raise ConfigError(f"params.steps must be at most {MAX_SAMPLES}, got {steps}")
     u1_end = _number(cfg.params, "u1_end", "params", start[0] + 1.0)
+    if not u1_end > start[0]:
+        raise ConfigError(f"params.u1_end ({u1_end}) must exceed start u1 ({start[0]})")
     path = core.trace_fiber(act, start, u1_end, steps)
     passive = core.monotonicity_sweep(act, path, "passive")
     prompt = core.monotonicity_sweep(act, path, "promptness")
 
-    rows = [
-        [u1, u2, res, p, r]
-        for (u1, u2), res, p, r in zip(path.points, path.residuals, passive.values, prompt.values)
-    ]
+    columns = (*path.points.T, path.residuals, np.array(passive.values), np.array(prompt.values))
+    if not all(np.isfinite(c).all() for c in columns):
+        raise ConfigError("the configured values drive the sweep out of the float range")
+    rows = zip(*(c.tolist() for c in columns))
     target = (out_dir / "fiber_sweep.csv") if out_dir is not None else None
     writer_target = open(target, "w", newline="") if target else sys.stdout
     try:
         writer = csv.writer(writer_target)
         writer.writerow(["u1", "u2", "task_residual", "passive_coeff", "promptness"])
-        for row in rows:
-            writer.writerow([repr(x) for x in row])
+        writer.writerows([repr(x) for x in row] for row in rows)
     finally:
         if target:
             writer_target.close()
@@ -129,7 +144,7 @@ def run_allocate(cfg: RunConfig, out_dir: Path | None) -> int:
     try:
         result = allocate(dr, trim, sigma_des)
     except ValueError as exc:
-        # allocate's only check is sigma_des > 0
+        # allocate's checks are on sigma_des: positive, and no underflow
         raise ConfigError(f"params: {exc}") from exc
     common, differential = mode_decomposition(result.speeds)
     record = {
@@ -146,21 +161,18 @@ def run_allocate(cfg: RunConfig, out_dir: Path | None) -> int:
     return EXIT_OK if result.feasible else EXIT_NEGATIVE
 
 
-def _fit_time_constant(times, nus, nu_inf):
-    """Least-squares slope of ln|nu - nu_inf| against t; returns 1/|slope|."""
-    ts, ys = [], []
-    for t, x in zip(times, nus):
-        gap = abs(x - nu_inf)
-        if gap > 1e-12:
-            ts.append(t)
-            ys.append(math.log(gap))
-    if len(ts) < 2:
+def _fit_time_constant(times: np.ndarray, nus: np.ndarray, nu_inf: float):
+    """Least-squares slope of ln|nu - nu_inf| against t over the samples
+    whose gap exceeds 1e-12; returns 1/|slope|, or None without a decay."""
+    gap = np.abs(nus - nu_inf)
+    keep = gap > 1e-12
+    if np.count_nonzero(keep) < 2:
         return None
-    n = len(ts)
-    mean_t = sum(ts) / n
-    mean_y = sum(ys) / n
-    num = sum((t - mean_t) * (y - mean_y) for t, y in zip(ts, ys))
-    den = sum((t - mean_t) ** 2 for t in ts)
+    t = times[keep]
+    y = np.log(gap[keep])
+    t_dev = t - t.mean()
+    num = float(t_dev @ (y - y.mean()))
+    den = float(t_dev @ t_dev)
     if den == 0.0 or num == 0.0:
         return None
     return -den / num if num < 0 else None
@@ -173,6 +185,8 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
     if "schedule" not in params:
         raise ConfigError("params.schedule required for simulate")
     schedule = build_schedule(params["schedule"])
+    if dt > 0.0 and t_end / dt > MAX_SAMPLES:
+        raise ConfigError(f"params: t_end / dt must be at most {MAX_SAMPLES}, got {t_end / dt}")
     try:
         body = BodyConfig(mass=mass, dual_rotor=dr)
         traj = simulate(body, schedule, nu0, t_end, dt)
@@ -180,6 +194,8 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
         # every check on this path is on a configured value: mass, t_end,
         # dt, or speeds against the speed box
         raise ConfigError(f"params: {exc}") from exc
+    if not (np.isfinite(traj.nu).all() and np.isfinite(traj.force).all()):
+        raise ConfigError("params: the configured values drive the trajectory out of the float range")
     if out_dir is not None:
         traj.to_csv(out_dir / "trajectory.csv")
 
@@ -188,7 +204,8 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
         c_app = apparent_damping(body, v)
         nu_eq = equilibrium_velocity(body, v)
         nu_inf = nu_eq + f_ext / c_app
-        lo, hi = bisect_left(traj.times, a), bisect_right(traj.times, b)
+        lo = np.searchsorted(traj.times, a, side="left")
+        hi = np.searchsorted(traj.times, b, side="right")
         tau_fit = (
             _fit_time_constant(traj.times[lo:hi], traj.nu[lo:hi], nu_inf) if hi - lo > 2 else None
         )
@@ -206,7 +223,7 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
                 ),
             }
         )
-    _emit({"segments": segments, "final_nu": traj.nu[-1]}, out_dir, "summary.json")
+    _emit({"segments": segments, "final_nu": float(traj.nu[-1])}, out_dir, "summary.json")
     return EXIT_OK
 
 
@@ -223,6 +240,15 @@ def run_verify_scenario(cfg: RunConfig, out_dir: Path | None, seed_override) -> 
     return EXIT_OK if report["all_passed"] else EXIT_NEGATIVE
 
 
+# verify also takes the --seed override, so main calls it by name
+RUNNERS = {
+    "derive-coeffs": run_derive_coeffs,
+    "fiber-sweep": run_fiber_sweep,
+    "allocate": run_allocate,
+    "simulate": run_simulate,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vada",
@@ -231,7 +257,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "scenario",
-        choices=["derive-coeffs", "fiber-sweep", "allocate", "simulate", "verify"],
+        choices=SCENARIOS,
     )
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the verification seed")
@@ -252,15 +278,12 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares scenario {cfg.scenario!r} but {args.scenario!r} was requested"
             )
-        if args.scenario == "derive-coeffs":
-            return run_derive_coeffs(cfg, out_dir)
-        if args.scenario == "fiber-sweep":
-            return run_fiber_sweep(cfg, out_dir)
-        if args.scenario == "allocate":
-            return run_allocate(cfg, out_dir)
-        if args.scenario == "simulate":
-            return run_simulate(cfg, out_dir)
-        return run_verify_scenario(cfg, out_dir, args.seed)
+        # a run checks its own outputs for non-finite numbers and reports
+        # them in one line, so numpy's floating-point warnings only add noise
+        with np.errstate(all="ignore"):
+            if args.scenario == "verify":
+                return run_verify_scenario(cfg, out_dir, args.seed)
+            return RUNNERS[args.scenario](cfg, out_dir)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -127,11 +127,23 @@ def _require(section: dict, keys: tuple[str, ...], where: str) -> None:
         raise ConfigError(f"{where}: missing field(s) {missing}")
 
 
-def _number(section, key, where: str, default=None):
-    """section[key] if it is a JSON number (not a boolean), else ConfigError.
+def _number(section, key, where: str, default=None) -> float:
+    """section[key] as a float if it is a JSON number (not a boolean), else
+    ConfigError. A missing key gives `default` when one is set.
 
-    A missing key gives `default` when one is set.
+    An integer literal is read as a float too: the formulas take floats, and
+    an int beyond 64 bits that reaches numpy raises TypeError (np.exp of it).
     """
+    value = _json_number(section, key, where, default)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}.{key} overflows a float, got {value!r}") from None
+
+
+def _json_number(section, key, where: str, default=None):
+    """section[key] as parsed (an int or a float) if it is a JSON number and
+    not a boolean, else ConfigError; a missing key gives `default`."""
     if default is not None and key not in section:
         return default
     try:
@@ -145,7 +157,7 @@ def _number(section, key, where: str, default=None):
 
 def _integer(params: dict, key: str, default: int, least: int) -> int:
     """params[key] (or default) as an int, if it is a whole number >= least."""
-    value = _number(params, key, "params", default)
+    value = _json_number(params, key, "params", default)
     if value < least or value != int(value):
         raise ConfigError(f"params.{key} must be an integer of at least {least}, got {value!r}")
     return int(value)
@@ -193,8 +205,8 @@ def build_dual_rotor(model: dict) -> DualRotor:
         raise ConfigError(f"dual_rotor.speed_box must be [[lo, hi], [lo, hi]], got {box!r}")
     speed_box = []
     for lo_hi in box:
-        lo = float(_number(lo_hi, 0, "dual_rotor.speed_box"))
-        hi = math.inf if lo_hi[1] is None else float(_number(lo_hi, 1, "dual_rotor.speed_box"))
+        lo = _number(lo_hi, 0, "dual_rotor.speed_box")
+        hi = math.inf if lo_hi[1] is None else _number(lo_hi, 1, "dual_rotor.speed_box")
         speed_box.append((lo, hi))
     try:
         return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, speed_box=tuple(speed_box))
@@ -245,7 +257,7 @@ def build_vsa(model: dict) -> VsaConfig:
     _require(section, ("law", "pulley_radius", "state"), "vsa")
     law = section["law"]
     kind = law.get("kind") if isinstance(law, dict) else None
-    if kind not in _LAWS:
+    if not isinstance(kind, str) or kind not in _LAWS:
         raise ConfigError(f"vsa.law.kind must be one of {sorted(_LAWS)}, got {kind!r}")
     make_law, keys = _LAWS[kind]
     law_params = [_number(law, key, "vsa.law") for key in keys]

@@ -183,6 +183,9 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
         xs = [-b / (2.0 * a)]
     else:
         q = -0.5 * (b + math.sqrt(disc))
+        if q == 0.0:
+            # b > 0 makes q < 0 in exact arithmetic: only an underflow gives 0
+            raise ValueError(f"requested damping {sigma_des} underflows the allocation quadratic")
         xs = [c / q] if a == 0.0 else [c / q, q / a]
 
     # c/q comes last, so it is what is left when neither root is in the box

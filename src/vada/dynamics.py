@@ -76,22 +76,26 @@ class InputSchedule:
             yield a, b, self.speeds[i], self.forces[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    times: list[float]
-    nu: list[float]
-    v1: list[float]
-    v2: list[float]
-    force: list[float]
-    f_ext: list[float]
+    """One simulation's samples: every column is a 1-D float64 array of the
+    same length (one entry per sample time); dt is the nominal step."""
+
+    times: np.ndarray
+    nu: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
+    force: np.ndarray
+    f_ext: np.ndarray
     dt: float
 
     def to_csv(self, path) -> None:
+        """Write the columns as plain float literals (repr of Python floats)."""
+        columns = (self.times, self.nu, self.v1, self.v2, self.force, self.f_ext)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "nu", "v1", "v2", "F", "F_ext"])
-            for row in zip(self.times, self.nu, self.v1, self.v2, self.force, self.f_ext):
-                writer.writerow([repr(x) for x in row])
+            writer.writerows([repr(x) for x in row] for row in zip(*(c.tolist() for c in columns)))
 
 
 def apparent_damping(body: BodyConfig, v: Sequence[float]) -> float:
@@ -152,39 +156,38 @@ def simulate(
     for a, b, v, f_ext in schedule.segments(t_end):
         # both coefficient functions check v against the speed box
         c_app = apparent_damping(body, v)
+        if not c_app > 0.0:
+            # positive speeds and k_inflow give c_app > 0 unless it underflows
+            raise ValueError(f"apparent damping at speeds {v} is {c_app}, not positive")
         nu_inf = (active_force(body, v) + f_ext) / c_app
         n = max(1, math.ceil((b - a) / dt - 1e-12))
         h = (b - a) / n
         z = -h * c_app / body.mass
         r = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
         k = np.arange(1, n + 1)
-        times.append(a + k * h)
-        nus.append(nu_inf + (nu - nu_inf) * r**k)
-        nu = float(nus[-1][-1])
+        # a + k * h and nu_inf + (nu - nu_inf) * r**k, with no temporaries
+        t_k = k * h
+        t_k += a
+        nu_k = np.power(r, k)
+        nu_k *= nu - nu_inf
+        nu_k += nu_inf
+        times.append(t_k)
+        nus.append(nu_k)
+        nu = float(nu_k[-1])
     t_col = np.concatenate(times)
     nu_col = np.concatenate(nus)
 
-    # samples are sorted in time, so each segment's samples form one run
-    index = np.searchsorted(np.asarray(schedule.breakpoints, dtype=float), t_col, side="right")
-    runs, counts = np.unique(index, return_counts=True)
-    v1s, v2s, f_exts, a_seg, c_seg = [], [], [], [], []
-    for i, count in zip(runs.tolist(), counts.tolist()):
-        v = schedule.speeds[i]
-        v1s += [v[0]] * count
-        v2s += [v[1]] * count
-        f_exts += [schedule.forces[i]] * count
-        a_seg.append(active_force(body, v))
-        c_seg.append(apparent_damping(body, v))
-    forces = np.repeat(a_seg, counts) - np.repeat(c_seg, counts) * nu_col
-    return Trajectory(
-        times=t_col.tolist(),
-        nu=nu_col.tolist(),
-        v1=v1s,
-        v2=v2s,
-        force=forces.tolist(),
-        f_ext=f_exts,
-        dt=dt,
-    )
+    # samples are sorted in time, so segment i holds the samples from the
+    # first at or after breakpoint i-1 to the last before breakpoint i: the
+    # segment searchsorted(breakpoints, t, side="right") gives each sample.
+    # A segment shorter than one step holds none (its end sample opens the next).
+    starts = np.searchsorted(t_col, schedule.breakpoints, side="left").tolist()
+    v1, v2, f_col, force = (np.empty_like(t_col) for _ in range(4))
+    for v, f_ext, lo, hi in zip(schedule.speeds, schedule.forces, [0, *starts], [*starts, len(t_col)]):
+        if lo < hi:
+            v1[lo:hi], v2[lo:hi], f_col[lo:hi] = v[0], v[1], f_ext
+            force[lo:hi] = active_force(body, v) - apparent_damping(body, v) * nu_col[lo:hi]
+    return Trajectory(times=t_col, nu=nu_col, v1=v1, v2=v2, force=force, f_ext=f_col, dt=dt)
 
 
 def mode_decomposition(v: Sequence[float]) -> tuple[float, float]:

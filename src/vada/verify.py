@@ -189,7 +189,7 @@ def check_vada_damping(rng, fibers: int = 20, points: int = 100, trims: int = 0)
         for nu_bar, start, span in zip(nu_bars[i].tolist(), starts[i], spans[i]):
             act = as_antagonistic_at_trim(dr, nu_bar)
             path = core.trace_fiber(act, start, start[0] + span, points)
-            ok = ok and max(path.residuals) <= core.FIBER_TOLERANCE * max(1.0, abs(path.level))
+            ok = ok and path.residuals.max() <= core.FIBER_TOLERANCE * max(1.0, abs(path.level))
             report = core.monotonicity_sweep(act, path, "passive")
             ok = ok and report.is_strictly_increasing
             worst = min(worst, report.min_increment)
@@ -287,7 +287,7 @@ def check_impedance_rk4(rng, draws: int = 20, dt: float = 1e-3) -> dict:
         body = BodyConfig(mass=m, dual_rotor=DualRotor.identical(model))
         traj = simulate(body, InputSchedule.constant((s1, s2), f), x0, t1, dt)
         exact = analytic_response(body, (s1, s2), x0, f, traj.times)
-        worst = max(worst, float(np.abs(np.asarray(traj.nu) - exact).max()))
+        worst = max(worst, float(np.abs(traj.nu - exact).max()))
     return _record("impedance-rk4-vs-analytic", draws, worst <= 1e-8, worst)
 
 

@@ -407,12 +407,24 @@ class TestBatchedFiberAgainstSequential:
         assert np.allclose([u2 for _, u2 in path.points], [u2 for _, u2 in points],
                            rtol=1e-9, atol=0.0)
 
-    def test_points_are_python_floats(self):
+    def test_points_and_residuals_are_float_arrays(self):
         act = symmetric_actuator(exponential_channel)
         path = trace_fiber(act, (0.5, 0.9), 2.5, 30)
-        assert all(type(x) is float for u in path.points for x in u)
-        assert all(type(r) is float for r in path.residuals)
+        assert isinstance(path.points, np.ndarray) and path.points.dtype == np.float64
+        assert path.points.shape == (30, 2)
+        assert isinstance(path.residuals, np.ndarray) and path.residuals.dtype == np.float64
+        assert path.residuals.shape == (30,)
         assert type(path.level) is float
+
+    def test_list_of_pairs_path_sweeps_like_the_array_path(self):
+        from vada.antagonistic import FiberPath
+
+        act = symmetric_actuator(exponential_channel)
+        path = trace_fiber(act, (0.5, 0.9), 2.5, 30)
+        pairs = FiberPath(level=path.level, points=[tuple(u) for u in path.points.tolist()])
+        for which in ("passive", "promptness"):
+            assert monotonicity_sweep(act, pairs, which) == monotonicity_sweep(act, path, which)
+        assert passive_promptness_relation(act, pairs) == passive_promptness_relation(act, path)
 
     def test_box_violation_reported_at_the_first_step_outside(self):
         act = AntagonisticActuator(

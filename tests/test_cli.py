@@ -2,10 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from vada import verify
-from vada.cli import main
+from vada.cli import _fit_time_constant, main
 from vada.config import ConfigError, RunConfig, build_dual_rotor, build_vsa
 
 
@@ -120,6 +121,16 @@ class TestFiberSweep:
         assert main(["fiber-sweep", "--config", config, "--out", str(tmp_path)]) == 0
         with open(tmp_path / "fiber_sweep.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 50
+
+    def test_integer_beyond_64_bits_is_read_as_a_float(self, tmp_path, capsys):
+        # alpha * u2 as Python ints exceeds 64 bits, which np.exp cannot take
+        big = 2**53 + 1
+        law = {"kind": "exponential", "k": 1.0, "alpha": big}
+        config = write_config(
+            tmp_path, dict(vsa_sweep_config(law=law), params={"start": [1.0, big], "steps": 20})
+        )
+        assert main(["fiber-sweep", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_vsa_symmetric_fiber_is_diagonal(self, tmp_path):
         config = write_config(
@@ -265,6 +276,39 @@ class TestAllocate:
         assert record["speeds"] == pytest.approx([-1.0 / 3.0, 2.0 / 3.0], rel=1e-12)
 
 
+def loop_fit_time_constant(times, nus, nu_inf):
+    """Reference: the per-sample least-squares loop over Python floats."""
+    pairs = [(t, math.log(abs(x - nu_inf))) for t, x in zip(times, nus) if abs(x - nu_inf) > 1e-12]
+    if len(pairs) < 2:
+        return None
+    mean_t = sum(t for t, _ in pairs) / len(pairs)
+    mean_y = sum(y for _, y in pairs) / len(pairs)
+    num = sum((t - mean_t) * (y - mean_y) for t, y in pairs)
+    den = sum((t - mean_t) ** 2 for t, _ in pairs)
+    if den == 0.0 or num == 0.0:
+        return None
+    return -den / num if num < 0 else None
+
+
+class TestFitTimeConstant:
+    def test_matches_the_loop_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            tau, nu_inf = rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0)
+            t = np.linspace(rng.uniform(0.0, 1.0), 3.0, int(rng.integers(3, 2000)))
+            nu = nu_inf + rng.uniform(-2.0, 2.0) * np.exp(-t / tau)
+            want = loop_fit_time_constant(t.tolist(), nu.tolist(), nu_inf)
+            assert _fit_time_constant(t, nu, nu_inf) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "nus", [[0.5, 0.5, 0.5], [0.5, 0.6, 0.5], [0.6, 0.7, 0.8]], ids=["flat", "one-gap", "growing"]
+    )
+    def test_no_decay_gives_none(self, nus):
+        times = [0.0, 0.1, 0.2]
+        assert loop_fit_time_constant(times, nus, 0.5) is None
+        assert _fit_time_constant(np.array(times), np.array(nus), 0.5) is None
+
+
 class TestSimulate:
     def base_config(self, schedule, t_end=2.0):
         return {
@@ -354,12 +398,17 @@ class TestSimulate:
             lambda cfg: cfg["params"]["schedule"].update(speeds="fast"),
             lambda cfg: cfg["params"].update(schedule=[1.0]),
             lambda cfg: cfg["params"].update(schedule=5),
+            lambda cfg: cfg["params"].update(dt=1e-7),
+            lambda cfg: cfg["params"]["schedule"]["speeds"].__setitem__(1, [1e300, 1.5]),
+            lambda cfg: cfg["model"]["dual_rotor"].update(k_inflow=5e-324, speed_box=[[0.0, None], [0.0, None]])
+            or cfg["params"]["schedule"].update(speeds=[[1e-300, 1e-300]] * 3),
         ],
         ids=["nu0-nan", "dt-infinity", "k_thrust-infinity", "missing-forces",
              "decreasing-breakpoints", "non-numeric-force", "speed-not-a-pair",
              "dt-zero", "mass-string", "nu0-string", "speeds-outside-box",
              "speed-numeric-string", "force-numeric-string", "breakpoint-numeric-string",
-             "force-bool", "speeds-string", "schedule-list", "schedule-number"],
+             "force-bool", "speeds-string", "schedule-list", "schedule-number",
+             "too-many-steps", "trajectory-overflows", "damping-underflows"],
     )
     def test_config_faults_exit_2_with_one_line(self, tmp_path, capsys, edit):
         schedule = {
@@ -468,6 +517,16 @@ class TestConfigFaults:
             {"scenario": "fiber-sweep",
              "model": {"dual_rotor": dict(UNIT_ROTOR, speed_box=[[1.0, None], [1.0, None]])},
              "params": {"start": [2.0, 2.0], "nu_bar": 5.0}},
+            dict(vsa_sweep_config(), params={"start": [-1.0, 1.0]}),
+            {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
+             "params": {"start": [0.0, 1.0]}},
+            dict(vsa_sweep_config(), params={"u1_end": 0.5}),
+            dict(vsa_sweep_config(), params={"u1_end": 1.0}),
+            dict(vsa_sweep_config(), params={"steps": 10**7}),
+            vsa_sweep_config(law={"kind": [], "k": 1.0}),
+            dict(vsa_sweep_config(pulley_radius=1e200, state=[2.0, 1.0]), params={"steps": 5}),
+            allocate_config(sigma_des=5e-324),
+            allocate_config(force_level=1e300, sigma_des=1e300),
         ],
         ids=["k_thrust-string", "k_inflow-bool", "force_level-string", "sigma_des-null",
              "sigma_des-zero", "nu_bar-string", "speed_box-string", "speed_box-one-pair",
@@ -475,7 +534,10 @@ class TestConfigFaults:
              "sample_speed-string", "k-string", "alpha-list", "law-string",
              "pulley_radius-string", "state-string", "state-short", "u1_end-string",
              "start-string", "sweep-nu_bar-string", "seed-string", "seed-fraction",
-             "inject-string", "inject-number", "sweep-nu_bar-outside-monotone-regime"],
+             "inject-string", "inject-number", "sweep-nu_bar-outside-monotone-regime",
+             "start-outside-box", "dual-rotor-start-outside-box", "u1_end-below-start",
+             "u1_end-at-start", "steps-too-many", "law-kind-list", "sweep-overflows",
+             "sigma_des-underflows", "allocation-overflows"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, data):
         config = write_config(tmp_path, data)

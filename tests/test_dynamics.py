@@ -275,7 +275,7 @@ class TestSimulate:
                     analytic_response(body, (2.0, 1.0), 0.0, 0.0, t), abs=1e-9
                 )
         # second segment restarts from the state at the breakpoint
-        idx = traj.times.index(min(traj.times, key=lambda t: abs(t - 0.5)))
+        idx = int(np.argmin(np.abs(traj.times - 0.5)))
         nu_break = traj.nu[idx]
         for t, x in zip(traj.times, traj.nu):
             if t >= 0.5:
@@ -357,8 +357,9 @@ class TestStepwiseOracle:
         body, schedule, nu0, t_end, dt = self.random_case(np.random.default_rng(seed))
         traj = simulate(body, schedule, nu0, t_end, dt)
         times, nus, v1, v2, force, f_ext = stepwise_simulate(body, schedule, nu0, t_end, dt)
-        assert traj.times == times
-        assert traj.v1 == v1 and traj.v2 == v2 and traj.f_ext == f_ext
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.v1, v1) and np.array_equal(traj.v2, v2)
+        assert np.array_equal(traj.f_ext, f_ext)
         for got, want in ((traj.nu, nus), (traj.force, force)):
             assert len(got) == len(want)
             assert all(abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in zip(got, want))
@@ -374,6 +375,18 @@ class TestStepwiseOracle:
 
 
 class TestTrajectoryOutput:
+    def test_columns_are_float_arrays_of_one_length(self):
+        body = unit_body()
+        schedule = InputSchedule(
+            speeds=[(2.0, 1.0), (3.0, 2.0)], forces=[0.0, 0.4], breakpoints=[0.35]
+        )
+        traj = simulate(body, schedule, 0.0, 1.0, 1e-2)
+        columns = (traj.times, traj.nu, traj.v1, traj.v2, traj.force, traj.f_ext)
+        for column in columns:
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64
+            assert column.shape == traj.times.shape == (101,)
+        assert type(traj.dt) is float
+
     def test_csv_roundtrip(self, tmp_path):
         body = unit_body()
         traj = simulate(body, InputSchedule.constant((2.0, 1.0)), 0.0, 0.1, 1e-2)

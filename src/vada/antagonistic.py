@@ -3,8 +3,9 @@
 Both the tendon-driven VSA and the dual-rotor damping actuator reduce to
 this structure: channel 1 adds h1(u1) to the task output, channel 2
 subtracts h2(u2), and each channel carries a passive coefficient that
-hardens with its command. Constant-output fibers are traced numerically
-by one Newton iteration in u2 over the whole grid of u1 values at once.
+hardens with its command. A constant-output fiber is explicit,
+u2 = h2^-1(h1(u1) - level), so it is traced by one call of the minus
+channel's inverse over the whole grid of u1 values, then checked.
 
 Array contract: a ChannelLaw callable is called with a float or with a 1-D
 float array and returns a value of that shape, or a scalar that the core
@@ -35,6 +36,7 @@ __all__ = [
     "passive_coefficient",
     "promptness",
     "fiber_tangent",
+    "fiber_grid",
     "trace_fiber",
     "monotonicity_sweep",
     "passive_promptness_relation",
@@ -43,22 +45,26 @@ __all__ = [
 # Relative tolerance on |f(u) - level| for accepted fiber points.
 FIBER_TOLERANCE = 1e-10
 
-_NEWTON_MAX_ITERS = 50
-
 
 class ConvergenceError(RuntimeError):
-    """Newton correction failed to meet tolerance within the iteration cap."""
+    """A fiber point misses its target output by more than FIBER_TOLERANCE."""
 
 
 @dataclass(frozen=True)
 class ChannelLaw:
     """One channel's output map h, sensitivity g = h', passive coefficient p
-    and its hardening dp/du. Derivatives are supplied analytically."""
+    and the inverse h^-1 of its output map, all supplied analytically.
+
+    inverse_fn(y) is the command u in the channel's increasing branch with
+    h(u) = y. Where no such command exists it returns NaN or a value outside
+    the admissible box (a tendon has no extension for a force y <= 0), which
+    trace_fiber reports as the fiber leaving the box.
+    """
 
     output_fn: Callable[[float], float]
     output_sensitivity_fn: Callable[[float], float]
     passive_coeff_fn: Callable[[float], float]
-    passive_hardening_fn: Callable[[float], float]
+    inverse_fn: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -144,82 +150,63 @@ def trace_fiber(
 ) -> FiberPath:
     """Trace the constant-output fiber through `start` up to u1 = u1_end.
 
-    Returns `steps` points at equally spaced u1 values (the first is the
-    corrected start). All points are solved at once: a vectorised Newton in
-    u2 on h2(u2) = h1(u1) - level, seeded on the fiber's tangent line at the
-    start, u2 = s2 + (g1(s1)/g2(s2)) (u1 - s1). A point is frozen as soon as
-    its residual meets FIBER_TOLERANCE. Far from the start the tangent line
-    can be a poor seed (a convex exponential channel pushes a seed left of
-    its root far to the right, and Newton then walks back in steps of about
-    1/alpha), so points still open after a pass are reseeded on the tangent
-    line at the last solved point before them and solved again. The first
-    open point is then seeded exactly as by a step-by-step Euler predictor,
-    so every pass solves at least one more point wherever the step-by-step
-    corrector converges; a pass that solves none is a ConvergenceError. A
-    point leaving the admissible box is an error, never a silently clipped
-    result.
+    Returns `steps` points at equally spaced u1 values, the first being the
+    start itself. The fiber is explicit, u2 = h2^-1(h1(u1) - level), so all
+    points come from one call of the minus channel's inverse on the grid of
+    targets. A point whose residual exceeds FIBER_TOLERANCE is a
+    ConvergenceError; a point that is NaN or outside the admissible box (no
+    root, as the inverse contract reports it) is an error at the first such
+    step, never a silently clipped result. A level or target outside the
+    float range is an OverflowError.
     """
     act.require_in_box(start)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if steps > 1 and not u1_end > start[0]:
-        raise ValueError(f"u1_end ({u1_end}) must exceed start u1 ({start[0]})")
-
-    s1, s2 = float(start[0]), float(start[1])
+    u1 = fiber_grid(start[0], u1_end, steps)
     level = float(task_output(act, start))
-    du1 = (u1_end - s1) / (steps - 1) if steps > 1 else 0.0
-    u1 = s1 + np.arange(steps) * du1
-    output_fn = act.channel_minus.output_fn
-    sensitivity_fn = act.channel_minus.output_sensitivity_fn
+    if not math.isfinite(level):
+        raise OverflowError(f"fiber level at the start {tuple(start)} is {level}")
     target = _on_grid(act.channel_plus.output_fn(u1), u1.shape) - level
     tol = FIBER_TOLERANCE * max(1.0, abs(level))
-
-    u2 = s2 + fiber_tangent(act, start) * (u1 - s1)
-    done = np.zeros(steps, dtype=bool)
-    # iterates of far points may overflow or leave a channel's domain; they
-    # stay open and are reseeded, so the warnings carry no information
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            solved = np.count_nonzero(done)
-            u2, residual, done = _newton_pass(output_fn, sensitivity_fn, u2, target, tol, done)
-            if done.all() or np.count_nonzero(done) == solved:
-                break
-            # the start always solves at once (its residual is rounding only)
-            last = np.maximum.accumulate(np.where(done, np.arange(steps), 0))
-            slope = act.channel_plus.output_sensitivity_fn(u1[last]) / sensitivity_fn(u2[last])
-            u2 = np.where(done, u2, u2[last] + slope * (u1 - u1[last]))
+    u2 = np.empty_like(u1)
+    # a target with no root gives NaN (the root of a negative), by contract
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        u2[:] = act.channel_minus.inverse_fn(target)
+        u2[0] = start[1]
+        residual = np.abs(_on_grid(act.channel_minus.output_fn(u2), u1.shape) - target)
 
     # errors are reported at the first failing step, as a step-by-step trace would
-    failing = ~done | ~inside(act.admissible_box, (u1, u2))
+    outside = ~inside(act.admissible_box, (u1, u2))
+    failing = outside | ~(residual <= tol)
     if failing.any():
+        # a target out of the float range has an infinite or NaN residual, so it
+        # fails here; it is reported as such, before any step that left the box
+        finite = np.isfinite(target)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise OverflowError(f"fiber target at u1={u1[i]} is {target[i]}")
         i = int(np.argmax(failing))
-        if not done[i]:
-            g2 = sensitivity_fn(u2[i])
-            if not g2 > 0.0:
-                raise ValueError(f"channel sensitivity must be positive, got g2={g2} at u2={u2[i]}")
-            raise ConvergenceError(
-                f"fiber correction did not converge at u1={u1[i]} (last residual {residual[i]:.3e})"
-            )
-        raise ValueError(f"fiber left the admissible box at step {i}: u=({u1[i]}, {u2[i]})")
-    return FiberPath(level=level, points=np.column_stack((u1, u2)), residuals=np.abs(residual))
+        if outside[i]:
+            raise ValueError(f"fiber left the admissible box at step {i}: u=({u1[i]}, {u2[i]})")
+        raise ConvergenceError(
+            f"fiber point at u1={u1[i]} misses its target (residual {residual[i]:.3e})"
+        )
+    return FiberPath(level=level, points=np.column_stack((u1, u2)), residuals=residual)
 
 
-def _newton_pass(output_fn, sensitivity_fn, u2, target, tol, done):
-    """At most _NEWTON_MAX_ITERS Newton steps on h2(u2) = target for the
-    points not yet done. A point whose sensitivity is not positive (NaN
-    included) stops for the rest of the pass. Returns the iterates, their
-    last residuals and the grown done mask."""
-    live = ~done
-    for _ in range(_NEWTON_MAX_ITERS):
-        residual = output_fn(u2) - target
-        done = done | (np.abs(residual) <= tol)
-        live &= ~done
-        if not live.any():
-            break
-        g2 = sensitivity_fn(u2)
-        live &= g2 > 0.0
-        u2 = np.where(live, u2 - residual / g2, u2)
-    return u2, residual, done
+def fiber_grid(u1_start: float, u1_end: float, steps: int) -> np.ndarray:
+    """The u1 values trace_fiber solves at: `steps` equally spaced values
+    from u1_start to u1_end. A grid that does not strictly increase is a
+    ValueError: u1_end at or below u1_start, or a span of a few ulps, where
+    rounding repeats values."""
+    du1 = (u1_end - u1_start) / (steps - 1) if steps > 1 else 0.0
+    u1 = float(u1_start) + np.arange(steps) * du1
+    if not (u1[1:] > u1[:-1]).all():
+        raise ValueError(
+            f"u1_end ({u1_end}) must exceed start u1 ({u1_start}) by enough to give "
+            f"{steps} distinct u1 values"
+        )
+    return u1
 
 
 def _on_grid(values, shape) -> np.ndarray:

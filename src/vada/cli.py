@@ -108,9 +108,16 @@ def run_fiber_sweep(cfg: RunConfig, out_dir: Path | None) -> int:
     if steps > MAX_SAMPLES:
         raise ConfigError(f"params.steps must be at most {MAX_SAMPLES}, got {steps}")
     u1_end = _number(cfg.params, "u1_end", "params", start[0] + 1.0)
-    if not u1_end > start[0]:
-        raise ConfigError(f"params.u1_end ({u1_end}) must exceed start u1 ({start[0]})")
-    path = core.trace_fiber(act, start, u1_end, steps)
+    try:
+        core.fiber_grid(start[0], u1_end, steps)
+    except ValueError as exc:
+        raise ConfigError(f"params: {exc}") from exc
+    try:
+        path = core.trace_fiber(act, start, u1_end, steps)
+    except OverflowError as exc:
+        raise ConfigError(
+            f"the configured values drive the sweep out of the float range ({exc})"
+        ) from exc
     passive = core.monotonicity_sweep(act, path, "passive")
     prompt = core.monotonicity_sweep(act, path, "promptness")
 
@@ -128,11 +135,12 @@ def run_fiber_sweep(cfg: RunConfig, out_dir: Path | None) -> int:
         if target:
             writer_target.close()
 
-    passive_ok = passive.is_strictly_increasing
-    prompt_ok = prompt.is_strictly_increasing
-    print(f"verdict: passive_coeff strict increase: {'PASS' if passive_ok else 'FAIL'}")
-    print(f"verdict: promptness strict increase: {'PASS' if prompt_ok else 'FAIL'}")
-    return EXIT_OK if passive_ok and prompt_ok else EXIT_NEGATIVE
+    # the verdicts go to stderr, so that stdout holds the CSV alone without --out
+    for name, report in (("passive_coeff", passive), ("promptness", prompt)):
+        verdict = "PASS" if report.is_strictly_increasing else "FAIL"
+        print(f"verdict: {name} strict increase: {verdict}", file=sys.stderr)
+    ok = passive.is_strictly_increasing and prompt.is_strictly_increasing
+    return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def run_allocate(cfg: RunConfig, out_dir: Path | None) -> int:

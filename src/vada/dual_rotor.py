@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ._array import everywhere, inside
 from .aero import (
     AffineThrustModel,
-    hardening_rate,
     inflow_sensitivity,
     monotone_regime_bound,
     speed_sensitivity,
@@ -124,6 +125,12 @@ def as_antagonistic_at_trim(dr: DualRotor, nu_bar: float = 0.0) -> AntagonisticA
     per-rotor inflow sensitivities as passive coefficients. Requires the
     whole speed box to sit in the monotone regime (dT/dv > 0), checked at
     the box lower bounds.
+
+    Each inverse is the larger root of k_T v^2 - b v - y = 0 with
+    b = k_D nu_in and D = b^2 + 4 k_T y: (b + sqrt(D)) / (2 k_T) for b >= 0
+    and 2 y / (sqrt(D) - b) for b < 0, so neither form subtracts nearly
+    equal numbers (Higham, Accuracy and Stability of Numerical Algorithms,
+    1.8). A thrust with no root (D < 0) gives NaN.
     """
     (lo1, _), (lo2, _) = dr.speed_box
     if nu_bar > 0.0 and nu_bar >= monotone_regime_bound(dr.rotor_fwd, lo1):
@@ -136,11 +143,16 @@ def as_antagonistic_at_trim(dr: DualRotor, nu_bar: float = 0.0) -> AntagonisticA
         )
 
     def channel(model: AffineThrustModel, inflow: float) -> ChannelLaw:
+        k_t, b = model.k_thrust, model.k_inflow * inflow
         return ChannelLaw(
             output_fn=lambda v: model.k_thrust * v * v - model.k_inflow * v * inflow,
             output_sensitivity_fn=lambda v: speed_sensitivity(model, v, inflow),
             passive_coeff_fn=lambda v: inflow_sensitivity(model, v, inflow),
-            passive_hardening_fn=lambda v: hardening_rate(model, v, inflow),
+            inverse_fn=(
+                (lambda y: (b + np.sqrt(b * b + 4.0 * k_t * y)) / (2.0 * k_t))
+                if inflow >= 0.0
+                else (lambda y: 2.0 * y / (np.sqrt(b * b + 4.0 * k_t * y) - b))
+            ),
         )
 
     return AntagonisticActuator(

@@ -8,6 +8,9 @@ Under held inputs the dynamics are affine in nu, so one RK4 step of size h
 is exactly nu - nu_inf -> R(z) (nu - nu_inf) with z = -h c_app / m and
 R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the stability function of classical
 RK4. `simulate` evaluates that recurrence in closed form per input segment.
+R is positive on the real axis, so the recurrence is stable exactly where
+R(z) < 1, that is z > -2.7852... (Hairer & Wanner, Solving Ordinary
+Differential Equations II, IV.2).
 """
 
 from __future__ import annotations
@@ -31,7 +34,12 @@ __all__ = [
     "simulate",
     "analytic_response",
     "mode_decomposition",
+    "RK4_STABILITY_LIMIT",
 ]
+
+# |z| below this (the negative root of R(z) = 1, -2.78529..., truncated) keeps an
+# RK4 step stable.
+RK4_STABILITY_LIMIT = 2.785
 
 
 @dataclass(frozen=True)
@@ -142,8 +150,9 @@ def simulate(
     straddles an input discontinuity; inputs are held at their
     left-breakpoint values inside a step. The k-th step of a segment
     starting from nu_a is nu_inf + (nu_a - nu_inf) R(z)^k, evaluated for
-    all k at once. Each output sample reports the inputs in force at its
-    time and F(v, nu) = F_act(v) - c_app(v) nu.
+    all k at once. A step with R(z) >= 1 would make the recurrence diverge,
+    so it is a ValueError naming the largest stable dt. Each output sample
+    reports the inputs in force at its time and F(v, nu) = F_act(v) - c_app(v) nu.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -164,6 +173,12 @@ def simulate(
         h = (b - a) / n
         z = -h * c_app / body.mass
         r = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+        if not r < 1.0:
+            raise ValueError(
+                f"dt {dt} is outside the RK4 stability region at speeds {tuple(v)}: "
+                f"R(z) = {r:.6g} >= 1 with z = {z:.6g}; the largest stable dt there is "
+                f"{RK4_STABILITY_LIMIT * body.mass / c_app:.6g}"
+            )
         k = np.arange(1, n + 1)
         # a + k * h and nu_inf + (nu - nu_inf) * r**k, with no temporaries
         t_k = k * h

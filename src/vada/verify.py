@@ -212,7 +212,7 @@ def check_constant_damping_injection(rng, fibers: int = 5, points: int = 50) -> 
                 output_fn=lambda v: k_t * v * v,
                 output_sensitivity_fn=lambda v: 2.0 * k_t * v,
                 passive_coeff_fn=lambda v: k_d,  # no v dependence: hardening violated
-                passive_hardening_fn=lambda v: 0.0,
+                inverse_fn=lambda y: np.sqrt(y / k_t),
             )
 
         act = core.AntagonisticActuator(channel_plus=channel(), channel_minus=channel())

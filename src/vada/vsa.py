@@ -30,37 +30,46 @@ __all__ = [
 class TendonLaw:
     """Tendon force-extension law r(x) with r' > 0 and r'' > 0 for x > 0.
 
-    r and its derivatives take a float or an array of extensions; the
-    constructors' parameters may be arrays too, one law per entry.
+    r, its derivatives and its inverse take a float or an array; the
+    constructors' parameters may be arrays too, one law per entry. The
+    inverse r_inverse(t) is the extension x > 0 with r(x) = t; a force
+    t <= 0 has none and gives NaN or x <= 0.
     """
 
     kind: str
     r: Callable[[float], float]
     r_prime: Callable[[float], float]
     r_double_prime: Callable[[float], float]
+    r_inverse: Callable[[float], float]
 
     @classmethod
     def quadratic(cls, k: float) -> "TendonLaw":
         """r(x) = k x^2 / 2; linearly hardening, the canonical choice."""
         if not everywhere(k > 0.0):
             raise ValueError(f"k must be positive, got {k}")
+        # sqrt(2 t / k) as sqrt(t) sqrt(2 / k): 2 t / k overflows for a small k
+        # and a large t whose root is a float
+        scale = math.sqrt(2.0) / np.sqrt(k)
         return cls(
             kind=f"quadratic(k={_label(k)})",
             r=lambda x: 0.5 * k * x * x,
             r_prime=lambda x: k * x,
             r_double_prime=lambda x: k,
+            r_inverse=lambda t: np.sqrt(t) * scale,
         )
 
     @classmethod
     def exponential(cls, k: float, alpha: float) -> "TendonLaw":
-        """r(x) = k (exp(alpha x) - 1)."""
+        """r(x) = k (exp(alpha x) - 1), evaluated as k expm1(alpha x) so that
+        it keeps full precision as alpha x -> 0, like its log1p inverse."""
         if not (everywhere(k > 0.0) and everywhere(alpha > 0.0)):
             raise ValueError(f"k and alpha must be positive, got k={k}, alpha={alpha}")
         return cls(
             kind=f"exponential(k={_label(k)}, alpha={_label(alpha)})",
-            r=lambda x: k * (np.exp(alpha * x) - 1.0),
+            r=lambda x: k * np.expm1(alpha * x),
             r_prime=lambda x: k * alpha * np.exp(alpha * x),
             r_double_prime=lambda x: k * alpha * alpha * np.exp(alpha * x),
+            r_inverse=lambda t: np.log1p(t / k) / alpha,
         )
 
     @classmethod
@@ -73,7 +82,18 @@ class TendonLaw:
             r=lambda x: k * (x + x ** 3 / 3.0),
             r_prime=lambda x: k * (1.0 + x * x),
             r_double_prime=lambda x: 2.0 * k * x,
+            r_inverse=lambda t: _cubic_root(3.0 * t / k),
         )
+
+
+def _cubic_root(q):
+    """The real root x of x^3 + 3x = q (Cardano): x = s - 1/s with
+    s = cbrt(q/2 + sqrt(q^2/4 + 1)), written as q / (s^2 + 1 + s^-2) so that
+    no difference of nearly equal numbers is formed as q -> 0 (s -> 1).
+    The hypot keeps q^2 from overflowing."""
+    s = np.cbrt(0.5 * q + np.hypot(0.5 * q, 1.0))
+    s2 = s * s
+    return q / (s2 + 1.0 + 1.0 / s2)
 
 
 def _label(param) -> str:
@@ -122,7 +142,8 @@ def torque_promptness(cfg: VsaConfig) -> float:
 
 
 def as_antagonistic(cfg: VsaConfig) -> AntagonisticActuator:
-    """Bridge into the generic core: h_i = R r, g_i = R r', p_i = R^2 r'."""
+    """Bridge into the generic core: h_i = R r, g_i = R r', p_i = R^2 r',
+    h_i^-1(y) = r^-1(y / R)."""
     R = cfg.pulley_radius
     law = cfg.law
 
@@ -131,7 +152,7 @@ def as_antagonistic(cfg: VsaConfig) -> AntagonisticActuator:
             output_fn=lambda x: R * law.r(x),
             output_sensitivity_fn=lambda x: R * law.r_prime(x),
             passive_coeff_fn=lambda x: R * R * law.r_prime(x),
-            passive_hardening_fn=lambda x: R * R * law.r_double_prime(x),
+            inverse_fn=lambda y: law.r_inverse(y / R),
         )
 
     return AntagonisticActuator(channel_plus=channel(), channel_minus=channel())

@@ -30,7 +30,7 @@ def quadratic_channel(k=1.0):
         output_fn=lambda u: 0.5 * k * u * u,
         output_sensitivity_fn=lambda u: k * u,
         passive_coeff_fn=lambda u: k * u,
-        passive_hardening_fn=lambda u: k,
+        inverse_fn=lambda y: np.sqrt(2.0 * y / k),
     )
 
 
@@ -39,7 +39,7 @@ def exponential_channel(k=1.0):
         output_fn=lambda u: k * np.exp(u) - k,
         output_sensitivity_fn=lambda u: k * np.exp(u),
         passive_coeff_fn=lambda u: k * np.exp(u),
-        passive_hardening_fn=lambda u: k * np.exp(u),
+        inverse_fn=lambda y: np.log1p(y / k),
     )
 
 
@@ -48,7 +48,7 @@ def cubic_channel(k=1.0):
         output_fn=lambda u: k * (u + u ** 3 / 3.0),
         output_sensitivity_fn=lambda u: k * (1.0 + u * u),
         passive_coeff_fn=lambda u: k * (1.0 + u * u),
-        passive_hardening_fn=lambda u: 2.0 * k * u,
+        inverse_fn=TendonLaw.cubic(k).r_inverse,
     )
 
 
@@ -58,7 +58,7 @@ def constant_passive_channel(k=1.0):
         output_fn=lambda u: 0.5 * k * u * u,
         output_sensitivity_fn=lambda u: k * u,
         passive_coeff_fn=lambda u: k,
-        passive_hardening_fn=lambda u: 0.0,
+        inverse_fn=lambda y: np.sqrt(2.0 * y / k),
     )
 
 
@@ -122,7 +122,7 @@ class TestPromptness:
             output_fn=lambda u: g * u,
             output_sensitivity_fn=lambda u: g,
             passive_coeff_fn=lambda u: 1.0,
-            passive_hardening_fn=lambda u: 0.0,
+            inverse_fn=lambda y: y / g,
         )
         act = AntagonisticActuator(channel_plus=const, channel_minus=const)
         for u in [(0.5, 0.5), (1.0, 9.0), (4.2, 0.1)]:
@@ -134,7 +134,7 @@ class TestPromptness:
             output_fn=lambda u: k_t * u * u,
             output_sensitivity_fn=lambda u: 2 * k_t * u,
             passive_coeff_fn=lambda u: u,
-            passive_hardening_fn=lambda u: 1.0,
+            inverse_fn=lambda y: np.sqrt(y / k_t),
         )
         act = AntagonisticActuator(channel_plus=chan, channel_minus=chan)
         u = (3.0, 7.0)
@@ -214,6 +214,30 @@ class TestTraceFiber:
         act = symmetric_actuator()
         with pytest.raises(ValueError):
             trace_fiber(act, (3.0, 1.0), 2.0, 10)
+
+    def test_grid_with_repeated_u1_values_rejected(self):
+        # a span of one ulp cannot hold 50 distinct u1 values
+        act = symmetric_actuator()
+        with pytest.raises(ValueError, match="distinct u1 values"):
+            trace_fiber(act, (1.0, 1.0), 1.0000000000000002, 50)
+        assert len(trace_fiber(act, (1.0, 1.0), 1.0000000000000002, 2).points) == 2
+
+    def test_level_outside_the_float_range_is_an_overflow(self):
+        # both outputs overflow at the start: the level is inf - inf
+        act = symmetric_actuator(exponential_channel)
+        with pytest.raises(OverflowError, match="level"), np.errstate(over="ignore", invalid="ignore"):
+            trace_fiber(act, (800.0, 800.0), 801.0, 5)
+
+    def test_target_outside_the_float_range_is_an_overflow(self):
+        # exp(u1) passes the largest float at u1 = 709.8, step 8 of this grid
+        act = symmetric_actuator(exponential_channel)
+        with pytest.raises(OverflowError, match="u1=710.0"), np.errstate(over="ignore"):
+            trace_fiber(act, (702.0, 702.0), 712.0, 11)
+
+    def test_start_is_kept_exactly(self):
+        for make in CHANNEL_FAMILIES:
+            path = trace_fiber(symmetric_actuator(make), (2.0, 0.7), 4.5, 50)
+            assert tuple(path.points[0]) == (2.0, 0.7)
 
 
 class TestMonotonicitySweep:
@@ -297,11 +321,8 @@ class TestGradientConsistency:
                 fd_g = (chan.output_fn(u + FD_H) - chan.output_fn(u - FD_H)) / (2 * FD_H)
                 g = chan.output_sensitivity_fn(u)
                 assert abs(g - fd_g) <= 1e-6 * max(1.0, abs(g))
-                fd_dp = (chan.passive_coeff_fn(u + FD_H) - chan.passive_coeff_fn(u - FD_H)) / (
-                    2 * FD_H
-                )
-                dp = chan.passive_hardening_fn(u)
-                assert abs(dp - fd_dp) <= 1e-6 * max(1.0, abs(dp))
+                # hardening: the passive coefficient rises with the command
+                assert chan.passive_coeff_fn(u + FD_H) > chan.passive_coeff_fn(u - FD_H)
 
 
 class TestIsomorphism:
@@ -315,13 +336,79 @@ class TestIsomorphism:
             output_fn=lambda u: 1.4 * u * u,
             output_sensitivity_fn=lambda u: 2.8 * u,
             passive_coeff_fn=lambda u: k_d * u,
-            passive_hardening_fn=lambda u: k_d,
+            inverse_fn=lambda y: np.sqrt(y / 1.4),
         )
         vsa = AntagonisticActuator(channel_plus=vsa_chan, channel_minus=vsa_chan)
         vada = AntagonisticActuator(channel_plus=thrust_chan, channel_minus=thrust_chan)
         for _ in range(100):
             u = rng.uniform(0.2, 20.0, size=2)
             assert abs(passive_coefficient(vsa, u) - passive_coefficient(vada, u)) <= 1e-12
+
+
+# x over [1e-10, 1e4]; the exponential law's alpha keeps exp(alpha x) in range
+ROUND_TRIP_X = np.logspace(-10.0, 4.0, 281)
+TENDON_LAWS = [
+    TendonLaw.quadratic(0.7),
+    TendonLaw.exponential(0.7, 0.05),
+    TendonLaw.cubic(0.7),
+]
+
+
+def thrust_channel(nu_bar):
+    """The forward rotor channel of a distinct pair at the trim nu_bar, and
+    the lowest speed of its monotone regime (dT/dv > 0)."""
+    fwd = AffineThrustModel(k_thrust=1.3, k_inflow=0.6)
+    box = ((2.0, math.inf), (2.0, math.inf))
+    dr = DualRotor(fwd, AffineThrustModel(k_thrust=0.9, k_inflow=1.1), speed_box=box)
+    return as_antagonistic_at_trim(dr, nu_bar).channel_plus, max(0.0, 0.6 * nu_bar / 2.6)
+
+
+class TestChannelInverses:
+    @pytest.mark.parametrize("law", TENDON_LAWS, ids=lambda l: l.kind)
+    def test_tendon_channel_round_trips(self, law):
+        chan = as_antagonistic(VsaConfig(law=law, pulley_radius=1.3, state=(1.0, 1.0))).channel_plus
+        x = ROUND_TRIP_X
+        y = chan.output_fn(x)
+        np.testing.assert_allclose(chan.inverse_fn(y), x, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(chan.output_fn(chan.inverse_fn(y)), y, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("nu_bar", [-2.0, 0.0, 2.0])
+    def test_thrust_channel_round_trips(self, nu_bar):
+        # from the speed where thrust crosses zero (2x the monotone bound) upward
+        chan, bound = thrust_channel(nu_bar)
+        x = 2.0 * bound + ROUND_TRIP_X
+        y = chan.output_fn(x)
+        np.testing.assert_allclose(chan.inverse_fn(y), x, rtol=1e-14, atol=0.0)
+        # k_T v^2 - b v is exact to rounding of its terms, not of their difference
+        b = 0.6 * nu_bar
+        scale = 1.3 * x * x + abs(b) * x
+        assert (np.abs(chan.output_fn(chan.inverse_fn(y)) - y) <= 1e-14 * scale).all()
+
+    def test_thrust_inverse_keeps_precision_at_small_thrust_against_the_inflow(self):
+        # b < 0: the textbook root (b + sqrt(b^2 + 4 k_T y)) / (2 k_T) cancels here
+        chan, _ = thrust_channel(-2.0)
+        y = np.array([1e-14, 1e-10, 1e-6])
+        expected = y / 1.2  # v = y / |b| to first order, |b| = 1.2
+        np.testing.assert_allclose(chan.inverse_fn(y), expected, rtol=1e-5)
+        np.testing.assert_allclose(chan.output_fn(chan.inverse_fn(y)), y, rtol=1e-15)
+
+    def test_force_without_a_root_leaves_the_box(self):
+        for law in TENDON_LAWS:
+            chan = as_antagonistic(VsaConfig(law=law, pulley_radius=1.0, state=(1.0, 1.0))).channel_plus
+            with np.errstate(invalid="ignore"):
+                u = chan.inverse_fn(np.array([-1.0, -0.0]))
+            assert not (u > 0.0).any(), law.kind
+        chan, _ = thrust_channel(2.0)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(chan.inverse_fn(-1.0))  # below the vertex of the parabola
+
+    def test_channel_law_requires_an_inverse(self):
+        with pytest.raises(TypeError, match="inverse_fn"):
+            ChannelLaw(
+                output_fn=lambda u: u,
+                output_sensitivity_fn=lambda u: 1.0,
+                passive_coeff_fn=lambda u: u,
+            )
 
 
 def sequential_trace_fiber(act, start, u1_end, steps):
@@ -395,8 +482,8 @@ class TestBatchedFiberAgainstSequential:
 
     @pytest.mark.parametrize("alpha, u1_end", [(3.0, 3.0), (1.5, 7.0)])
     def test_far_points_of_a_steep_exponential_fiber(self, alpha, u1_end):
-        # the start's tangent line seeds the far points hundreds of Newton
-        # steps from their roots; they must be reseeded nearer, not given up
+        # the far points lie hundreds of Newton steps from the start's tangent
+        # line, where a seeded corrector once gave up
         start = (2.0, 0.5)
         law = TendonLaw.exponential(1.0, alpha)
         act = as_antagonistic(VsaConfig(law=law, pulley_radius=1.0, state=start))
@@ -442,7 +529,7 @@ class TestBatchedFiberAgainstSequential:
             output_fn=np.arctan,
             output_sensitivity_fn=lambda u: 1.0 / (1.0 + u * u),
             passive_coeff_fn=lambda u: u,
-            passive_hardening_fn=lambda u: 1.0,
+            inverse_fn=np.tan,
         )
         act = AntagonisticActuator(
             channel_plus=quadratic_channel(), channel_minus=flat,

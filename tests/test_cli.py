@@ -115,7 +115,7 @@ class TestFiberSweep:
         assert all(float(value) > 0.0 for row in rows for value in row.values() if value != "0.0")
 
     def test_steep_exponential_sweep_succeeds(self, tmp_path):
-        # slope 90 at the start: the far end of the default span needs reseeding
+        # slope 90 at the start: the far end of the default span is far off its tangent line
         law = {"kind": "exponential", "k": 1.0, "alpha": 3.0}
         config = write_config(tmp_path, vsa_sweep_config(law=law, state=[2.0, 0.5]))
         assert main(["fiber-sweep", "--config", config, "--out", str(tmp_path)]) == 0
@@ -123,14 +123,50 @@ class TestFiberSweep:
             assert len(list(csv.DictReader(fh))) == 50
 
     def test_integer_beyond_64_bits_is_read_as_a_float(self, tmp_path, capsys):
-        # alpha * u2 as Python ints exceeds 64 bits, which np.exp cannot take
+        # alpha * u2 as Python ints exceeds 64 bits, which np.exp cannot take;
+        # as floats both tendon forces overflow, so the fiber level is inf - inf
         big = 2**53 + 1
         law = {"kind": "exponential", "k": 1.0, "alpha": big}
         config = write_config(
             tmp_path, dict(vsa_sweep_config(law=law), params={"start": [1.0, big], "steps": 20})
         )
-        assert main(["fiber-sweep", "--config", config]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["fiber-sweep", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "float range" in err and err.count("\n") == 1
+
+    def test_target_overflow_along_the_grid_exits_2(self, tmp_path, capsys):
+        # exp(u1) passes the largest float at u1 = 709.8, inside this span
+        law = {"kind": "exponential", "k": 1.0, "alpha": 1.0}
+        config = write_config(tmp_path, dict(vsa_sweep_config(law=law), params={"u1_end": 1000.0}))
+        assert main(["fiber-sweep", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "float range" in captured.err
+
+    def test_grid_with_repeated_u1_values_exits_2(self, tmp_path, capsys):
+        # 50 steps over a span of one ulp repeat u1 values
+        config = write_config(
+            tmp_path, dict(vsa_sweep_config(), params={"u1_end": 1.0000000000000002})
+        )
+        assert main(["fiber-sweep", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "distinct u1 values" in captured.err
+
+    def test_stdout_is_the_csv_alone(self, tmp_path, capsys):
+        config = write_config(tmp_path, dict(vsa_sweep_config(), params={"steps": 20}))
+        assert main(["fiber-sweep", "--config", config]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(captured.out.splitlines()))
+        assert rows[0] == ["u1", "u2", "task_residual", "passive_coeff", "promptness"]
+        assert len(rows) == 21 and all(len(row) == 5 for row in rows)
+        assert [[float(x) for x in row] for row in rows[1:]]
+        assert captured.err.splitlines() == [
+            "verdict: passive_coeff strict increase: PASS",
+            "verdict: promptness strict increase: PASS",
+        ]
 
     def test_vsa_symmetric_fiber_is_diagonal(self, tmp_path):
         config = write_config(
@@ -164,8 +200,9 @@ class TestFiberSweep:
             },
         )
         assert main(["fiber-sweep", "--config", config, "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("PASS") == 2
         with open(tmp_path / "fiber_sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
         passive = [float(r["passive_coeff"]) for r in rows]
@@ -376,6 +413,19 @@ class TestSimulate:
         segments = json.loads((tmp_path / "summary.json").read_text())["segments"]
         assert [(s["t_start"], s["t_end"]) for s in segments] == [(0.0, 0.5), (0.5, 1.2), (1.2, 2.0)]
         assert all(s["fit_relative_deviation"] <= 1e-4 for s in segments)
+
+    def test_step_outside_the_rk4_stability_region_exits_2(self, tmp_path, capsys):
+        # c_app = 2.5 and mass 1e-3 give z = -25 at dt = 1e-2: R(z) = 1.4e4, and
+        # the trajectory grew to -2.65e20 while the run exited 0
+        cfg = self.base_config({"speeds": [[1.5, 1.0]], "forces": [0.0]}, t_end=0.05)
+        cfg["params"].update(mass=1e-3, dt=1e-2)
+        config = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "largest stable dt there is 0.001114" in captured.err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize(
         "edit",

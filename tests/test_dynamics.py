@@ -14,6 +14,7 @@ from vada.dynamics import (
     analytic_response,
     apparent_damping,
     equilibrium_velocity,
+    RK4_STABILITY_LIMIT,
     mode_decomposition,
     simulate,
 )
@@ -289,6 +290,22 @@ class TestSimulate:
             simulate(body, InputSchedule.constant((2.0, 1.0)), 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             simulate(body, InputSchedule.constant((2.0, 1.0)), 0.0, -1.0, 1e-3)
+
+    def test_step_outside_the_stability_region_is_an_error(self):
+        # c_app = 2.5: the stable steps are those with h * 2.5 / m below 2.7853
+        m = 1e-3
+        body = unit_body(mass=m)
+        schedule = InputSchedule.constant((1.5, 1.0))
+        largest = RK4_STABILITY_LIMIT * m / 2.5
+        with pytest.raises(ValueError, match="largest stable dt there is 0.001114"):
+            simulate(body, schedule, 0.0, 0.05, 1e-2)
+        # one step each, so that no step is shortened to fit t_end
+        beyond = 2.786 * m / 2.5
+        with pytest.raises(ValueError, match="stability region"):
+            simulate(body, schedule, 0.0, beyond, beyond)
+        # a step of the named size still contracts toward nu_eq = 0.5
+        traj = simulate(body, schedule, 0.0, largest, largest)
+        assert len(traj.nu) == 2 and abs(traj.nu[-1] - 0.5) < 0.5
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,13 @@ three of its model fields, params or list items (or whole sections) with
 numbers at the extremes, strings, booleans, null or lists. The property: the
 exit code is 0, 1 or 2; nothing raises out of `main` (a traceback at the
 command line); exit 2 prints exactly one `error:` line and nothing on
-stdout; and on exit 0 or 1 a JSON scenario's stdout is strict JSON.
+stdout; and on exit 0 or 1 a JSON scenario's stdout is strict JSON, and a
+fiber sweep's stdout is its CSV alone (empty when it writes to --out).
 """
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 from vada.cli import main  # noqa: E402
 
@@ -45,6 +47,8 @@ VALUES = st.one_of(
 UNIT_ROTOR = {"k_thrust": 1.0, "k_inflow": 1.0, "speed_box": [[0.5, None], [0.5, 20.0]]}
 VSA = {"law": {"kind": "exponential", "k": 1.0, "alpha": 0.8}, "pulley_radius": 1.0,
        "state": [1.0, 1.0]}
+VSA_QUADRATIC = dict(VSA, law={"kind": "quadratic", "k": 1.0})
+VSA_CUBIC = dict(VSA, law={"kind": "cubic", "k": 1.3}, pulley_radius=0.5)
 SCHEDULE = {"speeds": [[1.5, 1.0], [2.5, 1.5]], "forces": [0.0, 0.2], "breakpoints": [0.4]}
 
 BASES = {
@@ -59,6 +63,10 @@ BASES = {
     "fiber-sweep": [
         {"scenario": "fiber-sweep", "model": {"vsa": VSA},
          "params": {"start": [1.0, 1.2], "u1_end": 2.5, "steps": 20}},
+        {"scenario": "fiber-sweep", "model": {"vsa": VSA_QUADRATIC},
+         "params": {"start": [1.5, 0.5], "u1_end": 3.0, "steps": 20}},
+        {"scenario": "fiber-sweep", "model": {"vsa": VSA_CUBIC},
+         "params": {"start": [0.5, 1.0], "u1_end": 2.0, "steps": 20}},
         {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
          "params": {"start": [2.0, 1.0], "u1_end": 5.0, "steps": 20, "nu_bar": 0.1}},
     ],
@@ -119,6 +127,17 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def sweep_csv(text, with_out):
+    """A fiber sweep's stdout: empty with --out, else a header and float rows
+    (a failed sweep prints its one error line on stderr and nothing here)."""
+    rows = list(csv.reader(text.splitlines()))
+    if with_out or not rows:
+        assert rows == []
+        return
+    assert rows[0] == ["u1", "u2", "task_residual", "passive_coeff", "promptness"]
+    assert all(len(row) == 5 and all(math.isfinite(float(x)) for x in row) for row in rows[1:])
+
+
 def check_run(config, with_out, json_stdout):
     code, out, err = run_cli(config, with_out)
     assert code in (0, 1, 2), (code, out, err)
@@ -128,6 +147,8 @@ def check_run(config, with_out, json_stdout):
         assert err.startswith("error: ") and err.count("\n") == 1, err
     elif json_stdout:
         strict_json(out)
+    else:
+        sweep_csv(out, with_out)
 
 
 FUZZ = settings(
@@ -145,13 +166,33 @@ def test_allocate_config_ends_cleanly(config, with_out):
     check_run(config, with_out, json_stdout=True)
 
 
+# configs that once ended wrongly, kept as fixed examples
+UNSTABLE_STEP = {
+    "scenario": "simulate", "model": {"dual_rotor": UNIT_ROTOR},
+    "params": {"mass": 1e-3, "nu0": 0.0, "t_end": 0.05, "dt": 1e-2,
+               "schedule": {"speeds": [[1.5, 1.0]], "forces": [0.0]}},
+}
+OVERFLOWING_LEVEL = {
+    "scenario": "fiber-sweep",
+    "model": {"vsa": dict(VSA, law={"kind": "exponential", "k": 1.0, "alpha": 2**53 + 1})},
+    "params": {"start": [1.0, 2**53 + 1], "steps": 20},
+}
+REPEATED_GRID = {
+    "scenario": "fiber-sweep", "model": {"vsa": VSA_QUADRATIC},
+    "params": {"start": [1.0, 1.0], "u1_end": 1.0000000000000002},
+}
+
+
 @FUZZ
 @given(config=configs("simulate"), with_out=st.booleans())
+@example(config=UNSTABLE_STEP, with_out=False)
 def test_simulate_config_ends_cleanly(config, with_out):
     check_run(config, with_out, json_stdout=True)
 
 
 @FUZZ
 @given(config=configs("fiber-sweep"), with_out=st.booleans())
+@example(config=OVERFLOWING_LEVEL, with_out=False)
+@example(config=REPEATED_GRID, with_out=True)
 def test_fiber_sweep_config_ends_cleanly(config, with_out):
     check_run(config, with_out, json_stdout=False)

@@ -156,6 +156,20 @@ class TestArrayLaws:
             # numpy's exp and power may round differently from a scalar call
             np.testing.assert_allclose(batch, [fn(v) for v in x.tolist()], rtol=1e-14)
 
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.kind)
+    def test_inverse_on_array_matches_pointwise(self, law):
+        t = np.random.default_rng(41).uniform(0.01, 30.0, 100)
+        np.testing.assert_allclose(law.r_inverse(t), [law.r_inverse(v) for v in t.tolist()],
+                                   rtol=1e-14)
+
+    def test_exponential_law_keeps_precision_near_zero(self):
+        # k (exp(alpha x) - 1) keeps only about 4 digits at alpha x = 9e-13
+        k, alpha, x = 0.7, 0.9, 1e-12
+        law = TendonLaw.exponential(k, alpha)
+        ax = alpha * x
+        assert law.r(x) == pytest.approx(k * ax * (1.0 + ax / 2.0), rel=1e-15)
+        assert law.r_inverse(law.r(x)) == pytest.approx(x, rel=1e-15)
+
     def test_array_parameters_give_one_law_per_entry(self):
         k = np.array([0.5, 1.0, 2.0])
         alpha = np.array([0.3, 0.9, 1.5])

@@ -2,7 +2,7 @@
 
 Every formula in vada takes either floats or equal-shape float arrays; these
 helpers turn an elementwise condition into the one bool that a validity check
-needs.
+needs, and hold the one raising box check of the library.
 """
 
 from __future__ import annotations
@@ -30,3 +30,9 @@ def inside(box, u):
     (lo1, hi1), (lo2, hi2) = box
     u1, u2 = u[0], u[1]
     return (lo1 < u1) & (u1 < hi1) & (lo2 < u2) & (u2 < hi2)
+
+
+def require_inside(box, u, what: str) -> None:
+    """ValueError, naming u as `what`, unless every point of u is in the open box."""
+    if not everywhere(inside(box, u)):
+        raise ValueError(f"{what} {tuple(u)} outside admissible box {box}")

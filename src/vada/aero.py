@@ -24,6 +24,7 @@ __all__ = [
     "AffineThrustModel",
     "derive_coefficients",
     "thrust",
+    "thrust_polynomial",
     "bet_numeric_thrust",
     "inflow_sensitivity",
     "hardening_rate",
@@ -89,6 +90,12 @@ def thrust(model: AffineThrustModel, v: float, nu_in: float) -> float:
     callers gate on monotone_regime_bound if they need monotone behavior.
     """
     _require_nonnegative(v)
+    return thrust_polynomial(model, v, nu_in)
+
+
+def thrust_polynomial(model: AffineThrustModel, v: float, nu_in: float) -> float:
+    """k_thrust v^2 - k_inflow v nu_in at any real v, unchecked: thrust, the dual
+    rotor's force and channels, and allocate's candidates all evaluate this."""
     return model.k_thrust * v * v - model.k_inflow * v * nu_in
 
 

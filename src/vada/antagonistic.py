@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._array import everywhere, inside
+from ._array import everywhere, inside, require_inside
 
 __all__ = [
     "ChannelLaw",
@@ -81,10 +81,6 @@ class AntagonisticActuator:
         """True if u, or every point of a pair of arrays u, lies in the box."""
         return everywhere(inside(self.admissible_box, u))
 
-    def require_in_box(self, u: Sequence[float]) -> None:
-        if not self.in_box(u):
-            raise ValueError(f"command {tuple(u)} outside admissible box {self.admissible_box}")
-
 
 @dataclass(frozen=True, eq=False)
 class FiberPath:
@@ -100,34 +96,34 @@ class FiberPath:
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepReport:
-    values: list[float]
+    values: np.ndarray  # 1-D float array, one entry per path point
     is_strictly_increasing: bool
     min_increment: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationReport:
-    pairs: list[tuple[float, float]]
+    pairs: np.ndarray  # (n, 2) float array of (passive, promptness) rows
     is_monotone: bool
 
 
 def task_output(act: AntagonisticActuator, u: Sequence[float]) -> float:
     """f(u) = h1(u1) - h2(u2)."""
-    act.require_in_box(u)
+    require_inside(act.admissible_box, u, "command")
     return act.channel_plus.output_fn(u[0]) - act.channel_minus.output_fn(u[1])
 
 
 def passive_coefficient(act: AntagonisticActuator, u: Sequence[float]) -> float:
     """p1(u1) + p2(u2): stiffness for a VSA, incremental damping for a VADA."""
-    act.require_in_box(u)
+    require_inside(act.admissible_box, u, "command")
     return act.channel_plus.passive_coeff_fn(u[0]) + act.channel_minus.passive_coeff_fn(u[1])
 
 
 def promptness(act: AntagonisticActuator, u: Sequence[float]) -> float:
     """Euclidean norm of the task-map gradient, sqrt(g1^2 + g2^2)."""
-    act.require_in_box(u)
+    require_inside(act.admissible_box, u, "command")
     g1 = act.channel_plus.output_sensitivity_fn(u[0])
     g2 = act.channel_minus.output_sensitivity_fn(u[1])
     return np.hypot(g1, g2)
@@ -135,7 +131,7 @@ def promptness(act: AntagonisticActuator, u: Sequence[float]) -> float:
 
 def fiber_tangent(act: AntagonisticActuator, u: Sequence[float]) -> float:
     """du2/du1 along the fiber: g1(u1)/g2(u2), positive on admissible points."""
-    act.require_in_box(u)
+    require_inside(act.admissible_box, u, "command")
     g2 = act.channel_minus.output_sensitivity_fn(u[1])
     if g2 <= 0.0:
         raise ValueError(f"channel sensitivity must be positive, got g2={g2} at u2={u[1]}")
@@ -159,11 +155,11 @@ def trace_fiber(
     step, never a silently clipped result. A level or target outside the
     float range is an OverflowError.
     """
-    act.require_in_box(start)
+    # task_output checks the start against the box before anything else
+    level = float(task_output(act, start))
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     u1 = fiber_grid(start[0], u1_end, steps)
-    level = float(task_output(act, start))
     if not math.isfinite(level):
         raise OverflowError(f"fiber level at the start {tuple(start)} is {level}")
     target = _on_grid(act.channel_plus.output_fn(u1), u1.shape) - level
@@ -232,10 +228,10 @@ def monotonicity_sweep(act: AntagonisticActuator, path: FiberPath, which: str) -
     u = _grid(path)
     values = _on_grid(fn(act, u), u[0].shape)
     if len(values) < 2:
-        return SweepReport(values=values.tolist(), is_strictly_increasing=True, min_increment=None)
+        return SweepReport(values=values, is_strictly_increasing=True, min_increment=None)
     increments = values[1:] - values[:-1]
     return SweepReport(
-        values=values.tolist(),
+        values=values,
         is_strictly_increasing=bool((increments > 0.0).all()),
         min_increment=float(increments.min()),
     )
@@ -257,6 +253,6 @@ def passive_promptness_relation(act: AntagonisticActuator, path: FiberPath) -> R
     if ((ds == 0.0) & (dr == 0.0)).any():
         raise ValueError("degenerate path: adjacent points coincide")
     return RelationReport(
-        pairs=list(zip(passive.tolist(), prompt.tolist())),
+        pairs=np.column_stack((passive, prompt)),
         is_monotone=bool((ds * dr > 0.0).all()),
     )

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +122,7 @@ def run_fiber_sweep(cfg: RunConfig, out_dir: Path | None) -> int:
     passive = core.monotonicity_sweep(act, path, "passive")
     prompt = core.monotonicity_sweep(act, path, "promptness")
 
-    columns = (*path.points.T, path.residuals, np.array(passive.values), np.array(prompt.values))
+    columns = (*path.points.T, path.residuals, passive.values, prompt.values)
     if not all(np.isfinite(c).all() for c in columns):
         raise ConfigError("the configured values drive the sweep out of the float range")
     rows = zip(*(c.tolist() for c in columns))
@@ -235,8 +236,8 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
     return EXIT_OK
 
 
-def run_verify_scenario(cfg: RunConfig, out_dir: Path | None, seed_override) -> int:
-    seed = seed_override if seed_override is not None else _integer(cfg.params, "seed", 0, least=0)
+def run_verify_scenario(cfg: RunConfig, out_dir: Path | None) -> int:
+    seed = _integer(cfg.params, "seed", 0, least=0)
     inject = cfg.params.get("inject_constant_damping", False)
     if not isinstance(inject, bool):
         raise ConfigError(f"params.inject_constant_damping must be true or false, got {inject!r}")
@@ -248,12 +249,12 @@ def run_verify_scenario(cfg: RunConfig, out_dir: Path | None, seed_override) -> 
     return EXIT_OK if report["all_passed"] else EXIT_NEGATIVE
 
 
-# verify also takes the --seed override, so main calls it by name
 RUNNERS = {
     "derive-coeffs": run_derive_coeffs,
     "fiber-sweep": run_fiber_sweep,
     "allocate": run_allocate,
     "simulate": run_simulate,
+    "verify": run_verify_scenario,
 }
 
 
@@ -286,11 +287,11 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares scenario {cfg.scenario!r} but {args.scenario!r} was requested"
             )
+        if args.seed is not None:
+            cfg = replace(cfg, params={**cfg.params, "seed": args.seed})
         # a run checks its own outputs for non-finite numbers and reports
         # them in one line, so numpy's floating-point warnings only add noise
         with np.errstate(all="ignore"):
-            if args.scenario == "verify":
-                return run_verify_scenario(cfg, out_dir, args.seed)
             return RUNNERS[args.scenario](cfg, out_dir)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,9 @@ Model sections:
 
 simulate params.schedule: speeds [[v1, v2], ...], forces [f, ...], optional
 breakpoints [t, ...] (strictly increasing, positive), one fewer than speeds;
-every entry a JSON number. verify params.inject_constant_damping is a JSON
-boolean (default false).
+every entry a JSON number. verify params.seed is an integer of at least 0
+(default 0; the CLI's --seed replaces it) and params.inject_constant_damping
+a JSON boolean (default false).
 
 Every number must be finite: NaN, Infinity and literals that overflow a
 float are rejected when the file is read. Numeric fields must be JSON

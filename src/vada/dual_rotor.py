@@ -4,6 +4,8 @@ Two counter-facing rotors on a common translation axis see opposite
 inflows (+nu on the forward rotor, -nu on the backward one). Net force,
 trim-linearized damping, promptness, the bridge into the antagonistic
 core, and the inverse (force, damping) -> speeds allocation live here.
+The net force, the bridge's channels and the allocator's achieved force
+all read aero's one thrust polynomial, and box checks are _array's.
 net_force and damping_at_trim also take a pair of speed arrays, with
 float or array rotor coefficients; allocate is scalar.
 """
@@ -16,12 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._array import everywhere, inside
+from ._array import inside, require_inside
 from .aero import (
     AffineThrustModel,
     inflow_sensitivity,
     monotone_regime_bound,
     speed_sensitivity,
+    thrust_polynomial,
 )
 from .antagonistic import AntagonisticActuator, ChannelLaw
 
@@ -58,16 +61,6 @@ class DualRotor:
             return cls(rotor_fwd=model, rotor_bwd=model)
         return cls(rotor_fwd=model, rotor_bwd=model, speed_box=speed_box)
 
-    def in_box(self, v: Sequence[float]) -> bool:
-        """Scalar speed pairs only: the allocator's per-candidate test."""
-        (lo1, hi1), (lo2, hi2) = self.speed_box
-        return lo1 < v[0] < hi1 and lo2 < v[1] < hi2
-
-    def require_in_box(self, v: Sequence[float]) -> None:
-        """Raise unless v, or every point of a pair of speed arrays, is in the box."""
-        if not everywhere(inside(self.speed_box, v)):
-            raise ValueError(f"speeds {tuple(v)} outside admissible box {self.speed_box}")
-
 
 @dataclass(frozen=True)
 class TrimPoint:
@@ -86,15 +79,8 @@ class AllocationResult:
 
 def net_force(dr: DualRotor, v: Sequence[float], nu: float) -> float:
     """F(v, nu) = T1(v1, nu) - T2(v2, -nu)."""
-    dr.require_in_box(v)
-    return _raw_force(dr, v[0], v[1], nu)
-
-
-def _raw_force(dr: DualRotor, v1: float, v2: float, nu: float) -> float:
-    # polynomial form, valid for report-only evaluation at any real speeds
-    t1 = dr.rotor_fwd.k_thrust * v1 * v1 - dr.rotor_fwd.k_inflow * v1 * nu
-    t2 = dr.rotor_bwd.k_thrust * v2 * v2 + dr.rotor_bwd.k_inflow * v2 * nu
-    return t1 - t2
+    require_inside(dr.speed_box, v, "speeds")
+    return thrust_polynomial(dr.rotor_fwd, v[0], nu) - thrust_polynomial(dr.rotor_bwd, v[1], -nu)
 
 
 def damping_at_trim(dr: DualRotor, v: Sequence[float], nu_bar: float = 0.0) -> float:
@@ -103,7 +89,7 @@ def damping_at_trim(dr: DualRotor, v: Sequence[float], nu_bar: float = 0.0) -> f
     For affine models this reduces to k_D1 v1 + k_D2 v2, independent of
     the trim inflow.
     """
-    dr.require_in_box(v)
+    require_inside(dr.speed_box, v, "speeds")
     return inflow_sensitivity(dr.rotor_fwd, v[0], nu_bar) + inflow_sensitivity(
         dr.rotor_bwd, v[1], -nu_bar
     )
@@ -111,7 +97,7 @@ def damping_at_trim(dr: DualRotor, v: Sequence[float], nu_bar: float = 0.0) -> f
 
 def force_promptness(dr: DualRotor, v: Sequence[float], nu_bar: float = 0.0) -> float:
     """Norm of the force task-map gradient at the trim."""
-    dr.require_in_box(v)
+    require_inside(dr.speed_box, v, "speeds")
     return math.hypot(
         speed_sensitivity(dr.rotor_fwd, v[0], nu_bar),
         speed_sensitivity(dr.rotor_bwd, v[1], -nu_bar),
@@ -145,7 +131,7 @@ def as_antagonistic_at_trim(dr: DualRotor, nu_bar: float = 0.0) -> AntagonisticA
     def channel(model: AffineThrustModel, inflow: float) -> ChannelLaw:
         k_t, b = model.k_thrust, model.k_inflow * inflow
         return ChannelLaw(
-            output_fn=lambda v: model.k_thrust * v * v - model.k_inflow * v * inflow,
+            output_fn=lambda v: thrust_polynomial(model, v, inflow),
             output_sensitivity_fn=lambda v: speed_sensitivity(model, v, inflow),
             passive_coeff_fn=lambda v: inflow_sensitivity(model, v, inflow),
             inverse_fn=(
@@ -204,7 +190,7 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
     for x in reversed(xs):
         y = (sigma_des - rx.k_inflow * x) / ry.k_inflow
         v1, v2 = (y, x) if swap else (x, y)
-        feasible = dr.in_box((v1, v2))
+        feasible = inside(dr.speed_box, (v1, v2))
         if feasible:
             break
 
@@ -214,9 +200,10 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
         reason = "differential mode exceeds common mode"
     else:
         reason = "speed box violation"
+    nu = trim.nu_bar
     return AllocationResult(
         speeds=(v1, v2),
-        achieved_force=_raw_force(dr, v1, v2, trim.nu_bar),
+        achieved_force=thrust_polynomial(fwd, v1, nu) - thrust_polynomial(bwd, v2, -nu),
         achieved_damping=fwd.k_inflow * v1 + bwd.k_inflow * v2,
         feasible=feasible,
         reason=reason,

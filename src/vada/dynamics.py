@@ -130,8 +130,8 @@ def analytic_response(
     body: BodyConfig, v: Sequence[float], nu0: float, f_ext: float, t: float
 ) -> float:
     """Exact solution under constant inputs:
-    nu_inf + (nu0 - nu_inf) exp(-c_app t / m); t may be an array of times."""
-    body.dual_rotor.require_in_box(v)
+    nu_inf + (nu0 - nu_inf) exp(-c_app t / m); t may be an array of times.
+    apparent_damping checks v against the speed box."""
     c_app = apparent_damping(body, v)
     nu_inf = equilibrium_velocity(body, v) + f_ext / c_app
     return nu_inf + (nu0 - nu_inf) * np.exp(-c_app * np.asarray(t) / body.mass)

@@ -1,8 +1,9 @@
 """Antagonistic variable-stiffness actuator: hardening tendons on a pulley.
 
 Joint torque tau(x, theta) = R (r(x1 - R theta) - r(x2 + R theta)); the
-deflection theta is a query parameter, stiffness and promptness are
-evaluated at theta = 0.
+deflection theta is a query parameter. Stiffness and promptness, at
+theta = 0, are the generic core's passive coefficient and promptness read
+through the as_antagonistic bridge, where the tendon formulas live.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ._array import everywhere
-from .antagonistic import AntagonisticActuator, ChannelLaw
+from .antagonistic import AntagonisticActuator, ChannelLaw, passive_coefficient, promptness
 
 __all__ = [
     "TendonLaw",
@@ -129,16 +130,15 @@ def joint_torque(cfg: VsaConfig, theta: float) -> float:
 
 
 def stiffness(cfg: VsaConfig) -> float:
-    """sigma = R^2 (r'(x1) + r'(x2)), the passive stiffness at theta = 0."""
-    R = cfg.pulley_radius
-    x1, x2 = cfg.state
-    return R * R * (cfg.law.r_prime(x1) + cfg.law.r_prime(x2))
+    """sigma = R^2 (r'(x1) + r'(x2)), the passive stiffness at theta = 0: the
+    core's passive coefficient at the state."""
+    return passive_coefficient(as_antagonistic(cfg), cfg.state)
 
 
 def torque_promptness(cfg: VsaConfig) -> float:
-    """rho = R sqrt(r'(x1)^2 + r'(x2)^2), the fiber density at theta = 0."""
-    x1, x2 = cfg.state
-    return cfg.pulley_radius * math.hypot(cfg.law.r_prime(x1), cfg.law.r_prime(x2))
+    """rho = R sqrt(r'(x1)^2 + r'(x2)^2), the fiber density at theta = 0: the
+    core's promptness at the state."""
+    return promptness(as_antagonistic(cfg), cfg.state)
 
 
 def as_antagonistic(cfg: VsaConfig) -> AntagonisticActuator:

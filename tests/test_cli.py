@@ -502,6 +502,18 @@ class TestVerify:
         assert len(failed) == 1
         assert "injected" in failed[0]["property"]
 
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"scenario": "verify"})
+        assert main(["verify", "--config", config, "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: params.seed") and captured.err.count("\n") == 1
+
+    def test_seed_override_replaces_the_configured_seed(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"scenario": "verify", "params": {"seed": 3}})
+        assert main(["verify", "--config", config, "--seed", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 4
+
     def test_non_finite_worst_is_never_printed(self, tmp_path, capsys, monkeypatch):
         def check_isomorphism(rng):
             return verify._record("vsa-vada-isomorphism", 1, True, math.nan)

@@ -225,6 +225,21 @@ class TestAllocate:
         with pytest.raises(ValueError):
             allocate(dr, TrimPoint(nu_bar=0.0, force_level=1.0), sigma_des=0.0)
 
+    @pytest.mark.parametrize(
+        "force, speeds, feasible",
+        [(96.0, (10.0, 2.0), False), (120.0, (11.0, 1.0), False), (95.0, None, True)],
+        ids=["at-upper-bound", "at-lower-bound", "inside"],
+    )
+    def test_speed_box_is_open(self, force, speeds, feasible):
+        # on v1 + v2 = 12, F = v1^2 - v2^2 = 12 (v1 - v2) puts the speeds
+        # exactly on the box's faces for F = 96 and F = 120
+        dr = DualRotor.identical(UNIT, speed_box=((1.0, 10.0), (1.0, 10.0)))
+        result = allocate(dr, TrimPoint(nu_bar=0.0, force_level=force), sigma_des=12.0)
+        assert result.feasible is feasible
+        if speeds is not None:
+            assert result.speeds == speeds
+            assert result.reason == "speed box violation"
+
 
 
 class TestArraySpeeds:

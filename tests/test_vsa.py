@@ -84,10 +84,10 @@ class TestTorquePromptness:
         assert torque_promptness(quad_cfg((3.0, 4.0))) == pytest.approx(5.0, rel=1e-15)
 
     def test_symmetric_state(self):
-        law = TendonLaw.exponential(1.0, 1.0)
-        cfg = VsaConfig(law=law, pulley_radius=1.5, state=(0.8, 0.8))
-        expected = 1.5 * law.r_prime(0.8) * math.sqrt(2)
-        assert torque_promptness(cfg) == pytest.approx(expected, rel=1e-14)
+        for law in (TendonLaw.exponential(1.0, 1.0), TendonLaw.cubic(1.3)):
+            cfg = VsaConfig(law=law, pulley_radius=1.5, state=(0.8, 0.8))
+            expected = 1.5 * law.r_prime(0.8) * math.sqrt(2)
+            assert torque_promptness(cfg) == pytest.approx(expected, rel=1e-14), law.kind
 
     def test_swap_invariance(self):
         a = torque_promptness(quad_cfg((1.2, 3.4)))
@@ -106,9 +106,16 @@ class TestAsAntagonistic:
                 state=(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)),
             )
             act = as_antagonistic(cfg)
+            # stiffness and torque_promptness read the core, so the oracle is
+            # the tendon formulas written out here
+            R, (x1, x2) = cfg.pulley_radius, cfg.state
+            sigma = R * R * (law.r_prime(x1) + law.r_prime(x2))
+            rho = R * math.hypot(law.r_prime(x1), law.r_prime(x2))
             assert abs(task_output(act, cfg.state) - joint_torque(cfg, 0.0)) <= 1e-12
-            assert abs(passive_coefficient(act, cfg.state) - stiffness(cfg)) <= 1e-12
-            assert abs(promptness(act, cfg.state) - torque_promptness(cfg)) <= 1e-12
+            for value in (passive_coefficient(act, cfg.state), stiffness(cfg)):
+                assert abs(value - sigma) <= 1e-12 * sigma
+            for value in (promptness(act, cfg.state), torque_promptness(cfg)):
+                assert abs(value - rho) <= 1e-12 * rho
 
     def test_fiber_tangent_is_tendon_slope_ratio(self):
         law = TendonLaw.cubic(0.9)

@@ -38,6 +38,7 @@ from .dual_rotor import (
 from .dynamics import (
     BodyConfig,
     InputSchedule,
+    SegmentRecord,
     Trajectory,
     active_force,
     analytic_response,

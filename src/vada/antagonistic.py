@@ -118,12 +118,20 @@ def task_output(act: AntagonisticActuator, u: Sequence[float]) -> float:
 def passive_coefficient(act: AntagonisticActuator, u: Sequence[float]) -> float:
     """p1(u1) + p2(u2): stiffness for a VSA, incremental damping for a VADA."""
     require_inside(act.admissible_box, u, "command")
+    return _passive(act, u)
+
+
+def _passive(act: AntagonisticActuator, u) -> float:
     return act.channel_plus.passive_coeff_fn(u[0]) + act.channel_minus.passive_coeff_fn(u[1])
 
 
 def promptness(act: AntagonisticActuator, u: Sequence[float]) -> float:
     """Euclidean norm of the task-map gradient, sqrt(g1^2 + g2^2)."""
     require_inside(act.admissible_box, u, "command")
+    return _promptness(act, u)
+
+
+def _promptness(act: AntagonisticActuator, u) -> float:
     g1 = act.channel_plus.output_sensitivity_fn(u[0])
     g2 = act.channel_minus.output_sensitivity_fn(u[1])
     return np.hypot(g1, g2)
@@ -247,8 +255,9 @@ def passive_promptness_relation(act: AntagonisticActuator, path: FiberPath) -> R
     if len(path.points) < 2:
         raise ValueError("relation needs a path with at least 2 points")
     u = _grid(path)
-    passive = _on_grid(passive_coefficient(act, u), u[0].shape)
-    prompt = _on_grid(promptness(act, u), u[0].shape)
+    require_inside(act.admissible_box, u, "command")
+    passive = _on_grid(_passive(act, u), u[0].shape)
+    prompt = _on_grid(_promptness(act, u), u[0].shape)
     ds, dr = passive[1:] - passive[:-1], prompt[1:] - prompt[:-1]
     if ((ds == 0.0) & (dr == 0.0)).any():
         raise ValueError("degenerate path: adjacent points coincide")

@@ -66,6 +66,9 @@ def run_derive_coeffs(cfg: RunConfig, out_dir: Path | None) -> int:
     geom = build_rotor_geometry(cfg.model)
     model = derive_coefficients(geom)
     v = _number(cfg.params, "sample_speed", "params", 100.0)
+    if not v > 0.0:
+        # the quadrature oracle needs a spinning rotor
+        raise ConfigError(f"params.sample_speed must be positive, got {v}")
     nu_in = _number(cfg.params, "sample_inflow", "params", 1.0)
     closed = thrust(model, v, nu_in)
     residual = abs(bet_numeric_thrust(geom, v, nu_in) - closed) / max(1.0, abs(closed))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .dual_rotor import DualRotor, damping_at_trim, net_force
 __all__ = [
     "BodyConfig",
     "InputSchedule",
+    "SegmentRecord",
     "Trajectory",
     "apparent_damping",
     "active_force",
@@ -84,18 +86,71 @@ class InputSchedule:
             yield a, b, self.speeds[i], self.forces[i]
 
 
+@dataclass(frozen=True)
+class SegmentRecord:
+    """The inputs one run of consecutive samples reports, and how they were
+    integrated.
+
+    `samples` samples of the trajectory, in order, report speeds `speeds`,
+    external force `f_ext`, apparent damping `c_app` and active force `f_act`.
+    Over the segment, `steps` RK4 steps of size `h` were taken, each the
+    recurrence factor `r` = R(z) with z = -h c_app / m; `shortened` tells
+    whether h < dt (the steps were cut to end exactly at the segment's end).
+    A segment of one step can hold no sample (its end sample opens the next
+    segment), and a segment that starts exactly at the last sample holds it
+    with 0 steps (h and z 0.0, r 1.0).
+    """
+
+    samples: int
+    speeds: tuple[float, float]
+    f_ext: float
+    c_app: float
+    f_act: float
+    steps: int
+    h: float
+    z: float
+    r: float
+    shortened: bool
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One simulation's samples: every column is a 1-D float64 array of the
-    same length (one entry per sample time); dt is the nominal step."""
+    """One simulation's samples: `times` and `nu` are 1-D float64 arrays of
+    the same length (one entry per sample time), dt is the nominal step and
+    `segments` the SegmentRecord table, whose sample counts add up to that
+    length.
+
+    The input columns `v1`, `v2`, `f_ext` and the net force `force`
+    (F_act - c_app nu) are float64 arrays of the same length too, built from
+    the table on first access and then kept.
+    """
 
     times: np.ndarray
     nu: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    force: np.ndarray
-    f_ext: np.ndarray
     dt: float
+    segments: tuple[SegmentRecord, ...]
+
+    def _held(self, values) -> np.ndarray:
+        """One value per segment, repeated over that segment's samples."""
+        return np.repeat(np.array(values, dtype=float), [s.samples for s in self.segments])
+
+    @cached_property
+    def v1(self) -> np.ndarray:
+        return self._held([s.speeds[0] for s in self.segments])
+
+    @cached_property
+    def v2(self) -> np.ndarray:
+        return self._held([s.speeds[1] for s in self.segments])
+
+    @cached_property
+    def f_ext(self) -> np.ndarray:
+        return self._held([s.f_ext for s in self.segments])
+
+    @cached_property
+    def force(self) -> np.ndarray:
+        f_act = self._held([s.f_act for s in self.segments])
+        f_act -= self._held([s.c_app for s in self.segments]) * self.nu
+        return f_act
 
     def to_csv(self, path) -> None:
         """Write the columns as plain float literals (repr of Python floats)."""
@@ -152,23 +207,29 @@ def simulate(
     starting from nu_a is nu_inf + (nu_a - nu_inf) R(z)^k, evaluated for
     all k at once. A step with R(z) >= 1 would make the recurrence diverge,
     so it is a ValueError naming the largest stable dt. Each output sample
-    reports the inputs in force at its time and F(v, nu) = F_act(v) - c_app(v) nu.
+    reports the inputs in force at its time and F(v, nu) = F_act(v) - c_app(v) nu;
+    a breakpoint at the last sample's time puts it in the next segment, whose
+    speeds are checked against the box too.
+
+    A first pass makes every check and fixes each segment's steps; then
+    `times` and `nu` are allocated once and each segment's slice is filled in
+    place. The input and force columns are left to the Trajectory to build
+    from its segment table.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
 
-    times = [np.zeros(1)]
-    nus = [np.array([float(nu0)])]
-    nu = float(nu0)
+    steps, fields = [], []  # per segment: how to fill it, and its record after `samples`
     for a, b, v, f_ext in schedule.segments(t_end):
         # both coefficient functions check v against the speed box
         c_app = apparent_damping(body, v)
         if not c_app > 0.0:
             # positive speeds and k_inflow give c_app > 0 unless it underflows
             raise ValueError(f"apparent damping at speeds {v} is {c_app}, not positive")
-        nu_inf = (active_force(body, v) + f_ext) / c_app
+        f_act = active_force(body, v)
+        nu_inf = (f_act + f_ext) / c_app
         n = max(1, math.ceil((b - a) / dt - 1e-12))
         h = (b - a) / n
         z = -h * c_app / body.mass
@@ -179,30 +240,39 @@ def simulate(
                 f"R(z) = {r:.6g} >= 1 with z = {z:.6g}; the largest stable dt there is "
                 f"{RK4_STABILITY_LIMIT * body.mass / c_app:.6g}"
             )
-        k = np.arange(1, n + 1)
-        # a + k * h and nu_inf + (nu - nu_inf) * r**k, with no temporaries
-        t_k = k * h
+        steps.append((a, n, h, r, nu_inf))
+        fields.append((v, f_ext, c_app, f_act, n, h, z, r, h < dt))
+
+    size = 1 + sum(n for _, n, _, _, _ in steps)
+    times, nu = np.empty(size), np.empty(size)
+    times[0], nu[0] = 0.0, float(nu0)
+    k = np.arange(1, max(n for _, n, _, _, _ in steps) + 1)
+    lo = 1
+    for a, n, h, r, nu_inf in steps:
+        # a + k * h and nu_inf + (nu_a - nu_inf) * r**k, filled in place
+        t_k, nu_k = times[lo : lo + n], nu[lo : lo + n]
+        np.multiply(k[:n], h, out=t_k)
         t_k += a
-        nu_k = np.power(r, k)
-        nu_k *= nu - nu_inf
+        np.power(r, k[:n], out=nu_k)
+        nu_k *= float(nu[lo - 1]) - nu_inf
         nu_k += nu_inf
-        times.append(t_k)
-        nus.append(nu_k)
-        nu = float(nu_k[-1])
-    t_col = np.concatenate(times)
-    nu_col = np.concatenate(nus)
+        lo += n
 
     # samples are sorted in time, so segment i holds the samples from the
-    # first at or after breakpoint i-1 to the last before breakpoint i: the
-    # segment searchsorted(breakpoints, t, side="right") gives each sample.
-    # A segment shorter than one step holds none (its end sample opens the next).
-    starts = np.searchsorted(t_col, schedule.breakpoints, side="left").tolist()
-    v1, v2, f_col, force = (np.empty_like(t_col) for _ in range(4))
-    for v, f_ext, lo, hi in zip(schedule.speeds, schedule.forces, [0, *starts], [*starts, len(t_col)]):
-        if lo < hi:
-            v1[lo:hi], v2[lo:hi], f_col[lo:hi] = v[0], v[1], f_ext
-            force[lo:hi] = active_force(body, v) - apparent_damping(body, v) * nu_col[lo:hi]
-    return Trajectory(times=t_col, nu=nu_col, v1=v1, v2=v2, force=force, f_ext=f_col, dt=dt)
+    # first at or after breakpoint i-1 to the last before breakpoint i. A
+    # segment of one step holds none (its end sample opens the next).
+    edges = np.searchsorted(times, schedule.breakpoints, side="left").tolist()
+    counts = [hi - lo for lo, hi in zip([0, *edges], [*edges, size])]
+    table = [SegmentRecord(samples, *f) for samples, f in zip(counts, fields)]
+    # a breakpoint at the last sample's time gives that sample to a segment
+    # that was not integrated: check its speeds as the others were
+    for i in range(len(fields), len(counts)):
+        if counts[i]:
+            v, f_ext = schedule.speeds[i], schedule.forces[i]
+            f_act = active_force(body, v)
+            c_app = apparent_damping(body, v)
+            table.append(SegmentRecord(counts[i], v, f_ext, c_app, f_act, 0, 0.0, 0.0, 1.0, False))
+    return Trajectory(times=times, nu=nu, dt=dt, segments=tuple(table))
 
 
 def mode_decomposition(v: Sequence[float]) -> tuple[float, float]:

@@ -311,6 +311,29 @@ class TestPassivePromptnessRelation:
             )
 
 
+    def test_one_box_check_and_the_checked_values(self, monkeypatch):
+        from vada import antagonistic
+
+        act = symmetric_actuator(exponential_channel)
+        path = trace_fiber(act, (1.0, 0.5), 2.0, 20)
+        calls = []
+        checked = antagonistic.require_inside
+        monkeypatch.setattr(
+            antagonistic, "require_inside", lambda *args: calls.append(args) or checked(*args)
+        )
+        report = passive_promptness_relation(act, path)
+        assert len(calls) == 1
+        u = path.points.T
+        assert report.pairs[:, 0].tolist() == passive_coefficient(act, u).tolist()
+        assert report.pairs[:, 1].tolist() == promptness(act, u).tolist()
+
+    def test_path_outside_the_box_rejected(self):
+        act = AntagonisticActuator(quadratic_channel(), quadratic_channel(), ((0.5, 3.0), (0.5, 3.0)))
+        path = FiberPath(level=0.0, points=[(1.0, 1.0), (4.0, 1.0)])
+        with pytest.raises(ValueError, match="outside admissible box"):
+            passive_promptness_relation(act, path)
+
+
 class TestGradientConsistency:
     def test_channel_derivatives_match_fd(self):
         rng = np.random.default_rng(13)

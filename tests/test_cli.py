@@ -561,6 +561,10 @@ class TestConfigFaults:
             {"scenario": "derive-coeffs", "model": {"rotor_geometry": dict(GEOMETRY, blade_count="2")}},
             {"scenario": "derive-coeffs", "model": {"rotor_geometry": GEOMETRY},
              "params": {"sample_speed": "fast"}},
+            {"scenario": "derive-coeffs", "model": {"rotor_geometry": GEOMETRY},
+             "params": {"sample_speed": -3.0}},
+            {"scenario": "derive-coeffs", "model": {"rotor_geometry": GEOMETRY},
+             "params": {"sample_speed": 0.0}},
             vsa_sweep_config(law={"kind": "quadratic", "k": "1"}),
             vsa_sweep_config(law={"kind": "exponential", "k": 1.0, "alpha": [0.5]}),
             vsa_sweep_config(law="quadratic"),
@@ -593,7 +597,7 @@ class TestConfigFaults:
         ids=["k_thrust-string", "k_inflow-bool", "force_level-string", "sigma_des-null",
              "sigma_des-zero", "nu_bar-string", "speed_box-string", "speed_box-one-pair",
              "speed_box-inverted", "vsa-number", "params-list", "blade_count-string",
-             "sample_speed-string", "k-string", "alpha-list", "law-string",
+             "sample_speed-string", "sample_speed-negative", "sample_speed-zero", "k-string", "alpha-list", "law-string",
              "pulley_radius-string", "state-string", "state-short", "u1_end-string",
              "start-string", "sweep-nu_bar-string", "seed-string", "seed-fraction",
              "inject-string", "inject-number", "sweep-nu_bar-outside-monotone-regime",

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -15,6 +16,7 @@ from vada.dynamics import (
     apparent_damping,
     equilibrium_velocity,
     RK4_STABILITY_LIMIT,
+    SegmentRecord,
     mode_decomposition,
     simulate,
 )
@@ -343,6 +345,34 @@ class TestSimulate:
         # a segment that starts after t_end is never simulated
         assert simulate(body, schedule, 0.0, 0.4, 1e-2).times[-1] == pytest.approx(0.4)
 
+    def test_breakpoint_at_t_end_reports_the_next_inputs(self):
+        # the last sample, at t = 1.0, is in force of the second segment
+        body = unit_body()
+        schedule = InputSchedule(
+            speeds=[(2.0, 1.0), (3.0, 2.0)], forces=[0.0, 0.5], breakpoints=[1.0]
+        )
+        traj = simulate(body, schedule, 0.0, 1.0, 0.1)
+        times, nus, v1, v2, force, f_ext = stepwise_simulate(body, schedule, 0.0, 1.0, 0.1)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.v1, v1) and np.array_equal(traj.v2, v2)
+        assert np.array_equal(traj.f_ext, f_ext)
+        np.testing.assert_allclose(traj.nu, nus, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(traj.force, force, rtol=1e-12, atol=1e-12)
+        assert (traj.v1[-1], traj.v2[-1], traj.f_ext[-1]) == (3.0, 2.0, 0.5)
+        assert traj.force[-1] == pytest.approx(0.2490001332501759, rel=1e-12)
+
+    def test_breakpoint_at_t_end_checks_the_next_speeds(self):
+        body = BodyConfig(
+            mass=1.0, dual_rotor=DualRotor.identical(UNIT, ((0.5, 10.0), (0.5, 10.0)))
+        )
+        schedule = InputSchedule(
+            speeds=[(2.0, 1.0), (30.0, 2.0)], forces=[0.0, 0.5], breakpoints=[1.0]
+        )
+        with pytest.raises(ValueError, match=r"speeds \(30.0, 2.0\) outside admissible box"):
+            simulate(body, schedule, 0.0, 1.0, 0.1)
+        # a breakpoint past the last sample is never reached
+        assert simulate(body, schedule, 0.0, 0.95, 0.1).v1[-1] == 2.0
+
 
 class TestStepwiseOracle:
     """The closed-form recurrence against generic stepwise RK4."""
@@ -359,6 +389,9 @@ class TestStepwiseOracle:
             first = rng.uniform(0.1, 0.6) * t_end
             breakpoints[:2] = [first, first + 0.3 * dt]
             breakpoints[2:] = np.sort(rng.uniform(breakpoints[1], 1.2 * t_end, segments - 3)).tolist()
+        if segments >= 2 and rng.uniform() < 0.3:
+            # the last sample lands on a breakpoint, or just before it
+            breakpoints[-1] = t_end
         fwd = AffineThrustModel(k_thrust=rng.uniform(0.5, 2.0), k_inflow=rng.uniform(0.5, 2.0))
         bwd = AffineThrustModel(k_thrust=rng.uniform(0.5, 2.0), k_inflow=rng.uniform(0.5, 2.0))
         body = BodyConfig(mass=rng.uniform(0.5, 2.0), dual_rotor=DualRotor(fwd, bwd))
@@ -382,13 +415,14 @@ class TestStepwiseOracle:
             assert all(abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in zip(got, want))
 
     def test_cases_cover_the_edge_segments(self):
-        past_end = short = 0
+        past_end = at_end = short = 0
         for seed in range(12):
             _, schedule, _, t_end, dt = self.random_case(np.random.default_rng(seed))
             edges = [0.0, *schedule.breakpoints]
-            past_end += any(b >= t_end for b in schedule.breakpoints)
+            past_end += any(b > t_end for b in schedule.breakpoints)
+            at_end += t_end in schedule.breakpoints
             short += any(0.0 < b - a < dt for a, b in zip(edges, edges[1:]) if b < t_end)
-        assert past_end >= 2 and short >= 2
+        assert past_end >= 2 and at_end >= 2 and short >= 2
 
 
 class TestTrajectoryOutput:
@@ -416,3 +450,72 @@ class TestTrajectoryOutput:
             assert float(row["t"]) == t
             assert float(row["nu"]) == x
             assert float(row["F"]) == f
+
+
+class TestSegmentTable:
+    SCHEDULE = InputSchedule(speeds=[(2.0, 1.0), (3.0, 2.0)], forces=[0.0, 0.4], breakpoints=[0.35])
+
+    def test_fixed_diagnostics(self):
+        traj = simulate(unit_body(), self.SCHEDULE, 0.0, 1.0, 1e-2)
+        first, second = traj.segments
+        # the sample at the breakpoint opens the second segment
+        assert (first.samples, first.steps, second.samples, second.steps) == (35, 35, 66, 65)
+        assert (first.speeds, first.f_ext, first.c_app, first.f_act) == ((2.0, 1.0), 0.0, 3.0, 3.0)
+        assert (second.speeds, second.f_ext, second.c_app, second.f_act) == ((3.0, 2.0), 0.4, 5.0, 5.0)
+        for record, z in ((first, -0.03), (second, -0.05)):
+            assert record.h == pytest.approx(1e-2, rel=1e-14) and not record.shortened
+            assert record.z == pytest.approx(z, rel=1e-14)
+            assert record.r == pytest.approx(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, rel=1e-15)
+            assert record.r == pytest.approx(math.exp(z), rel=1e-8)
+
+    def test_deterministic(self):
+        runs = [simulate(unit_body(), self.SCHEDULE, 0.0, 1.0, 1e-2) for _ in range(2)]
+        assert runs[0].segments == runs[1].segments
+        assert all(isinstance(s, SegmentRecord) for s in runs[0].segments)
+
+    def test_shortened_steps(self):
+        schedule = InputSchedule(
+            speeds=[(2.0, 1.0), (4.0, 3.0)], forces=[0.0, 0.0], breakpoints=[0.0333]
+        )
+        traj = simulate(unit_body(), schedule, 0.0, 0.1, 1e-2)
+        first, second = traj.segments
+        assert (first.steps, second.steps) == (4, 7)
+        assert first.shortened and second.shortened
+        assert first.h == pytest.approx(0.0333 / 4, rel=1e-14)
+        assert second.h == pytest.approx((0.1 - 0.0333) / 7, rel=1e-14)
+
+    def test_sample_counts_cover_the_trajectory(self):
+        for seed in range(12):
+            body, schedule, nu0, t_end, dt = TestStepwiseOracle.random_case(np.random.default_rng(seed))
+            traj = simulate(body, schedule, nu0, t_end, dt)
+            assert sum(s.samples for s in traj.segments) == len(traj.times)
+            assert 1 + sum(s.steps for s in traj.segments) == len(traj.times)
+
+    def test_columns_are_built_once(self):
+        traj = simulate(unit_body(), self.SCHEDULE, 0.0, 1.0, 1e-2)
+        for name in ("v1", "v2", "f_ext", "force"):
+            assert getattr(traj, name) is getattr(traj, name)
+
+
+def test_simulate_allocates_only_its_samples():
+    # times, nu and one step-index array: the input and force columns wait
+    # until they are read
+    body = BodyConfig(
+        mass=1.2,
+        dual_rotor=DualRotor(
+            AffineThrustModel(k_thrust=1.1, k_inflow=0.9), AffineThrustModel(k_thrust=0.8, k_inflow=1.3)
+        ),
+    )
+    schedule = InputSchedule(
+        speeds=[(2.0, 1.0), (3.0, 2.5), (4.0, 1.5), (2.5, 3.0)],
+        forces=[0.1, -0.2, 0.3, 0.0],
+        breakpoints=[0.37, 0.9, 1.41],
+    )
+    tracemalloc.start()
+    try:
+        traj = simulate(body, schedule, 0.3, 2.0, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 20_001
+    assert peak <= 3.5 * traj.times.nbytes

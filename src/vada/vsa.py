@@ -75,12 +75,17 @@ class TendonLaw:
 
     @classmethod
     def cubic(cls, k: float) -> "TendonLaw":
-        """r(x) = k (x + x^3 / 3); r'' = 2 k x > 0 only for x > 0."""
+        """r(x) = k (x + x^3 / 3); r'' = 2 k x > 0 only for x > 0.
+
+        x^3 is the product x * x * x, which rounds alike on a float and on an
+        array entry; a power need not (numpy's vectorized pow and the C
+        library's differ in the last bit for some x), and a batch of fibers
+        must give each fiber's own trace bit for bit."""
         if not everywhere(k > 0.0):
             raise ValueError(f"k must be positive, got {k}")
         return cls(
             kind=f"cubic(k={_label(k)})",
-            r=lambda x: k * (x + x ** 3 / 3.0),
+            r=lambda x: k * (x + x * x * x / 3.0),
             r_prime=lambda x: k * (1.0 + x * x),
             r_double_prime=lambda x: 2.0 * k * x,
             r_inverse=lambda t: _cubic_root(3.0 * t / k),
@@ -105,14 +110,17 @@ def _label(param) -> str:
 
 @dataclass(frozen=True)
 class VsaConfig:
+    """One VSA, or a batch of them: the radius and the state may be arrays,
+    like the law's parameters, one actuator per entry."""
+
     law: TendonLaw
     pulley_radius: float          # R, m
     state: tuple[float, float]    # tendon displacements (x1, x2), m
 
     def __post_init__(self):
-        if not self.pulley_radius > 0.0:
+        if not everywhere(self.pulley_radius > 0.0):
             raise ValueError(f"pulley_radius must be positive, got {self.pulley_radius}")
-        if not (self.state[0] > 0.0 and self.state[1] > 0.0):
+        if not (everywhere(self.state[0] > 0.0) and everywhere(self.state[1] > 0.0)):
             raise ValueError(f"tendon displacements must be positive, got {self.state}")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -602,3 +603,190 @@ class TestArrayCommands:
         path = FiberPath(level=0.0, points=[(2.0, 2.0), (6.0, 6.0)], residuals=[0.0, 0.0])
         with pytest.raises(ValueError):
             monotonicity_sweep(act, path, "passive")
+
+
+class TestToleranceScale:
+    """The residual bound scales with the largest output differenced at each
+    point, max(1, |level|, |h1(u1)|): a fixed bound of FIBER_TOLERANCE *
+    max(1, |level|) refuses exact inverses of large outputs on rounding alone."""
+
+    # (alpha, start, span) of exponential tendons with k = 1, R = 1
+    LARGE_OUTPUTS = [(3.0, (2.0, 1.9), 4.0), (5.0, (1.0, 0.5), 8.0), (3.0, (1.0, 0.5), 4.0)]
+
+    @staticmethod
+    def exponential_tendons(alpha, start, miss=1.0):
+        act = as_antagonistic(
+            VsaConfig(law=TendonLaw.exponential(1.0, alpha), pulley_radius=1.0, state=start)
+        )
+        if miss == 1.0:
+            return act
+        exact = act.channel_minus.inverse_fn
+        off = dataclasses.replace(act.channel_minus, inverse_fn=lambda y: exact(y) * miss)
+        return dataclasses.replace(act, channel_minus=off)
+
+    @pytest.mark.parametrize("alpha, start, span", LARGE_OUTPUTS)
+    def test_exact_inverse_of_large_outputs_traces(self, alpha, start, span):
+        act = self.exponential_tendons(alpha, start)
+        path = trace_fiber(act, start, start[0] + span, 200)
+        h1 = act.channel_plus.output_fn(path.points[:, 0])
+        scale = np.maximum(max(1.0, abs(path.level)), np.abs(h1))
+        assert (path.residuals <= FIBER_TOLERANCE * scale).all()
+        # the level's scale alone would have refused these points
+        assert path.residuals.max() > FIBER_TOLERANCE * max(1.0, abs(path.level))
+
+    @pytest.mark.parametrize("alpha, start, span", LARGE_OUTPUTS)
+    def test_an_inverse_off_by_one_part_in_1e8_still_misses(self, alpha, start, span):
+        act = self.exponential_tendons(alpha, start, miss=1.0 + 1e-8)
+        with pytest.raises(ConvergenceError, match="misses its target"):
+            trace_fiber(act, start, start[0] + span, 200)
+
+
+WHICH = ("passive", "promptness")
+
+
+def fiber_batch(family, m, seed):
+    """A batched actuator of m fibers, each with its own law parameters
+    (shape (m, 1)), its start arrays and ends, and the m single fibers as
+    (actuator, start, u1_end) with plain-float parameters."""
+    rng = np.random.default_rng(seed)
+    k, alpha, radius = (rng.uniform(lo, hi, (m, 1)) for lo, hi in [(0.2, 3.0), (0.3, 1.5), (0.5, 2.0)])
+    states = rng.uniform(0.5, 2.0, (m, 2))
+    ends = states[:, 0] + rng.uniform(1.0, 3.0, m)
+
+    def actuator(k, alpha, radius, state):
+        if family == "constant":
+            return symmetric_actuator(constant_passive_channel, k=k)
+        if family == "exponential":
+            law = TendonLaw.exponential(k, alpha)
+        else:
+            law = getattr(TendonLaw, family)(k)
+        return as_antagonistic(VsaConfig(law=law, pulley_radius=radius, state=state))
+
+    batch = actuator(k, alpha, radius, (states[:, 0], states[:, 1]))
+    singles = [
+        (actuator(k[i, 0].item(), alpha[i, 0].item(), radius[i, 0].item(), tuple(states[i].tolist())),
+         tuple(states[i].tolist()), ends[i].item())
+        for i in range(m)
+    ]
+    return batch, (states[:, 0], states[:, 1]), ends, singles
+
+
+class TestBatchedFibers:
+    @pytest.mark.parametrize("family", ["quadratic", "exponential", "cubic", "constant"])
+    def test_batch_equals_its_single_fibers_bit_for_bit(self, family):
+        m, steps = 16, 60
+        batch, start, ends, singles = fiber_batch(family, m, seed=17)
+        path = trace_fiber(batch, start, ends, steps)
+        assert path.level.shape == (m,)
+        assert path.points.shape == (m, steps, 2)
+        assert path.residuals.shape == (m, steps)
+        sweeps = [monotonicity_sweep(batch, path, which) for which in WHICH]
+        relation = passive_promptness_relation(batch, path)
+        for i, (act, s, end) in enumerate(singles):
+            one = trace_fiber(act, s, end, steps)
+            assert one.level == path.level[i]
+            assert np.array_equal(one.points, path.points[i])
+            assert np.array_equal(one.residuals, path.residuals[i])
+            for which, sweep in zip(WHICH, sweeps):
+                alone = monotonicity_sweep(act, one, which)
+                assert np.array_equal(alone.values, sweep.values[i])
+                assert alone.is_strictly_increasing == sweep.is_strictly_increasing[i]
+                assert alone.min_increment == sweep.min_increment[i]
+            alone = passive_promptness_relation(act, one)
+            assert np.array_equal(alone.pairs, relation.pairs[i])
+            assert alone.is_monotone == relation.is_monotone[i]
+
+    def test_constant_channel_verdicts_fail_per_fiber(self):
+        batch, start, ends, _ = fiber_batch("constant", 5, seed=3)
+        report = monotonicity_sweep(batch, trace_fiber(batch, start, ends, 20), "passive")
+        assert report.is_strictly_increasing.tolist() == [False] * 5
+        assert report.min_increment.tolist() == [0.0] * 5
+
+    def test_leading_axes_of_any_shape(self):
+        rng = np.random.default_rng(5)
+        k, alpha = rng.uniform(0.2, 3.0, (2, 3, 1)), rng.uniform(0.3, 1.5, (2, 3, 1))
+        start = tuple(rng.uniform(0.5, 2.0, (2, 2, 3)))
+        ends = start[0] + 2.0
+
+        def act(shape):
+            law = TendonLaw.exponential(k.reshape(shape), alpha.reshape(shape))
+            return as_antagonistic(VsaConfig(law=law, pulley_radius=1.0, state=(1.0, 1.0)))
+
+        grid = trace_fiber(act((2, 3, 1)), start, ends, 30)
+        flat = trace_fiber(act((6, 1)), tuple(s.ravel() for s in start), ends.ravel(), 30)
+        assert grid.level.shape == (2, 3)
+        assert grid.points.shape == (2, 3, 30, 2)
+        assert np.array_equal(grid.points.reshape(6, 30, 2), flat.points)
+        report = monotonicity_sweep(act((2, 3, 1)), grid, "promptness")
+        assert report.values.shape == (2, 3, 30)
+        assert report.is_strictly_increasing.shape == report.min_increment.shape == (2, 3)
+        assert passive_promptness_relation(act((2, 3, 1)), grid).pairs.shape == (2, 3, 30, 2)
+
+    def test_single_fiber_keeps_plain_types(self):
+        path = trace_fiber(symmetric_actuator(), (1.0, 0.8), 3.0, 20)
+        assert type(path.level) is float
+        for which in WHICH:
+            report = monotonicity_sweep(symmetric_actuator(), path, which)
+            assert type(report.is_strictly_increasing) is bool
+            assert type(report.min_increment) is float
+        assert type(passive_promptness_relation(symmetric_actuator(), path).is_monotone) is bool
+
+
+def exponential_fibers(miss=1.0, box=((0.0, math.inf), (0.0, math.inf))):
+    """Exponential channels h = expm1(u) whose minus inverse is scaled by
+    `miss` (a float, or shape (m, 1) for one factor per fiber)."""
+    law = TendonLaw.exponential(1.0, 1.0)
+    plus = ChannelLaw(law.r, law.r_prime, law.r_prime, law.r_inverse)
+    minus = dataclasses.replace(plus, inverse_fn=lambda y: law.r_inverse(y) * miss)
+    return AntagonisticActuator(plus, minus, box)
+
+
+GOOD_FIBER = ((1.0, 0.5), 1.5)
+
+# (name, fiber k's start, its u1_end, box, whether its inverse misses, what it raises)
+FAILING_FIBERS = [
+    ("start-outside-box", (-0.5, 1.0), 1.0, None, False, "outside admissible box"),
+    ("grid-does-not-increase", (1.0, 0.5), 0.5, None, False, "distinct u1 values"),
+    ("level-overflows", (800.0, 800.0), 801.0, None, False, "fiber level at the start"),
+    ("leaves-the-box", (2.0, 2.5), 4.0, ((0.0, math.inf), (0.0, 3.0)), False,
+     "left the admissible box at step 18"),
+    ("target-overflows", (702.0, 702.0), 712.0, None, False, "fiber target at u1="),
+    ("misses-its-target", (1.0, 0.5), 3.0, None, True, "misses its target"),
+]
+
+
+def raised(fn):
+    with pytest.raises(Exception) as info, np.errstate(over="ignore", invalid="ignore"):
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestBatchedFiberErrors:
+    @pytest.mark.parametrize("start, end, box, misses, message", [f[1:] for f in FAILING_FIBERS],
+                             ids=[f[0] for f in FAILING_FIBERS])
+    def test_batch_raises_what_its_failing_fiber_raises(self, start, end, box, misses, message):
+        box = box or ((0.0, math.inf), (0.0, math.inf))
+        miss = 1.0 + 1e-8
+        alone = raised(lambda: trace_fiber(exponential_fibers(miss if misses else 1.0, box),
+                                           start, end, 50))
+        fibers = [GOOD_FIBER, GOOD_FIBER, (start, end), GOOD_FIBER]
+        starts = tuple(np.array([s[j] for s, _ in fibers]) for j in (0, 1))
+        ends = np.array([e for _, e in fibers])
+        factors = np.array([[miss if misses and i == 2 else 1.0] for i in range(4)])
+        batch = exponential_fibers(factors, box)
+        assert raised(lambda: trace_fiber(batch, starts, ends, 50)) == alone
+        assert message in alone[1]
+
+    def test_the_first_failing_fiber_is_reported_not_the_first_failing_check(self):
+        # fiber 1 misses its target at the end of its trace; fiber 3's start is
+        # outside the box, which a single trace checks first
+        starts = (np.array([1.0, 1.0, 1.0, -0.5]), np.array([0.5, 0.5, 0.5, 1.0]))
+        factors = np.array([[1.0], [1.0 + 1e-8], [1.0], [1.0]])
+        got = raised(lambda: trace_fiber(exponential_fibers(factors), starts, 3.0, 50))
+        alone = raised(lambda: trace_fiber(exponential_fibers(1.0 + 1e-8), (1.0, 0.5), 3.0, 50))
+        assert got == alone and got[0] is ConvergenceError
+
+    def test_too_few_steps(self):
+        starts = (np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+        assert raised(lambda: trace_fiber(exponential_fibers(), starts, 2.0, 0)) == raised(
+            lambda: trace_fiber(exponential_fibers(), (1.0, 0.5), 2.0, 0))

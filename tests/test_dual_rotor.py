@@ -12,10 +12,12 @@ from vada.antagonistic import (
     task_output,
     trace_fiber,
 )
+from vada import verify
 from vada.dual_rotor import (
     DualRotor,
     TrimPoint,
     allocate,
+    allocate_arrays,
     as_antagonistic_at_trim,
     damping_at_trim,
     force_promptness,
@@ -269,3 +271,101 @@ class TestArraySpeeds:
         dr = DualRotor.identical(AffineThrustModel(1.0, 1.0), speed_box=((1.0, 10.0), (1.0, 10.0)))
         with pytest.raises(ValueError):
             net_force(dr, np.array([[2.0, 3.0], [2.0, 11.0]]), 0.0)
+
+
+def allocate_each(dr, nu_bar, force, sigma_des):
+    """The scalar allocate on every entry of a batch of requests, as arrays
+    of (speeds, achieved force, achieved damping, feasible, reason)."""
+    fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
+    columns = np.broadcast_arrays(fwd.k_thrust, fwd.k_inflow, bwd.k_thrust, bwd.k_inflow,
+                                  nu_bar, force, sigma_des)
+    results = [
+        allocate(DualRotor(AffineThrustModel(kt1, kd1), AffineThrustModel(kt2, kd2),
+                           speed_box=dr.speed_box),
+                 TrimPoint(nu_bar=nu, force_level=f), s)
+        for kt1, kd1, kt2, kd2, nu, f, s in zip(*(c.tolist() for c in columns))
+    ]
+    return [np.array([getattr(r, name) for r in results]) for name in
+            ("speeds", "achieved_force", "achieved_damping", "feasible", "reason")]
+
+
+def assert_allocates_as_each(dr, nu_bar, force, sigma_des):
+    batch = allocate_arrays(dr, nu_bar, force, sigma_des)
+    speeds, achieved_force, achieved_damping, feasible, reason = allocate_each(
+        dr, nu_bar, force, sigma_des)
+    assert np.array_equal(np.stack(batch.speeds, axis=-1), speeds)
+    assert np.array_equal(batch.achieved_force, achieved_force)
+    assert np.array_equal(batch.achieved_damping, achieved_damping)
+    assert batch.feasible.dtype == bool and np.array_equal(batch.feasible, feasible)
+    assert np.array_equal(batch.reason, reason)
+    return batch
+
+
+class TestAllocateArrays:
+    def test_every_verify_draw_as_the_scalar_allocate(self, monkeypatch):
+        batches = []
+        original = verify.allocate_arrays
+
+        def recorded(*args):
+            batches.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(verify, "allocate_arrays", recorded)
+        for seed in range(50):
+            verify.check_allocation_roundtrip(np.random.default_rng(seed))
+        assert len(batches) == 50
+        for args in batches:
+            assert assert_allocates_as_each(*args).feasible.all()
+
+    def test_identical_rotors_take_the_single_root(self):
+        # a = 0: the hand-derived instance and requests from random speeds
+        rng = np.random.default_rng(7)
+        k_thrust, k_inflow = rng.uniform(0.05, 5.0, (2, 40))
+        k_thrust[0], k_inflow[0] = 1.0, 1.0
+        model = AffineThrustModel(k_thrust, k_inflow)
+        dr = DualRotor.identical(model)
+        v = rng.uniform(0.01, 50.0, (2, 40))
+        v[:, 0] = 2.375, 1.625
+        nu_bar = rng.uniform(-20.0, 20.0, 40)
+        nu_bar[0] = 0.0
+        batch = assert_allocates_as_each(
+            dr, nu_bar, net_force(dr, v, nu_bar), damping_at_trim(dr, v, nu_bar))
+        assert batch.feasible.all()
+        assert (batch.speeds[0][0], batch.speeds[1][0]) == pytest.approx((2.375, 1.625), rel=1e-12)
+
+    def test_no_real_root_reports_the_vertex(self):
+        # the unreachable force of the scalar test, beside a reachable one
+        dr = DualRotor(
+            AffineThrustModel(k_thrust=np.ones(2), k_inflow=np.ones(2)),
+            AffineThrustModel(k_thrust=np.ones(2), k_inflow=np.full(2, 2.0)),
+        )
+        batch = assert_allocates_as_each(dr, np.zeros(2), np.array([-1.0, 0.1]), np.ones(2))
+        assert batch.feasible.tolist() == [False, True]
+        assert batch.reason[0] == "differential mode exceeds common mode"
+        assert (batch.speeds[0][0], batch.speeds[1][0]) == pytest.approx((-1 / 3, 2 / 3), rel=1e-12)
+
+    def test_both_roots_outside_a_finite_box(self):
+        rng = np.random.default_rng(11)
+        k_thrust, k_inflow = rng.uniform(0.1, 2.0, (2, 2, 30))
+        box = ((1.0, 10.0), (1.0, 10.0))
+        dr = DualRotor(AffineThrustModel(k_thrust[0], k_inflow[0]),
+                       AffineThrustModel(k_thrust[1], k_inflow[1]), speed_box=box)
+        # requests made from speeds above the box: its one positive root is out
+        v = rng.uniform(12.0, 30.0, (2, 30))
+        nu_bar = rng.uniform(-1.0, 1.0, 30)
+        unboxed = DualRotor(dr.rotor_fwd, dr.rotor_bwd)
+        force, sigma = net_force(unboxed, v, nu_bar), damping_at_trim(unboxed, v, nu_bar)
+        batch = assert_allocates_as_each(dr, nu_bar, force, sigma)
+        assert not batch.feasible.any()
+        assert set(batch.reason.tolist()) <= {"speed box violation", "differential mode exceeds common mode"}
+
+    @pytest.mark.parametrize("sigma_des", [5e-324, 0.0, -1.0], ids=["underflow", "zero", "negative"])
+    def test_a_request_allocate_refuses_raises_its_error(self, sigma_des):
+        # with k_D = 0.25, b = 2 k_T k_D sigma_des rounds to 0 at the smallest subnormal
+        model = AffineThrustModel(1.0, 0.25)
+        dr = DualRotor.identical(AffineThrustModel(np.ones(3), np.full(3, 0.25)))
+        with pytest.raises(ValueError) as alone:
+            allocate(DualRotor.identical(model), TrimPoint(nu_bar=0.0, force_level=0.0), sigma_des)
+        with pytest.raises(ValueError) as batch:
+            allocate_arrays(dr, np.zeros(3), np.zeros(3), np.array([1.0, sigma_des, 5e-324]))
+        assert str(batch.value) == str(alone.value)

@@ -114,7 +114,7 @@ def bet_numeric_thrust(geom: RotorGeometry, v: float, nu_in: float, panels: int 
         raise ValueError(f"need at least 2 Simpson panels, got {panels}")
 
     def column(x):
-        return np.expand_dims(x, -1)
+        return np.asarray(x)[..., None]
 
     n = 2 * panels  # subintervals, always even
     weights = np.ones(n + 1)

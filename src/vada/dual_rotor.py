@@ -7,9 +7,11 @@ core, and the inverse (force, damping) -> speeds allocation live here.
 The net force, the bridge's channels and the allocator's achieved force
 all read aero's one thrust polynomial, and box checks are _array's.
 net_force and damping_at_trim also take a pair of speed arrays, with
-float or array rotor coefficients. allocate takes one request in plain
-floats; allocate_arrays takes a batch of requests as arrays and solves them
-in one numpy pass with the same quadratic.
+float or array rotor coefficients. as_antagonistic_at_trim takes array
+rotor coefficients and an array trim, for a batch of fibers traced in one
+pass. allocate takes one request in plain floats; allocate_arrays takes a
+batch of requests as arrays and solves them in one numpy pass with the same
+quadratic.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._array import inside, require_inside
+from ._array import everywhere, inside, require_inside
 from .aero import (
     AffineThrustModel,
     inflow_sensitivity,
@@ -112,38 +114,47 @@ def force_promptness(dr: DualRotor, v: Sequence[float], nu_bar: float = 0.0) -> 
     )
 
 
-def as_antagonistic_at_trim(dr: DualRotor, nu_bar: float = 0.0) -> AntagonisticActuator:
+def as_antagonistic_at_trim(
+    dr: DualRotor, nu_bar: float | np.ndarray = 0.0
+) -> AntagonisticActuator:
     """View the dual rotor at a fixed trim as a generic antagonistic actuator.
 
     Channel maps: h1(v) = T1(v, nu_bar), h2(v) = T2(v, -nu_bar), with the
     per-rotor inflow sensitivities as passive coefficients. Requires the
     whole speed box to sit in the monotone regime (dT/dv > 0), checked at
-    the box lower bounds.
+    the box lower bounds; a NaN trim is refused.
 
     Each inverse is the larger root of k_T v^2 - b v - y = 0 with
     b = k_D nu_in and D = b^2 + 4 k_T y: (b + sqrt(D)) / (2 k_T) for b >= 0
     and 2 y / (sqrt(D) - b) for b < 0, so neither form subtracts nearly
     equal numbers (Higham, Accuracy and Stability of Numerical Algorithms,
     1.8). A thrust with no root (D < 0) gives NaN.
-    """
-    (lo1, _), (lo2, _) = dr.speed_box
-    if nu_bar > 0.0 and nu_bar >= monotone_regime_bound(dr.rotor_fwd, lo1):
-        raise ValueError(
-            f"trim inflow {nu_bar} violates the monotone regime on the forward rotor box"
-        )
-    if nu_bar < 0.0 and -nu_bar >= monotone_regime_bound(dr.rotor_bwd, lo2):
-        raise ValueError(
-            f"trim inflow {nu_bar} violates the monotone regime on the backward rotor box"
-        )
 
-    def channel(model: AffineThrustModel, inflow: float) -> ChannelLaw:
+    Batches: an array nu_bar and array rotor coefficients broadcast against
+    the fiber grid S + (steps,) of trace_fiber (coefficients of shape
+    (m, 1, 1) and nu_bar of shape (m, n, 1) give m rotor pairs at n trims
+    each). The checks then hold at every entry, and a failing entry raises
+    its own scalar message, the first in C order. Each inverse picks its form
+    per entry, on the sign of that entry's inflow (-0.0 takes the first), so
+    every entry equals the scalar inverse bit for bit; both forms are
+    computed, which only trace_fiber's error state keeps quiet. A float
+    nu_bar against array coefficients is checked as a float, against every
+    entry of the bound on the side its sign loads.
+    """
+    if isinstance(nu_bar, np.ndarray):
+        _require_monotone_trims(dr, nu_bar)
+    else:
+        _require_monotone_trim(dr, nu_bar)
+
+    def channel(model: AffineThrustModel, inflow) -> ChannelLaw:
         k_t, b = model.k_thrust, model.k_inflow * inflow
         return ChannelLaw(
             output_fn=lambda v: thrust_polynomial(model, v, inflow),
             output_sensitivity_fn=lambda v: speed_sensitivity(model, v, inflow),
             passive_coeff_fn=lambda v: inflow_sensitivity(model, v, inflow),
             inverse_fn=(
-                (lambda y: (b + np.sqrt(b * b + 4.0 * k_t * y)) / (2.0 * k_t))
+                _inverse_per_entry(k_t, b, inflow >= 0.0) if isinstance(inflow, np.ndarray)
+                else (lambda y: (b + np.sqrt(b * b + 4.0 * k_t * y)) / (2.0 * k_t))
                 if inflow >= 0.0
                 else (lambda y: 2.0 * y / (np.sqrt(b * b + 4.0 * k_t * y) - b))
             ),
@@ -154,6 +165,58 @@ def as_antagonistic_at_trim(dr: DualRotor, nu_bar: float = 0.0) -> AntagonisticA
         channel_minus=channel(dr.rotor_bwd, -nu_bar),
         admissible_box=dr.speed_box,
     )
+
+
+def _inverse_per_entry(k_t, b, with_inflow):
+    """The channel inverse of array coefficients or inflows: each entry takes
+    the form its scalar inverse takes, (b + sqrt(D)) / (2 k_T) where
+    with_inflow holds and 2 y / (sqrt(D) - b) elsewhere, from the same
+    operations, so it equals that inverse bit for bit."""
+    def inverse(y):
+        root = np.sqrt(b * b + 4.0 * k_t * y)
+        return np.where(with_inflow, (b + root) / (2.0 * k_t), 2.0 * y / (root - b))
+    return inverse
+
+
+def _require_monotone_trim(dr: DualRotor, nu_bar: float) -> None:
+    """ValueError unless the float trim nu_bar is a number inside the
+    monotone regime of its rotor's box floor (at every entry of the bound,
+    for array coefficients). Only the bound on the side that nu_bar's sign
+    loads is evaluated."""
+    if math.isnan(nu_bar):
+        raise ValueError(f"trim inflow must be a number, got {nu_bar}")
+    (lo1, _), (lo2, _) = dr.speed_box
+    if nu_bar > 0.0 and not everywhere(nu_bar < monotone_regime_bound(dr.rotor_fwd, lo1)):
+        raise ValueError(
+            f"trim inflow {nu_bar} violates the monotone regime on the forward rotor box"
+        )
+    if nu_bar < 0.0 and not everywhere(-nu_bar < monotone_regime_bound(dr.rotor_bwd, lo2)):
+        raise ValueError(
+            f"trim inflow {nu_bar} violates the monotone regime on the backward rotor box"
+        )
+
+
+def _require_monotone_trims(dr: DualRotor, nu_bar: np.ndarray) -> None:
+    """_require_monotone_trim at every entry of an array trim against array
+    (or float) rotor coefficients; the first failing entry raises its scalar
+    message, from a scalar check of that entry alone."""
+    (lo1, _), (lo2, _) = dr.speed_box
+    fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
+    refused = (
+        np.isnan(nu_bar)
+        | (nu_bar > 0.0) & ~(nu_bar < monotone_regime_bound(fwd, lo1))
+        | (nu_bar < 0.0) & ~(-nu_bar < monotone_regime_bound(bwd, lo2))
+    )
+    if refused.any():
+        k = np.unravel_index(np.argmax(refused), refused.shape)
+
+        def entry(x) -> float:
+            return np.broadcast_to(x, refused.shape)[k].item()
+
+        def model(m: AffineThrustModel) -> AffineThrustModel:
+            return AffineThrustModel(k_thrust=entry(m.k_thrust), k_inflow=entry(m.k_inflow))
+
+        _require_monotone_trim(DualRotor(model(fwd), model(bwd), dr.speed_box), entry(nu_bar))
 
 
 def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResult:

@@ -69,9 +69,10 @@ class InputSchedule:
     def __post_init__(self):
         if len(self.speeds) != len(self.breakpoints) + 1 or len(self.forces) != len(self.speeds):
             raise ValueError("need len(speeds) == len(forces) == len(breakpoints) + 1")
-        if any(b <= a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
+        # written so that a NaN breakpoint fails them
+        if any(not b > a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError(f"breakpoints must be strictly increasing: {self.breakpoints}")
-        if self.breakpoints and self.breakpoints[0] <= 0.0:
+        if self.breakpoints and not self.breakpoints[0] > 0.0:
             raise ValueError("breakpoints must be positive times")
 
     @classmethod

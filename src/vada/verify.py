@@ -5,8 +5,8 @@ claim at its stated tolerance, and contributes one record to a
 deterministic report; failures are report content, never exceptions.
 Parameters are drawn as arrays, one entry per draw, and each claim is
 evaluated in numpy passes over all draws: the VSA fibers as one batch per
-tendon family and the allocation round trip as one array allocation. Only
-the VADA fibers and the simulations run once per draw.
+tendon family, each VADA fiber check as one batch and the allocation round
+trip as one array allocation. Only the simulations run once per draw.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from .dual_rotor import (
     damping_at_trim,
     net_force,
 )
+# the batched VADA fibers call this second binding: perfbench's tracer probes
+# as_antagonistic_at_trim per rotor pair, comparing the two models with ==
+from .dual_rotor import as_antagonistic_at_trim as _batch_trim_bridge
 from .dynamics import (
     BodyConfig,
     InputSchedule,
@@ -100,11 +103,11 @@ def _random_rotor_pairs(rng, symmetric, low: float = 0.1, high: float = 2.0):
     return k_thrust, k_inflow
 
 
-def _dual_rotor(k_thrust, k_inflow, symmetric: bool = False, **box) -> DualRotor:
-    """The dual rotor of one pair's coefficients (or of whole rows of them);
-    a symmetric pair shares one model, as DualRotor.identical does."""
+def _dual_rotor(k_thrust, k_inflow, **box) -> DualRotor:
+    """The dual rotor of whole rows of pair coefficients: row 0 the forward
+    rotor's, row 1 the backward one's."""
     fwd = AffineThrustModel(k_thrust=k_thrust[0], k_inflow=k_inflow[0])
-    bwd = fwd if symmetric else AffineThrustModel(k_thrust=k_thrust[1], k_inflow=k_inflow[1])
+    bwd = AffineThrustModel(k_thrust=k_thrust[1], k_inflow=k_inflow[1])
     return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, **box)
 
 
@@ -114,12 +117,17 @@ def check_bet_quadrature(rng, draws: int = 1000) -> dict:
     nu_in = rng.uniform(-5.0, 5.0, draws)
     panels = rng.integers(2, 20, draws)
     closed = thrust(derive_coefficients(geom), v, nu_in)
+    # one quadrature call per panel count, over the contiguous run of draws
+    # that uses it once the draws are sorted by panel count (stably, so each
+    # run keeps the draw order); the worst gap does not depend on the order
+    order = np.argsort(panels, kind="stable")
+    fields = {name: value[order] for name, value in vars(geom).items()}
+    v, nu_in, panels, closed = v[order], nu_in[order], panels[order], closed[order]
+    starts = np.flatnonzero(np.diff(panels, prepend=-1)).tolist()
     numeric = np.empty(draws)
-    # one quadrature call per panel count, over every draw that uses it
-    for count in sorted(set(panels.tolist())):
-        pick = panels == count
-        part = RotorGeometry(**{name: value[pick] for name, value in vars(geom).items()})
-        numeric[pick] = bet_numeric_thrust(part, v[pick], nu_in[pick], panels=count)
+    for lo, hi in zip(starts, starts[1:] + [draws]):
+        part = RotorGeometry(**{name: value[lo:hi] for name, value in fields.items()})
+        numeric[lo:hi] = bet_numeric_thrust(part, v[lo:hi], nu_in[lo:hi], panels=int(panels[lo]))
     worst = _relative_gap(numeric, closed, 1.0).max()
     return _record("bet-quadrature-agreement", draws, worst <= 1e-12, worst)
 
@@ -170,34 +178,30 @@ def check_vada_damping(rng, fibers: int = 20, points: int = 100, trims: int = 0)
 
     Even-numbered fibers use identical rotors. A nonzero trim is drawn
     within 30 % of the monotone-regime bound at the speed floor of either
-    rotor."""
+    rotor. All fibers are one batch: rotor coefficients of shape
+    (fibers, 1, 1) and trims of shape (fibers, per_fiber, 1) give each fiber
+    its own actuator against its row of points."""
     symmetric = np.arange(fibers) % 2 == 0
     k_thrust, k_inflow = _random_rotor_pairs(rng, symmetric)
+    dr = _dual_rotor(k_thrust[..., None, None], k_inflow[..., None, None], speed_box=_FLOOR_BOX)
     per_fiber = max(trims, 1)
     if trims:
-        batch = _dual_rotor(k_thrust, k_inflow)
         cap = 0.3 * np.minimum(
-            monotone_regime_bound(batch.rotor_fwd, _SPEED_FLOOR),
-            monotone_regime_bound(batch.rotor_bwd, _SPEED_FLOOR),
+            monotone_regime_bound(dr.rotor_fwd, _SPEED_FLOOR),
+            monotone_regime_bound(dr.rotor_bwd, _SPEED_FLOOR),
         )
-        nu_bars = rng.uniform(-cap, cap, (per_fiber, fibers)).T
+        nu_bars = rng.uniform(-cap.ravel(), cap.ravel(), (per_fiber, fibers)).T
     else:
         nu_bars = np.zeros((fibers, 1))
-    starts = rng.uniform(2.0, 4.0, (fibers, per_fiber, 2)).tolist()
-    spans = rng.uniform(1.0, 3.0, (fibers, per_fiber)).tolist()
-    ok = True
-    worst = math.inf
-    for i in range(fibers):
-        dr = _dual_rotor(k_thrust[:, i].tolist(), k_inflow[:, i].tolist(), symmetric[i],
-                         speed_box=_FLOOR_BOX)
-        for nu_bar, start, span in zip(nu_bars[i].tolist(), starts[i], spans[i]):
-            act = as_antagonistic_at_trim(dr, nu_bar)
-            path = core.trace_fiber(act, start, start[0] + span, points)
-            report = core.monotonicity_sweep(act, path, "passive")
-            ok = ok and report.is_strictly_increasing
-            worst = min(worst, report.min_increment)
+    starts = rng.uniform(2.0, 4.0, (fibers, per_fiber, 2))
+    spans = rng.uniform(1.0, 3.0, (fibers, per_fiber))
+    act = _batch_trim_bridge(dr, nu_bars[..., None])
+    start = (starts[..., 0], starts[..., 1])
+    path = trace_fiber(act, start, start[0] + spans, points)
+    report = monotonicity_sweep(act, path, "passive")
     prop_id = "vada-damping-at-trim" if trims else "vada-damping-zero-trim"
-    return _record(prop_id, fibers * per_fiber, ok, worst)
+    return _record(prop_id, fibers * per_fiber, report.is_strictly_increasing.all(),
+                   report.min_increment.min())
 
 
 def check_constant_damping_injection(rng, fibers: int = 5, points: int = 50) -> dict:

@@ -133,6 +133,13 @@ class TestAsAntagonisticAtTrim:
         with pytest.raises(ValueError, match="monotone"):
             as_antagonistic_at_trim(dr, -2.5)
 
+    @pytest.mark.parametrize("nu_bar", [math.nan, np.array([0.1, math.nan, -0.1])],
+                             ids=["float", "array-entry"])
+    def test_nan_trim_refused(self, nu_bar):
+        dr = DualRotor.identical(UNIT, speed_box=((1.0, math.inf), (1.0, math.inf)))
+        with pytest.raises(ValueError, match="trim inflow must be a number, got nan"):
+            as_antagonistic_at_trim(dr, nu_bar)
+
     def test_cocontraction_raises_damping_zero_trim(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
@@ -369,3 +376,95 @@ class TestAllocateArrays:
         with pytest.raises(ValueError) as batch:
             allocate_arrays(dr, np.zeros(3), np.zeros(3), np.array([1.0, sigma_des, 5e-324]))
         assert str(batch.value) == str(alone.value)
+
+
+FLOOR_BOX = ((1.0, math.inf), (1.0, math.inf))
+# the sign of each row's trims, as a factor: +, -, +0.0 and -0.0
+TRIM_SIGNS = np.array([1.0, -1.0, 0.0, -0.0])
+CHANNEL_FNS = ("output_fn", "output_sensitivity_fn", "passive_coeff_fn", "inverse_fn")
+
+
+def trim_batch(symmetric, m=6, seed=29):
+    """m rotor pairs with coefficients of shape (m, 1, 1), each at four trims
+    (nu_bar of shape (m, 4)) signed as TRIM_SIGNS, within 90 % of the
+    monotone-regime bound; and the scalar dual rotor of each pair. A
+    symmetric pair shares one model, as DualRotor.identical does."""
+    rng = np.random.default_rng(seed)
+    k_thrust, k_inflow = rng.uniform(0.1, 2.0, (2, 2, m))
+
+    def models(pick):
+        fwd = AffineThrustModel(pick(k_thrust[0]), pick(k_inflow[0]))
+        return (fwd, fwd) if symmetric else (fwd, AffineThrustModel(pick(k_thrust[1]), pick(k_inflow[1])))
+
+    dr = DualRotor(*models(lambda k: k[:, None, None]), speed_box=FLOOR_BOX)
+    cap = np.minimum(monotone_regime_bound(dr.rotor_fwd, 1.0), monotone_regime_bound(dr.rotor_bwd, 1.0))
+    nu_bar = 0.9 * cap[:, :, 0] * rng.uniform(0.1, 1.0, (m, 4)) * TRIM_SIGNS
+    singles = [DualRotor(*models(lambda k: k[i].item()), speed_box=FLOOR_BOX) for i in range(m)]
+    return dr, nu_bar, singles
+
+
+def raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["identical", "distinct"])
+class TestTrimBridgeBatches:
+    def test_every_channel_entry_equals_the_scalar_bridge(self, symmetric):
+        dr, nu_bar, singles = trim_batch(symmetric)
+        rng = np.random.default_rng(3)
+        v = rng.uniform(1.5, 10.0, nu_bar.shape + (30,))
+        # targets on both sides of zero: a thrust with no root is NaN in both
+        y = rng.uniform(-20.0, 60.0, nu_bar.shape + (30,))
+        batch = as_antagonistic_at_trim(dr, nu_bar[..., None])
+        for i, single in enumerate(singles):
+            for j, nu in enumerate(nu_bar[i].tolist()):
+                alone = as_antagonistic_at_trim(single, nu)
+                for side in ("channel_plus", "channel_minus"):
+                    for name in CHANNEL_FNS:
+                        x = y if name == "inverse_fn" else v
+                        with np.errstate(invalid="ignore", divide="ignore"):
+                            many = getattr(getattr(batch, side), name)(x)
+                            one = getattr(getattr(alone, side), name)(x[i, j])
+                        many = np.broadcast_to(many, x.shape)[i, j]
+                        assert np.array_equal(many, one, equal_nan=True), (side, name, i, j)
+
+    def test_fiber_batch_equals_its_single_traces_bit_for_bit(self, symmetric):
+        dr, nu_bar, singles = trim_batch(symmetric)
+        rng = np.random.default_rng(7)
+        starts = rng.uniform(2.0, 4.0, nu_bar.shape + (2,))
+        ends = starts[..., 0] + rng.uniform(1.0, 3.0, nu_bar.shape)
+        act = as_antagonistic_at_trim(dr, nu_bar[..., None])
+        path = trace_fiber(act, (starts[..., 0], starts[..., 1]), ends, 40)
+        sweep = monotonicity_sweep(act, path, "passive")
+        assert sweep.is_strictly_increasing.all()
+        for i, single in enumerate(singles):
+            for j, nu in enumerate(nu_bar[i].tolist()):
+                alone = as_antagonistic_at_trim(single, nu)
+                one = trace_fiber(alone, tuple(starts[i, j].tolist()), ends[i, j].item(), 40)
+                assert one.level == path.level[i, j]
+                assert np.array_equal(one.points, path.points[i, j])
+                assert np.array_equal(one.residuals, path.residuals[i, j])
+                report = monotonicity_sweep(alone, one, "passive")
+                assert np.array_equal(report.values, sweep.values[i, j])
+                assert report.is_strictly_increasing == sweep.is_strictly_increasing[i, j]
+                assert report.min_increment == sweep.min_increment[i, j]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+    def test_a_violating_entry_raises_its_scalar_message(self, symmetric, sign):
+        dr, nu_bar, singles = trim_batch(symmetric)
+        bound = monotone_regime_bound(dr.rotor_fwd if sign > 0 else dr.rotor_bwd, 1.0)[:, 0, 0]
+        # entries (2, 1) and (4, 0) violate; (2, 1) comes first in C order
+        nu_bar[2, 1], nu_bar[4, 0] = sign * 1.5 * bound[2], sign * 2.0 * bound[4]
+        got = raised(lambda: as_antagonistic_at_trim(dr, nu_bar[..., None]))
+        assert got == raised(lambda: as_antagonistic_at_trim(singles[2], nu_bar[2, 1].item()))
+        assert got[0] is ValueError and "monotone regime" in got[1]
+
+    def test_a_float_trim_is_checked_against_every_entry(self, symmetric):
+        dr, _, singles = trim_batch(symmetric)
+        bound = monotone_regime_bound(dr.rotor_bwd, 1.0)[:, 0, 0]
+        nu = -0.5 * (bound.min() + bound.max())
+        worst = int(np.argmin(bound))
+        assert raised(lambda: as_antagonistic_at_trim(dr, nu)) == raised(
+            lambda: as_antagonistic_at_trim(singles[worst], nu))

@@ -324,6 +324,13 @@ class TestSimulate:
             with pytest.raises(ValueError, match="strictly increasing"):
                 InputSchedule(speeds=speeds, forces=forces, breakpoints=breakpoints)
 
+    @pytest.mark.parametrize("breakpoints", [[0.5, math.nan], [math.nan, 0.5], [math.nan]])
+    def test_nan_breakpoint_rejected(self, breakpoints):
+        # a NaN compares false both ways: accepted, it dropped every segment after it
+        n = len(breakpoints) + 1
+        with pytest.raises(ValueError, match="breakpoints"):
+            InputSchedule(speeds=[(1.0, 1.0)] * n, forces=[0.0] * n, breakpoints=breakpoints)
+
     def test_segments_clip_at_t_end(self):
         schedule = InputSchedule(
             speeds=[(2.0, 1.0), (3.0, 1.0), (4.0, 1.0)], forces=[0.1, 0.2, 0.3],

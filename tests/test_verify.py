@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vada import verify
+from vada import antagonistic, verify
 from vada.verify import report_to_json, run_verify
 
 # (property id, draws) of every record, in report order
@@ -37,26 +37,29 @@ def test_injected_constant_damping_sees_exactly_zero_increments():
 
 
 @pytest.mark.parametrize(
-    "name, least, most",
+    "name, owners, least, most",
     [
-        pytest.param("thrust", 1, 3, id="thrust-3"),
-        pytest.param("bet_numeric_thrust", 1, 18, id="bet_numeric_thrust-18"),
-        pytest.param("analytic_response", 1, 20, id="analytic_response-20"),
+        pytest.param("thrust", [verify], 1, 3, id="thrust-3"),
+        pytest.param("bet_numeric_thrust", [verify], 1, 18, id="bet_numeric_thrust-18"),
+        pytest.param("analytic_response", [verify], 1, 20, id="analytic_response-20"),
         # the allocation round trip is one allocate_arrays call, not 1,000 allocates
-        pytest.param("allocate", 0, 0, id="allocate-0"),
-        pytest.param("allocate_arrays", 1, 1, id="allocate_arrays-1"),
-        # one batched VSA trace per tendon family
-        pytest.param("trace_fiber", 1, 3, id="trace_fiber-3"),
+        pytest.param("allocate", [verify], 0, 0, id="allocate-0"),
+        pytest.param("allocate_arrays", [verify], 1, 1, id="allocate_arrays-1"),
+        # one batched trace per VSA tendon family and one per VADA check, through
+        # verify's own binding or the core's
+        pytest.param("trace_fiber", [verify, antagonistic], 5, 5, id="trace_fiber-5"),
     ],
 )
-def test_checks_evaluate_draws_in_batches(monkeypatch, name, least, most):
+def test_checks_evaluate_draws_in_batches(monkeypatch, name, owners, least, most):
     calls = []
-    original = getattr(verify, name)
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(verify, name, counted)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
     assert run_verify(seed=11)["all_passed"]
     assert least <= len(calls) <= most

@@ -18,8 +18,9 @@ leading axes. A start that is a pair of arrays of shape S traces one fiber
 per entry, with law parameters that broadcast against S + (steps,) (shape
 S + (1,) gives each fiber its own law); points then have shape
 S + (steps, 2), and every verdict and min_increment is an array of shape S,
-one per fiber. With S = () they are the plain floats and bools of a single
-fiber.
+one per fiber. One body of trace_fiber traces a batch and a single fiber:
+a start of two floats keeps its level, verdicts and min_increment plain
+floats and bools.
 """
 
 from __future__ import annotations
@@ -174,93 +175,71 @@ def trace_fiber(
     is an error at the first such step, never a silently clipped result. A
     level or target outside the float range is an OverflowError.
 
-    A start that is a pair of arrays of shape S traces a batch of fibers in
-    one pass (u1_end is then a float or an array of shape S). A batch that
-    fails raises for its first failing fiber the error that fiber's own trace
-    raises.
+    One body traces a single fiber or a batch. A start that is a pair of
+    arrays of shape S traces one fiber per entry (u1_end is then a float or
+    an array of shape S): each fiber's start, end and level are a column
+    against its row of the grid, so every row is computed as that fiber's
+    own trace computes it. A single fiber's start, end and level stay
+    floats. A trace that fails raises the errors of its first failing fiber
+    in this order: a start outside the box, too few steps, a grid that does
+    not increase, a level out of the float range, its first failing point.
     """
-    if isinstance(start[0], np.ndarray):
-        return _trace_batch(act, start, u1_end, steps)
-    # task_output checks the start against the box before anything else
-    level = float(task_output(act, start))
+    box = act.admissible_box
     if steps < 1:
+        require_inside(box, _entries((start[0], start[1])), "command")
         raise ValueError(f"steps must be >= 1, got {steps}")
-    u1 = fiber_grid(start[0], u1_end, steps)
-    if not math.isfinite(level):
-        raise OverflowError(f"fiber level at the start {tuple(start)} is {level}")
-    u2, target, residual, failing = _fiber_points(act, u1, level, max(1.0, abs(level)), start[1])
-    if failing is not None:
-        _raise_point_error(act, u1, u2, target, residual, failing)
+    plus, minus = act.channel_plus, act.channel_minus
+    s1, s2, end = _column(start[0]), _column(start[1]), _column(u1_end)
+    # a level out of the float range gives the start's own residual NaN or
+    # inf, so its fiber fails; like a start outside the box, it is reported
+    # below for the first fiber that fails. A target with no root gives NaN
+    # (the root of a negative), by contract.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        level = _on_grid(plus.output_fn(s1) - minus.output_fn(s2), _shape(s1))
+        u1 = s1 + np.arange(steps) * ((end - s1) / (steps - 1) if steps > 1 else 0.0)
+        h1 = _on_grid(plus.output_fn(u1), u1.shape)
+        target = h1 - level
+        u2 = np.empty_like(u1)
+        u2[:] = minus.inverse_fn(target)
+        u2[..., 0] = start[1]
+        residual = np.abs(_on_grid(minus.output_fn(u2), u1.shape) - target)
+        outside = ~inside(box, (u1, u2))
+        failing = outside | ~(residual <= FIBER_TOLERANCE * np.maximum(1.0, np.abs(level)))
+    ok = inside(box, start) & (u1[..., 1:] > u1[..., :-1]).all(axis=-1)
+    if failing.any():
+        # the residual differences outputs as large as h1 and level, and an
+        # exact inverse misses by their rounding alone: the bound is
+        # FIBER_TOLERANCE times max(1, |level|, |h1(u1)|), so a point over
+        # the level's part of it still passes within h1's
+        failing &= outside | ~(residual <= FIBER_TOLERANCE * np.abs(h1))
+        ok = ok & ~failing.any(axis=-1)
+    level = level[..., 0] if isinstance(level, np.ndarray) and level.ndim else float(level)
+    if not everywhere(ok):
+        k = np.unravel_index(np.argmin(ok), np.shape(ok))
+        s1_k, s2_k, end_k, level_k = _entries((start[0], start[1], u1_end, level), k)
+        require_inside(box, (s1_k, s2_k), "command")
+        fiber_grid(s1_k, end_k, steps)
+        if not math.isfinite(level_k):
+            raise OverflowError(f"fiber level at the start {(s1_k, s2_k)} is {level_k}")
+        _raise_point_error(act, u1[k], u2[k], target[k], residual[k], failing[k])
     return FiberPath(level=level, points=_columns(u1, u2), residuals=residual)
 
 
-def _trace_batch(act: AntagonisticActuator, start, u1_end, steps: int) -> FiberPath:
-    """trace_fiber over a batch: each fiber's start, end and level are a
-    column against its row of the grid, so every row is computed as that
-    fiber's own trace computes it."""
-    s1, s2 = np.asarray(start[0], dtype=float), np.asarray(start[1], dtype=float)
-    ends = np.broadcast_to(np.asarray(u1_end, dtype=float), s1.shape)
-    c1, c2 = s1[..., None], s2[..., None]
-    if steps < 1:
-        _require_fiber_start(act, s1, s2, ends, steps, np.unravel_index(0, s1.shape))
-    # a start outside the box or a level out of the float range is reported
-    # below, for the first fiber that has one
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        level = _on_grid(act.channel_plus.output_fn(c1), c1.shape) - _on_grid(
-            act.channel_minus.output_fn(c2), c2.shape
-        )
-        du1 = (ends[..., None] - c1) / (steps - 1) if steps > 1 else 0.0
-        u1 = c1 + np.arange(steps) * du1
-        scale = np.maximum(1.0, np.abs(level))
-        u2, target, residual, failing = _fiber_points(act, u1, level, scale, s2)
-    ok = (
-        inside(act.admissible_box, (s1, s2))
-        & (u1[..., 1:] > u1[..., :-1]).all(axis=-1)
-        & np.isfinite(level[..., 0])
-    )
-    if failing is not None:
-        ok &= ~failing.any(axis=-1)
-    if not ok.all():
-        k = np.unravel_index(np.argmin(ok), ok.shape)
-        _require_fiber_start(act, s1, s2, ends, steps, k)
-        if not math.isfinite(level[k][0]):
-            start_k = (float(s1[k]), float(s2[k]))
-            raise OverflowError(f"fiber level at the start {start_k} is {float(level[k][0])}")
-        _raise_point_error(act, u1[k], u2[k], target[k], residual[k], failing[k])
-    return FiberPath(level=level[..., 0], points=_columns(u1, u2), residuals=residual)
+def _column(x):
+    """A batch's array of shape S as an S + (1,) column against its rows of
+    the grid; a single fiber's float as is."""
+    return np.asarray(x, dtype=float)[..., None] if isinstance(x, np.ndarray) else x
 
 
-def _require_fiber_start(act, s1, s2, ends, steps, k) -> None:
-    """The errors fiber k's own trace raises before its level is used: a
-    start outside the box, too few steps, a grid that does not increase."""
-    require_inside(act.admissible_box, (float(s1[k]), float(s2[k])), "command")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    fiber_grid(float(s1[k]), float(ends[k]), steps)
-
-
-def _fiber_points(act: AntagonisticActuator, u1: np.ndarray, level, scale, u2_start):
-    """u2 on the grid u1 from the minus channel's inverse, the start's u2
-    kept exactly; with the targets, the residuals and which points fail
-    (None if none does). scale is max(1, |level|)."""
-    h1 = _on_grid(act.channel_plus.output_fn(u1), u1.shape)
-    target = h1 - level
-    u2 = np.empty_like(u1)
-    # a target with no root gives NaN (the root of a negative), by contract
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        u2[:] = act.channel_minus.inverse_fn(target)
-        u2[..., 0] = u2_start
-        residual = np.abs(_on_grid(act.channel_minus.output_fn(u2), u1.shape) - target)
-    outside = ~inside(act.admissible_box, (u1, u2))
-    failing = outside | ~(residual <= FIBER_TOLERANCE * scale)
-    if not failing.any():
-        return u2, target, residual, None
-    # the residual differences outputs as large as h1 and level, and an exact
-    # inverse misses by their rounding alone: the bound is FIBER_TOLERANCE
-    # times max(1, |level|, |h1(u1)|), so a point over the level's part of it
-    # still passes within h1's
-    failing &= outside | ~(residual <= FIBER_TOLERANCE * np.abs(h1))
-    return u2, target, residual, failing if failing.any() else None
+def _entries(values: tuple, k=None) -> tuple:
+    """Fiber k's entries of a start's coordinates, its end and its level,
+    for an error message: floats from a batch's arrays (by default the first
+    fiber's), a single fiber's values as given."""
+    if not any(isinstance(x, np.ndarray) for x in values):
+        return values
+    shape = np.broadcast_shapes(*map(np.shape, values))
+    k = (0,) * len(shape) if k is None else k
+    return tuple(float(np.broadcast_to(x, shape)[k]) for x in values)
 
 
 def _columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,7 +285,12 @@ def fiber_grid(u1_start: float, u1_end: float, steps: int) -> np.ndarray:
 def _on_grid(values, shape) -> np.ndarray:
     """A channel result as an array of the grid's shape: an array as is, a
     scalar (from a constant channel) repeated."""
-    return values if np.shape(values) == shape else np.full(shape, values, dtype=float)
+    return values if _shape(values) == shape else np.full(shape, values, dtype=float)
+
+
+def _shape(x) -> tuple:
+    """np.shape(x), without the array np.shape makes of a Python float."""
+    return getattr(x, "shape", ())
 
 
 def _grid(path: FiberPath) -> np.ndarray:

@@ -32,13 +32,7 @@ from .config import (
     build_vsa,
 )
 from .dual_rotor import TrimPoint, allocate, as_antagonistic_at_trim
-from .dynamics import (
-    BodyConfig,
-    apparent_damping,
-    equilibrium_velocity,
-    mode_decomposition,
-    simulate,
-)
+from .dynamics import BodyConfig, mode_decomposition, simulate
 from .verify import report_to_json, run_verify
 from .vsa import as_antagonistic
 
@@ -212,10 +206,11 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
         traj.to_csv(out_dir / "trajectory.csv")
 
     segments = []
-    for a, b, v, f_ext in schedule.segments(t_end):
-        c_app = apparent_damping(body, v)
-        nu_eq = equilibrium_velocity(body, v)
-        nu_inf = nu_eq + f_ext / c_app
+    # the table's leading records are the integrated segments, in this order
+    for (a, b, _, _), record in zip(schedule.segments(t_end), traj.segments):
+        c_app = record.c_app
+        nu_eq = record.f_act / c_app
+        nu_inf = nu_eq + record.f_ext / c_app
         lo = np.searchsorted(traj.times, a, side="left")
         hi = np.searchsorted(traj.times, b, side="right")
         tau_fit = (
@@ -279,12 +274,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
-    out_dir = None
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
     try:
+        out_dir = None
+        if args.out is not None:
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
         cfg = RunConfig.load(args.config)
         if cfg.scenario != args.scenario:
             raise ConfigError(
@@ -296,7 +290,9 @@ def main(argv=None) -> int:
         # them in one line, so numpy's floating-point warnings only add noise
         with np.errstate(all="ignore"):
             return RUNNERS[args.scenario](cfg, out_dir)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
+        # OSError: an --out that cannot be a directory, or an output that
+        # cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, core.ConvergenceError) as exc:

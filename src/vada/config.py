@@ -1,4 +1,4 @@
-"""Run configuration: a single JSON file shared by every CLI scenario.
+"""Run configuration: a single UTF-8 JSON file shared by every CLI scenario.
 
 Layout:
 
@@ -92,13 +92,17 @@ class RunConfig:
     @classmethod
     def load(cls, path) -> "RunConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(
                     fh,
                     parse_constant=_reject_constant,
                     parse_float=_finite_float,
                     parse_int=_finite_int,
                 )
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         except ConfigError as exc:

@@ -5,8 +5,9 @@ claim at its stated tolerance, and contributes one record to a
 deterministic report; failures are report content, never exceptions.
 Parameters are drawn as arrays, one entry per draw, and each claim is
 evaluated in numpy passes over all draws: the VSA fibers as one batch per
-tendon family, each VADA fiber check as one batch and the allocation round
-trip as one array allocation. Only the simulations run once per draw.
+tendon family, each VADA fiber check and the constant-damping injection as
+one batch, and the allocation round trip as one array allocation. Only the
+simulations run once per draw.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .aero import (
     monotone_regime_bound,
     thrust,
 )
-# the batched VSA fibers call these names, not core.*, which perfbench's tracer probes per fiber
+# the batched fibers call these names, not core.*, which perfbench's tracer probes per fiber
 from .antagonistic import ChannelLaw, monotonicity_sweep, passive_promptness_relation, trace_fiber
 from .dual_rotor import (
     DualRotor,
@@ -206,32 +207,28 @@ def check_vada_damping(rng, fibers: int = 20, points: int = 100, trims: int = 0)
 
 def check_constant_damping_injection(rng, fibers: int = 5, points: int = 50) -> dict:
     """Necessity of hardening: with lambda independent of rotor speed, the
-    damping-increase claim must fail (the sweep sees zero increments)."""
-    increased = False
-    worst = -math.inf
-    k_ts = rng.uniform(0.5, 2.0, fibers).tolist()
-    k_ds = rng.uniform(0.5, 2.0, fibers).tolist()
-    starts = rng.uniform(2.0, 4.0, (fibers, 2)).tolist()
-    for k_t, k_d, start in zip(k_ts, k_ds, starts):
+    damping-increase claim must fail (the sweep sees zero increments).
 
-        def channel() -> ChannelLaw:
-            return ChannelLaw(
-                output_fn=lambda v: k_t * v * v,
-                output_sensitivity_fn=lambda v: 2.0 * k_t * v,
-                passive_coeff_fn=lambda v: k_d,  # no v dependence: hardening violated
-                inverse_fn=lambda y: np.sqrt(y / k_t),
-            )
-
-        act = core.AntagonisticActuator(channel_plus=channel(), channel_minus=channel())
-        path = core.trace_fiber(act, start, start[0] + 2.0, points)
-        report = core.monotonicity_sweep(act, path, "passive")
-        increased = increased or report.is_strictly_increasing
-        worst = max(worst, report.min_increment)
+    All fibers are one batch: coefficients of shape (fibers, 1) give each
+    fiber its own channels against its row of points."""
+    k_t = rng.uniform(0.5, 2.0, (fibers, 1))
+    k_d = rng.uniform(0.5, 2.0, (fibers, 1))
+    starts = rng.uniform(2.0, 4.0, (fibers, 2))
+    channel = ChannelLaw(
+        output_fn=lambda v: k_t * v * v,
+        output_sensitivity_fn=lambda v: 2.0 * k_t * v,
+        passive_coeff_fn=lambda v: k_d,  # no v dependence: hardening violated
+        inverse_fn=lambda y: np.sqrt(y / k_t),
+    )
+    act = core.AntagonisticActuator(channel_plus=channel, channel_minus=channel)
+    start = (starts[:, 0], starts[:, 1])
+    path = trace_fiber(act, start, start[0] + 2.0, points)
+    report = monotonicity_sweep(act, path, "passive")
     return _record(
         "vada-damping-zero-trim[constant-damping-injected]",
         fibers,
-        increased,
-        worst,
+        report.is_strictly_increasing.any(),
+        report.min_increment.max(),
         note="expected to fail: injected model has no aerodynamic hardening",
     )
 

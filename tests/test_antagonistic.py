@@ -731,6 +731,34 @@ class TestBatchedFibers:
             assert type(report.min_increment) is float
         assert type(passive_promptness_relation(symmetric_actuator(), path).is_monotone) is bool
 
+    def test_constant_channels_give_a_level_per_fiber(self):
+        # both outputs are constants, so the level is one float for every
+        # start: a batch still gets one level per fiber, a single fiber a float
+        def constant(value):
+            return ChannelLaw(
+                output_fn=lambda u: value,
+                output_sensitivity_fn=lambda u: 0.0,
+                passive_coeff_fn=lambda u: 1.0,
+                inverse_fn=lambda y: y,
+            )
+
+        act = AntagonisticActuator(constant(3.0), constant(1.0))
+        start = (np.array([1.0, 2.0, 3.0]), np.ones(3))
+        batch = trace_fiber(act, start, start[0] + 1.0, 5)
+        assert batch.level.shape == (3,)
+        assert batch.level.tolist() == [2.0] * 3
+        one = trace_fiber(act, (1.0, 1.0), 2.0, 5)
+        assert type(one.level) is float and one.level == 2.0
+        assert np.array_equal(one.points, batch.points[0])
+
+    def test_too_few_steps_from_outside_the_box_names_plain_floats(self):
+        message = "command (-1.0, 0.5) outside admissible box ((0.0, inf), (0.0, inf))"
+        starts = (np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        for start in [(-1.0, 0.5), starts]:
+            with pytest.raises(ValueError) as info:
+                trace_fiber(symmetric_actuator(), start, 2.0, 0)
+            assert str(info.value) == message
+
 
 def exponential_fibers(miss=1.0, box=((0.0, math.inf), (0.0, math.inf))):
     """Exponential channels h = expm1(u) whose minus inverse is scaled by

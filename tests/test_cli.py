@@ -629,3 +629,33 @@ class TestUsageErrors:
     def test_scenario_mismatch(self, tmp_path):
         config = write_config(tmp_path, {"scenario": "verify"})
         assert main(["allocate", "--config", config]) == 2
+
+
+def assert_one_error_line(capsys, argv, names):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert names in captured.err
+
+
+class TestPathFaults:
+    def test_out_naming_an_existing_file(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"scenario": "verify"})
+        (tmp_path / "taken").write_text("")
+        out = str(tmp_path / "taken")
+        assert_one_error_line(capsys, ["verify", "--config", config, "--out", out], out)
+
+    def test_out_under_a_file(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"scenario": "verify"})
+        (tmp_path / "taken").write_text("")
+        out = str(tmp_path / "taken" / "sub")
+        assert_one_error_line(capsys, ["verify", "--config", config, "--out", out], out)
+
+    def test_config_naming_a_directory(self, tmp_path, capsys):
+        assert_one_error_line(capsys, ["verify", "--config", str(tmp_path)], str(tmp_path))
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "latin1.json"
+        config.write_bytes('{"scenario": "verify", "params": {"note": "\u00e9"}}'.encode("latin-1"))
+        assert_one_error_line(capsys, ["verify", "--config", str(config)], str(config))

@@ -37,20 +37,22 @@ def test_injected_constant_damping_sees_exactly_zero_increments():
 
 
 @pytest.mark.parametrize(
-    "name, owners, least, most",
+    "name, owners, least, most, inject",
     [
-        pytest.param("thrust", [verify], 1, 3, id="thrust-3"),
-        pytest.param("bet_numeric_thrust", [verify], 1, 18, id="bet_numeric_thrust-18"),
-        pytest.param("analytic_response", [verify], 1, 20, id="analytic_response-20"),
+        pytest.param("thrust", [verify], 1, 3, False, id="thrust-3"),
+        pytest.param("bet_numeric_thrust", [verify], 1, 18, False, id="bet_numeric_thrust-18"),
+        pytest.param("analytic_response", [verify], 1, 20, False, id="analytic_response-20"),
         # the allocation round trip is one allocate_arrays call, not 1,000 allocates
-        pytest.param("allocate", [verify], 0, 0, id="allocate-0"),
-        pytest.param("allocate_arrays", [verify], 1, 1, id="allocate_arrays-1"),
+        pytest.param("allocate", [verify], 0, 0, False, id="allocate-0"),
+        pytest.param("allocate_arrays", [verify], 1, 1, False, id="allocate_arrays-1"),
         # one batched trace per VSA tendon family and one per VADA check, through
         # verify's own binding or the core's
-        pytest.param("trace_fiber", [verify, antagonistic], 5, 5, id="trace_fiber-5"),
+        pytest.param("trace_fiber", [verify, antagonistic], 5, 5, False, id="trace_fiber-5"),
+        # and one for all the fibers of the constant-damping injection
+        pytest.param("trace_fiber", [verify, antagonistic], 6, 6, True, id="trace_fiber-injected-6"),
     ],
 )
-def test_checks_evaluate_draws_in_batches(monkeypatch, name, owners, least, most):
+def test_checks_evaluate_draws_in_batches(monkeypatch, name, owners, least, most, inject):
     calls = []
 
     def counted(original):
@@ -61,5 +63,6 @@ def test_checks_evaluate_draws_in_batches(monkeypatch, name, owners, least, most
 
     for owner in owners:
         monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
-    assert run_verify(seed=11)["all_passed"]
+    # the injection's record fails by design, every other record passes
+    assert run_verify(seed=11, inject_constant_damping=inject)["all_passed"] is not inject
     assert least <= len(calls) <= most

@@ -51,9 +51,14 @@ def _emit(record: dict, out_dir: Path | None, filename: str) -> None:
     except ValueError as exc:
         # a record holds only numbers computed from the configured ones
         raise ConfigError(f"{filename}: the configured values leave the float range ({exc})") from exc
-    print(text)
+    _write_then_print(text, out_dir, filename)
+
+
+def _write_then_print(text: str, out_dir: Path | None, filename: str) -> None:
+    """Write the file first, so that a failed write leaves stdout empty."""
     if out_dir is not None:
         (out_dir / filename).write_text(text + "\n")
+    print(text)
 
 
 def run_derive_coeffs(cfg: RunConfig, out_dir: Path | None) -> int:
@@ -228,6 +233,10 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
                 "fit_relative_deviation": (
                     abs(tau_fit - tau_model) / tau_model if tau_fit is not None else None
                 ),
+                "steps": record.steps,
+                "h": record.h,
+                "r": record.r,
+                "shortened": record.shortened,
             }
         )
     _emit({"segments": segments, "final_nu": float(traj.nu[-1])}, out_dir, "summary.json")
@@ -240,10 +249,7 @@ def run_verify_scenario(cfg: RunConfig, out_dir: Path | None) -> int:
     if not isinstance(inject, bool):
         raise ConfigError(f"params.inject_constant_damping must be true or false, got {inject!r}")
     report = run_verify(seed=seed, inject_constant_damping=inject)
-    text = report_to_json(report)
-    print(text)
-    if out_dir is not None:
-        (out_dir / "verification_report.json").write_text(text + "\n")
+    _write_then_print(report_to_json(report), out_dir, "verification_report.json")
     return EXIT_OK if report["all_passed"] else EXIT_NEGATIVE
 
 

@@ -11,6 +11,10 @@ RK4. `simulate` evaluates that recurrence in closed form per input segment.
 R is positive on the real axis, so the recurrence is stable exactly where
 R(z) < 1, that is z > -2.7852... (Hairer & Wanner, Solving Ordinary
 Differential Equations II, IV.2).
+
+One float64 array of step indices k feeds both a + k h and R(z)^k, and the
+power runs on an output slice filled with R(z) in place: a scalar base or an
+integer exponent keeps numpy off its SIMD power loop.
 """
 
 from __future__ import annotations
@@ -207,20 +211,27 @@ def simulate(
     left-breakpoint values inside a step. The k-th step of a segment
     starting from nu_a is nu_inf + (nu_a - nu_inf) R(z)^k, evaluated for
     all k at once. A step with R(z) >= 1 would make the recurrence diverge,
-    so it is a ValueError naming the largest stable dt. Each output sample
+    so it is a ValueError naming the largest stable dt, as is a non-finite
+    nu0 or t_end. Each output sample
     reports the inputs in force at its time and F(v, nu) = F_act(v) - c_app(v) nu;
     a breakpoint at the last sample's time puts it in the next segment, whose
     speeds are checked against the box too.
 
     A first pass makes every check and fixes each segment's steps; then
     `times` and `nu` are allocated once and each segment's slice is filled in
-    place. The input and force columns are left to the Trajectory to build
-    from its segment table.
+    place from one float64 array of step indices k: times as a + k h, and
+    the decay by filling the slice with R(z) and raising it to k in place.
+    The input and force columns are left to the Trajectory to build from its
+    segment table.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    if not math.isfinite(nu0):
+        raise ValueError(f"nu0 must be finite, got {nu0}")
 
     steps, fields = [], []  # per segment: how to fill it, and its record after `samples`
     for a, b, v, f_ext in schedule.segments(t_end):
@@ -247,14 +258,17 @@ def simulate(
     size = 1 + sum(n for _, n, _, _, _ in steps)
     times, nu = np.empty(size), np.empty(size)
     times[0], nu[0] = 0.0, float(nu0)
-    k = np.arange(1, max(n for _, n, _, _, _ in steps) + 1)
+    # float64, so that neither the product nor the power casts it
+    k = np.arange(1.0, max(n for _, n, _, _, _ in steps) + 1)
     lo = 1
     for a, n, h, r, nu_inf in steps:
         # a + k * h and nu_inf + (nu_a - nu_inf) * r**k, filled in place
         t_k, nu_k = times[lo : lo + n], nu[lo : lo + n]
         np.multiply(k[:n], h, out=t_k)
         t_k += a
-        np.power(r, k[:n], out=nu_k)
+        # an array base: with a scalar one numpy runs its scalar power loop
+        nu_k.fill(r)
+        np.power(nu_k, k[:n], out=nu_k)
         nu_k *= float(nu[lo - 1]) - nu_inf
         nu_k += nu_inf
         lo += n

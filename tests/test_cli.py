@@ -1,13 +1,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vada
 from vada import verify
 from vada.cli import _fit_time_constant, main
-from vada.config import ConfigError, RunConfig, build_dual_rotor, build_vsa
+from vada.config import ConfigError, RunConfig, build_dual_rotor, build_schedule, build_vsa
+from vada.dynamics import BodyConfig, simulate
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -414,6 +420,33 @@ class TestSimulate:
         assert [(s["t_start"], s["t_end"]) for s in segments] == [(0.0, 0.5), (0.5, 1.2), (1.2, 2.0)]
         assert all(s["fit_relative_deviation"] <= 1e-4 for s in segments)
 
+    def test_summary_reports_how_each_segment_was_integrated(self, tmp_path):
+        # the middle segment is 0.3 dt long: one shortened step
+        schedule = {
+            "speeds": [[1.5, 0.5], [2.5, 1.5], [3.5, 2.5]],
+            "forces": [0.0, 0.0, 0.0],
+            "breakpoints": [0.5, 0.5003],
+        }
+        cfg = self.base_config(schedule, t_end=1.0)
+        config = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+        segments = json.loads((tmp_path / "summary.json").read_text())["segments"]
+        middle = segments[1]
+        assert (middle["steps"], middle["shortened"]) == (1, True)
+        assert middle["h"] == pytest.approx(3e-4, rel=1e-9)
+        z = -middle["h"] * middle["c_app"] / cfg["params"]["mass"]
+        assert middle["r"] == pytest.approx(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, rel=1e-15)
+        # the fields are the trajectory's own segment table
+        traj = simulate(
+            BodyConfig(mass=1.0, dual_rotor=build_dual_rotor(cfg["model"])),
+            build_schedule(schedule), 0.0, 1.0, 1e-3,
+        )
+        for entry, record in zip(segments, traj.segments):
+            assert (entry["steps"], entry["h"], entry["r"], entry["shortened"]) == (
+                record.steps, record.h, record.r, record.shortened,
+            )
+        assert [s["steps"] for s in segments] == [500, 1, 500]
+
     def test_step_outside_the_rk4_stability_region_exits_2(self, tmp_path, capsys):
         # c_app = 2.5 and mass 1e-3 give z = -25 at dt = 1e-2: R(z) = 1.4e4, and
         # the trajectory grew to -2.65e20 while the run exited 0
@@ -659,3 +692,48 @@ class TestPathFaults:
         config = tmp_path / "latin1.json"
         config.write_bytes('{"scenario": "verify", "params": {"note": "\u00e9"}}'.encode("latin-1"))
         assert_one_error_line(capsys, ["verify", "--config", str(config)], str(config))
+
+    def test_report_that_cannot_be_written(self, tmp_path, capsys):
+        # the report was printed in full before the write failed
+        config = write_config(tmp_path, {"scenario": "verify"})
+        (tmp_path / "out" / "verification_report.json").mkdir(parents=True)
+        out = str(tmp_path / "out")
+        assert_one_error_line(capsys, ["verify", "--config", config, "--out", out], "verification_report.json")
+
+    def test_summary_that_cannot_be_written(self, tmp_path, capsys):
+        config = write_config(tmp_path, SIMULATE_CONFIG)
+        (tmp_path / "out" / "summary.json").mkdir(parents=True)
+        out = str(tmp_path / "out")
+        assert_one_error_line(capsys, ["simulate", "--config", config, "--out", out], "summary.json")
+
+
+SIMULATE_CONFIG = {
+    "scenario": "simulate",
+    "model": {"dual_rotor": UNIT_ROTOR},
+    "params": {
+        "mass": 1.0,
+        "nu0": 0.0,
+        "t_end": 0.5,
+        "dt": 1e-3,
+        "schedule": {"speeds": [[1.5, 0.5], [2.5, 1.5]], "forces": [0.0, 0.2], "breakpoints": [0.2]},
+    },
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("data", [SIMULATE_CONFIG, {"scenario": "verify"}], ids=["simulate", "verify"])
+def test_module_entry_point_in_a_fresh_interpreter(tmp_path, data):
+    # the real `python -m vada.cli`, with every warning an error
+    config = write_config(tmp_path, data)
+    src = str(Path(vada.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-W", "error", "-m", "vada.cli", data["scenario"], "--config", config]
+    done = subprocess.run(
+        [*argv, "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    # json.loads refuses trailing data, so this is exactly one document
+    json.loads(done.stdout, parse_constant=_reject_constant)

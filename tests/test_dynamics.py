@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -43,6 +44,8 @@ def stepwise_simulate(body, schedule, nu0, t_end, dt):
             k3 = (net_force(dr, v, nu + 0.5 * h * k2) + f_ext) / m
             k4 = (net_force(dr, v, nu + h * k3) + f_ext) / m
             nu = nu + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # a + k * h with k a Python int: simulate's float64 step
+            # indices must give these times bit for bit
             times.append(a + (i + 1) * h)
             nus.append(nu)
     seg = [bisect_right(schedule.breakpoints, t) for t in times]
@@ -293,6 +296,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(body, InputSchedule.constant((2.0, 1.0)), 0.0, -1.0, 1e-3)
 
+    @pytest.mark.parametrize(
+        "nu0, t_end, name",
+        [(math.nan, 1.0, "nu0"), (math.inf, 1.0, "nu0"), (-math.inf, 1.0, "nu0"), (0.0, math.inf, "t_end")],
+    )
+    def test_non_finite_inputs_rejected(self, nu0, t_end, name):
+        # a NaN or infinite nu0 filled the whole trajectory with it, and an
+        # infinite t_end raised OverflowError from math.ceil
+        with pytest.raises(ValueError, match=f"{name} must be finite, got -?(nan|inf)"):
+            simulate(unit_body(), InputSchedule.constant((2.0, 1.0)), nu0, t_end, 1e-2)
+
     def test_step_outside_the_stability_region_is_an_error(self):
         # c_app = 2.5: the stable steps are those with h * 2.5 / m below 2.7853
         m = 1e-3
@@ -502,6 +515,27 @@ class TestSegmentTable:
         traj = simulate(unit_body(), self.SCHEDULE, 0.0, 1.0, 1e-2)
         for name in ("v1", "v2", "f_ext", "force"):
             assert getattr(traj, name) is getattr(traj, name)
+
+
+def test_long_decay_through_underflow_within_one_ulp():
+    # z = -1.6, r = R(z) = 0.2704: r**k turns subnormal near k = 541 and
+    # underflows to 0 near k = 569; nu_inf = 0, so nu is (nu0) r**k itself
+    mass, c_app, steps = 1.0, 3.0, 20_000
+    dt = 1.6 * mass / c_app
+    schedule = InputSchedule.constant((2.0, 1.0), f_ext=-3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(unit_body(mass=mass), schedule, 1.5, steps * dt, dt)
+    (record,) = traj.segments
+    assert record.steps >= steps and record.z == pytest.approx(-1.6, rel=1e-12)
+    assert record.r == pytest.approx(0.2704, rel=1e-12)
+    nu_inf, nu_a = (record.f_act + record.f_ext) / record.c_app, 1.5
+    assert nu_inf == 0.0
+    ks = [1, 2, 10, 100, 500, *range(530, 580), 1000, 19_999, record.steps]
+    want = np.array([nu_inf + (nu_a - nu_inf) * record.r**k for k in ks])
+    assert np.all(np.abs(traj.nu[ks] - want) <= np.spacing(np.abs(want)))
+    tiny = np.finfo(float).tiny
+    assert np.any((want > 0.0) & (want < tiny)) and np.any(want == 0.0)
 
 
 def test_simulate_allocates_only_its_samples():

@@ -21,6 +21,14 @@ S + (steps, 2), and every verdict and min_increment is an array of shape S,
 one per fiber. One body of trace_fiber traces a batch and a single fiber:
 a start of two floats keeps its level, verdicts and min_increment plain
 floats and bools.
+
+Trace once, sweep from the trace: trace_fiber checks every point of a fiber
+against the box, so the path it returns holds its actuator and read-only
+points, and the sweeps and the relation on that same actuator check no point
+again. Each of its passive and promptness values is computed once, on first
+use, and kept read-only for the other sweep and the relation. Any other path
+(a sequence of pairs, one built by hand or by dataclasses.replace, a path
+swept with another actuator) is checked once per sweep or relation call.
 """
 
 from __future__ import annotations
@@ -101,16 +109,26 @@ class FiberPath:
     sequence of (u1, u2) pairs. A batch of fibers of leading shape S has a
     level array of shape S, points of shape S + (n, 2) and residuals of
     shape S + (n,).
+
+    A path from trace_fiber has read-only points, all already checked
+    against the box of `traced_on`, the actuator it was traced on, and keeps
+    in `_memo` each "passive" and "promptness" value array (read-only) that
+    a sweep or the relation on that actuator computed, so each is computed
+    once. Neither field is an argument: a path made by FiberPath(...) or by
+    dataclasses.replace has `traced_on` None and an empty memo, so its
+    points are checked whenever it is swept.
     """
 
     level: float | np.ndarray
     points: np.ndarray
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    traced_on: AntagonisticActuator | None = field(default=None, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
 class SweepReport:
-    values: np.ndarray  # S + (n,) float array, one entry per path point
+    values: np.ndarray  # read-only S + (n,) float array, one entry per path point
     is_strictly_increasing: bool | np.ndarray  # per fiber
     min_increment: float | np.ndarray | None  # per fiber; None for one-point paths
 
@@ -222,7 +240,11 @@ def trace_fiber(
         if not math.isfinite(level_k):
             raise OverflowError(f"fiber level at the start {(s1_k, s2_k)} is {level_k}")
         _raise_point_error(act, u1[k], u2[k], target[k], residual[k], failing[k])
-    return FiberPath(level=level, points=_columns(u1, u2), residuals=residual)
+    points = _columns(u1, u2)
+    points.setflags(write=False)
+    path = FiberPath(level=level, points=points, residuals=residual)
+    object.__setattr__(path, "traced_on", act)
+    return path
 
 
 def _column(x):
@@ -300,6 +322,29 @@ def _grid(path: FiberPath) -> np.ndarray:
     return points.reshape(-1, 2).T if points.ndim < 3 else np.moveaxis(points, -1, 0)
 
 
+_QUANTITIES = {"passive": _passive, "promptness": _promptness}
+
+
+def _values(act: AntagonisticActuator, path: FiberPath, names: tuple, u: np.ndarray) -> list:
+    """The values of each quantity in `names` ("passive", "promptness") at
+    the path's points u (its _grid), each of shape S + (n,).
+
+    A path that trace_fiber traced on this same act had every point checked
+    there, and keeps each quantity in its memo once computed. Any other
+    path's points are checked against the box here, once for all of
+    `names`, and its values computed afresh. The values are read-only."""
+    if path.traced_on is act:
+        memo = path._memo
+    else:
+        require_inside(act.admissible_box, u, "command")
+        memo = {}
+    for name in names:
+        if name not in memo:
+            memo[name] = _on_grid(_QUANTITIES[name](act, u), u[0].shape)
+            memo[name].setflags(write=False)
+    return [memo[name] for name in names]
+
+
 def _per_fiber(reduced, kind):
     """A reduction along the points: a plain `kind` (float or bool) for one
     fiber, the array of shape S for a batch."""
@@ -310,14 +355,9 @@ def monotonicity_sweep(act: AntagonisticActuator, path: FiberPath, which: str) -
     """Evaluate passive coefficient or promptness along the path and check
     for strict pointwise increase (no epsilon: ties are failures), per fiber
     of a batch."""
-    if which == "passive":
-        fn = passive_coefficient
-    elif which == "promptness":
-        fn = promptness
-    else:
+    if which not in _QUANTITIES:
         raise ValueError(f"which must be 'passive' or 'promptness', got {which!r}")
-    u = _grid(path)
-    values = _on_grid(fn(act, u), u[0].shape)
+    (values,) = _values(act, path, (which,), _grid(path))
     increments = values[..., 1:] - values[..., :-1]
     return SweepReport(
         values=values,
@@ -336,9 +376,7 @@ def passive_promptness_relation(act: AntagonisticActuator, path: FiberPath) -> R
     u = _grid(path)
     if u.shape[-1] < 2:
         raise ValueError("relation needs a path with at least 2 points")
-    require_inside(act.admissible_box, u, "command")
-    passive = _on_grid(_passive(act, u), u[0].shape)
-    prompt = _on_grid(_promptness(act, u), u[0].shape)
+    passive, prompt = _values(act, path, ("passive", "promptness"), u)
     ds, dr = passive[..., 1:] - passive[..., :-1], prompt[..., 1:] - prompt[..., :-1]
     if ((ds == 0.0) & (dr == 0.0)).any():
         raise ValueError("degenerate path: adjacent points coincide")

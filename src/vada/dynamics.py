@@ -211,8 +211,8 @@ def simulate(
     left-breakpoint values inside a step. The k-th step of a segment
     starting from nu_a is nu_inf + (nu_a - nu_inf) R(z)^k, evaluated for
     all k at once. A step with R(z) >= 1 would make the recurrence diverge,
-    so it is a ValueError naming the largest stable dt, as is a non-finite
-    nu0 or t_end. Each output sample
+    so it is a ValueError naming the largest stable dt, as is a dt that is
+    not positive and finite, or a non-finite nu0 or t_end. Each output sample
     reports the inputs in force at its time and F(v, nu) = F_act(v) - c_app(v) nu;
     a breakpoint at the last sample's time puts it in the next segment, whose
     speeds are checked against the box too.
@@ -224,8 +224,8 @@ def simulate(
     The input and force columns are left to the Trajectory to build from its
     segment table.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     if not math.isfinite(t_end):

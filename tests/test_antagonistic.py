@@ -313,20 +313,29 @@ class TestPassivePromptnessRelation:
 
 
     def test_one_box_check_and_the_checked_values(self, monkeypatch):
+        # trace_fiber checked every point of its path against the box: both
+        # sweeps and the relation on it check none again; a path of pairs is
+        # checked once by the relation, for both of its quantities
         from vada import antagonistic
 
         act = symmetric_actuator(exponential_channel)
         path = trace_fiber(act, (1.0, 0.5), 2.0, 20)
+        pairs = FiberPath(level=path.level, points=path.points.tolist())
+        u = path.points.T
+        expected = (passive_coefficient(act, u).tolist(), promptness(act, u).tolist())
         calls = []
         checked = antagonistic.require_inside
         monkeypatch.setattr(
             antagonistic, "require_inside", lambda *args: calls.append(args) or checked(*args)
         )
+        for which in WHICH:
+            monotonicity_sweep(act, path, which)
         report = passive_promptness_relation(act, path)
+        assert calls == []
+        assert (report.pairs[:, 0].tolist(), report.pairs[:, 1].tolist()) == expected
+        report = passive_promptness_relation(act, pairs)
         assert len(calls) == 1
-        u = path.points.T
-        assert report.pairs[:, 0].tolist() == passive_coefficient(act, u).tolist()
-        assert report.pairs[:, 1].tolist() == promptness(act, u).tolist()
+        assert (report.pairs[:, 0].tolist(), report.pairs[:, 1].tolist()) == expected
 
     def test_path_outside_the_box_rejected(self):
         act = AntagonisticActuator(quadratic_channel(), quadratic_channel(), ((0.5, 3.0), (0.5, 3.0)))
@@ -533,16 +542,7 @@ class TestBatchedFiberAgainstSequential:
         act = symmetric_actuator(exponential_channel)
         path = trace_fiber(act, (0.5, 0.9), 2.5, 30)
         pairs = FiberPath(level=path.level, points=[tuple(u) for u in path.points.tolist()])
-
-        def fields(report):
-            # reports hold arrays and compare by identity, so compare their contents
-            return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(report).items()}
-
-        for which in ("passive", "promptness"):
-            sweeps = (monotonicity_sweep(act, pairs, which), monotonicity_sweep(act, path, which))
-            assert fields(sweeps[0]) == fields(sweeps[1])
-        relations = (passive_promptness_relation(act, pairs), passive_promptness_relation(act, path))
-        assert fields(relations[0]) == fields(relations[1])
+        assert sweeps_and_relation(act, pairs) == sweeps_and_relation(act, path)
 
     def test_box_violation_reported_at_the_first_step_outside(self):
         act = AntagonisticActuator(
@@ -818,3 +818,103 @@ class TestBatchedFiberErrors:
         starts = (np.array([1.0, 1.0]), np.array([0.5, 0.5]))
         assert raised(lambda: trace_fiber(exponential_fibers(), starts, 2.0, 0)) == raised(
             lambda: trace_fiber(exponential_fibers(), (1.0, 0.5), 2.0, 0))
+
+
+def report_fields(report):
+    # reports hold arrays and compare by identity, so compare their contents
+    return {k: (v.tolist(), v.dtype) if isinstance(v, np.ndarray) else (v, type(v))
+            for k, v in vars(report).items()}
+
+
+def sweeps_and_relation(act, path, relation_first=False):
+    """The fields of both sweeps and the relation of path, in the order
+    given (the relation first fills a traced path's memo)."""
+    if relation_first:
+        relation = passive_promptness_relation(act, path)
+    sweeps = [monotonicity_sweep(act, path, which) for which in WHICH]
+    if not relation_first:
+        relation = passive_promptness_relation(act, path)
+    return [report_fields(r) for r in (*sweeps, relation)]
+
+
+def counting(channel, counts, side):
+    """channel with each of its functions counting its calls in counts."""
+    def counted(name):
+        fn = getattr(channel, name)
+
+        def call(u):
+            counts[side, name] += 1
+            return fn(u)
+        return call
+    return ChannelLaw(**{f.name: counted(f.name) for f in dataclasses.fields(ChannelLaw)})
+
+
+class TestTracedPath:
+    """A path from trace_fiber keeps its actuator, read-only points and the
+    values its sweeps compute; no other path or actuator may use them."""
+
+    def test_another_actuator_checks_its_own_box(self):
+        act = symmetric_actuator(exponential_channel)
+        path = trace_fiber(act, (1.0, 0.5), 2.0, 20)
+        narrow = dataclasses.replace(act, admissible_box=((0.0, 1.5), (0.0, math.inf)))
+        for which in WHICH:
+            monotonicity_sweep(act, path, which)
+            with pytest.raises(ValueError, match="outside admissible box"):
+                monotonicity_sweep(narrow, path, which)
+        passive_promptness_relation(act, path)
+        with pytest.raises(ValueError, match="outside admissible box"):
+            passive_promptness_relation(narrow, path)
+
+    def test_replaced_points_are_checked(self):
+        act = symmetric_actuator(exponential_channel)
+        path = trace_fiber(act, (1.0, 0.5), 2.0, 20)
+        sweeps_and_relation(act, path)
+        outside = dataclasses.replace(path, points=path.points - 1.0)
+        assert outside.traced_on is None
+        for which in WHICH:
+            with pytest.raises(ValueError, match="outside admissible box"):
+                monotonicity_sweep(act, outside, which)
+        with pytest.raises(ValueError, match="outside admissible box"):
+            passive_promptness_relation(act, outside)
+
+    def test_points_and_kept_values_are_read_only(self):
+        act = symmetric_actuator(exponential_channel)
+        path = trace_fiber(act, (1.0, 0.5), 2.0, 20)
+        with pytest.raises(ValueError, match="read-only"):
+            path.points[3, 1] = 5.0
+        for which in WHICH:
+            report = monotonicity_sweep(act, path, which)
+            with pytest.raises(ValueError, match="read-only"):
+                report.values[0] = 0.0
+            assert monotonicity_sweep(act, path, which).values is report.values
+
+    @pytest.mark.parametrize("relation_first", [False, True])
+    def test_traced_path_sweeps_like_its_untraced_copy(self, relation_first):
+        # the five fiber-workload families, a constant channel and a (2, 3) batch
+        cases = {name: (act, start, end) for name, act, start, end in fiber_workload_cases(3, 1)}
+        assert len(cases) == 5
+        batch, start, ends, _ = fiber_batch("constant", 4, seed=9)
+        cases["constant batch"] = (batch, start, ends)
+        rng = np.random.default_rng(5)
+        law = TendonLaw.exponential(rng.uniform(0.2, 3.0, (2, 3, 1)), rng.uniform(0.3, 1.5, (2, 3, 1)))
+        start = tuple(rng.uniform(0.5, 2.0, (2, 2, 3)))
+        cases["(2, 3) batch"] = (as_antagonistic(VsaConfig(law=law, pulley_radius=1.0, state=(1.0, 1.0))),
+                                 start, start[0] + 2.0)
+        for name, (act, start, end) in cases.items():
+            path = trace_fiber(act, start, end, 50)
+            copy = FiberPath(path.level, path.points.copy(), path.residuals)
+            assert copy.traced_on is None
+            assert (sweeps_and_relation(act, path, relation_first)
+                    == sweeps_and_relation(act, copy, relation_first)), name
+
+    def test_each_channel_quantity_is_evaluated_once(self):
+        from collections import Counter
+
+        counts = Counter()
+        act = AntagonisticActuator(counting(exponential_channel(), counts, "plus"),
+                                   counting(cubic_channel(), counts, "minus"))
+        path = trace_fiber(act, (1.0, 0.5), 2.0, 20)
+        counts.clear()
+        sweeps_and_relation(act, path)
+        assert counts == Counter({(side, name): 1 for side in ("plus", "minus")
+                                  for name in ("passive_coeff_fn", "output_sensitivity_fn")})

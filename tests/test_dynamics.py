@@ -306,6 +306,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"{name} must be finite, got -?(nan|inf)"):
             simulate(unit_body(), InputSchedule.constant((2.0, 1.0)), nu0, t_end, 1e-2)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1e-3])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        # an infinite dt made every segment one step of its full length, so a
+        # heavy body returned a two-sample trajectory with no error
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+            simulate(unit_body(mass=100.0), InputSchedule.constant((2.0, 1.0)), 0.0, 1.0, dt)
+
     def test_step_outside_the_stability_region_is_an_error(self):
         # c_app = 2.5: the stable steps are those with h * 2.5 / m below 2.7853
         m = 1e-3

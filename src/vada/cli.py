@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -47,7 +46,7 @@ MAX_SAMPLES = 1_000_000
 
 def _emit(record: dict, out_dir: Path | None, filename: str) -> None:
     try:
-        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+        text = report_to_json(record)
     except ValueError as exc:
         # a record holds only numbers computed from the configured ones
         raise ConfigError(f"{filename}: the configured values leave the float range ({exc})") from exc

@@ -133,19 +133,15 @@ def as_antagonistic_at_trim(
     Batches: an array nu_bar and array rotor coefficients broadcast against
     the fiber grid S + (steps,) of trace_fiber (coefficients of shape
     (m, 1, 1) and nu_bar of shape (m, n, 1) give m rotor pairs at n trims
-    each). The checks then hold at every entry, and a failing entry raises
-    its own scalar message, the first in C order. Each inverse picks its form
-    per entry, on the sign of that entry's inflow (-0.0 takes the first), so
-    every entry equals the scalar inverse bit for bit; both forms are
-    computed, which only trace_fiber's error state keeps quiet. A float
-    nu_bar against array coefficients is checked as a float, against every
-    entry of the bound on the side its sign loads.
+    each). Floats and arrays take the one trim check, which holds at every
+    entry; the first refused entry in C order raises the message of its own
+    float trim against its own rotor pair, so a float nu_bar against array
+    coefficients reports the float. Each inverse picks its form per entry,
+    on the sign of that entry's inflow (-0.0 takes the first), so every
+    entry equals the scalar inverse bit for bit; both forms are computed,
+    which only trace_fiber's error state keeps quiet.
     """
-    # a float trim keeps the scalar check: the array one costs a VADA fiber op about 7 %
-    if isinstance(nu_bar, np.ndarray):
-        _require_monotone_trims(dr, nu_bar)
-    else:
-        _require_monotone_trim(dr, nu_bar)
+    _require_monotone_trim(dr, nu_bar)
 
     def channel(model: AffineThrustModel, inflow) -> ChannelLaw:
         k_t, b = model.k_thrust, model.k_inflow * inflow
@@ -153,7 +149,8 @@ def as_antagonistic_at_trim(
             output_fn=lambda v: thrust_polynomial(model, v, inflow),
             output_sensitivity_fn=lambda v: speed_sensitivity(model, v, inflow),
             passive_coeff_fn=lambda v: inflow_sensitivity(model, v, inflow),
-            # a float inflow keeps the scalar forms: np.where costs a VADA fiber op about 4 %
+            # a float inflow keeps the scalar forms: np.where on it made a VADA fiber
+            # op 4-7 % slower (medians of 40 interleaved rounds, two runs)
             inverse_fn=(
                 _inverse_per_entry(k_t, b, inflow >= 0.0) if isinstance(inflow, np.ndarray)
                 else (lambda y: (b + np.sqrt(b * b + 4.0 * k_t * y)) / (2.0 * k_t))
@@ -180,45 +177,40 @@ def _inverse_per_entry(k_t, b, with_inflow):
     return inverse
 
 
-def _require_monotone_trim(dr: DualRotor, nu_bar: float) -> None:
-    """ValueError unless the float trim nu_bar is a number inside the
-    monotone regime of its rotor's box floor (at every entry of the bound,
-    for array coefficients). Only the bound on the side that nu_bar's sign
-    loads is evaluated."""
-    if math.isnan(nu_bar):
-        raise ValueError(f"trim inflow must be a number, got {nu_bar}")
+def _require_monotone_trim(dr: DualRotor, nu) -> None:
+    """ValueError unless every entry of the trim nu is a number inside the
+    monotone regime at the box floors: below the forward rotor's bound where
+    positive, -nu below the backward rotor's where negative. The mask uses &
+    and | alone, so a float stays in Python bools (~True is -2), and nu <
+    bound refuses a NaN bound (k_T / k_D overflowing against a zero floor).
+    An array's first refused entry in C order is checked again as floats,
+    which raises its message."""
     (lo1, _), (lo2, _) = dr.speed_box
-    if nu_bar > 0.0 and not everywhere(nu_bar < monotone_regime_bound(dr.rotor_fwd, lo1)):
-        raise ValueError(
-            f"trim inflow {nu_bar} violates the monotone regime on the forward rotor box"
-        )
-    if nu_bar < 0.0 and not everywhere(-nu_bar < monotone_regime_bound(dr.rotor_bwd, lo2)):
-        raise ValueError(
-            f"trim inflow {nu_bar} violates the monotone regime on the backward rotor box"
-        )
+    fwd_bound = monotone_regime_bound(dr.rotor_fwd, lo1)
+    bwd_bound = monotone_regime_bound(dr.rotor_bwd, lo2)
+    allowed = (nu == nu) & ((nu <= 0.0) | (nu < fwd_bound)) & ((nu >= 0.0) | (-nu < bwd_bound))
+    if everywhere(allowed):
+        return
+    if isinstance(allowed, np.ndarray):
+        _require_monotone_trim(*_first_refused(allowed, dr, nu))
+    if nu != nu:
+        raise ValueError(f"trim inflow must be a number, got {nu}")
+    side = "forward" if nu > 0.0 else "backward"
+    raise ValueError(f"trim inflow {nu} violates the monotone regime on the {side} rotor box")
 
 
-def _require_monotone_trims(dr: DualRotor, nu_bar: np.ndarray) -> None:
-    """_require_monotone_trim at every entry of an array trim against array
-    (or float) rotor coefficients; the first failing entry raises its scalar
-    message, from a scalar check of that entry alone."""
-    (lo1, _), (lo2, _) = dr.speed_box
-    fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
-    refused = (
-        np.isnan(nu_bar)
-        | (nu_bar > 0.0) & ~(nu_bar < monotone_regime_bound(fwd, lo1))
-        | (nu_bar < 0.0) & ~(-nu_bar < monotone_regime_bound(bwd, lo2))
-    )
-    if refused.any():
-        k = np.unravel_index(np.argmax(refused), refused.shape)
+def _first_refused(allowed: np.ndarray, dr: DualRotor, *values):
+    """Where the mask allowed is first False in C order, as floats: the dual
+    rotor of that entry's coefficients, then each of values at that entry."""
+    k = np.unravel_index(np.argmin(allowed), allowed.shape)
 
-        def entry(x) -> float:
-            return np.broadcast_to(x, refused.shape)[k].item()
+    def entry(x) -> float:
+        return np.broadcast_to(x, allowed.shape)[k].item()
 
-        def model(m: AffineThrustModel) -> AffineThrustModel:
-            return AffineThrustModel(k_thrust=entry(m.k_thrust), k_inflow=entry(m.k_inflow))
+    def model(m: AffineThrustModel) -> AffineThrustModel:
+        return AffineThrustModel(k_thrust=entry(m.k_thrust), k_inflow=entry(m.k_inflow))
 
-        _require_monotone_trim(DualRotor(model(fwd), model(bwd), dr.speed_box), entry(nu_bar))
+    return (DualRotor(model(dr.rotor_fwd), model(dr.rotor_bwd), dr.speed_box), *map(entry, values))
 
 
 def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResult:
@@ -299,8 +291,9 @@ def allocate_arrays(dr: DualRotor, nu_bar, force_level, sigma_des) -> Allocation
     are arrays, one entry per request, all of one shape. The result's fields
     are arrays of that shape (speeds a pair of them), and each entry is what
     allocate returns for that request: the same quadratic, and the root
-    picked with np.where as allocate's loop picks it. A request that allocate
-    refuses makes the batch raise allocate's error for the first such entry.
+    picked with np.where as allocate's loop picks it. A batch with requests
+    that allocate refuses runs allocate on the first of them in C order, as
+    floats, which raises that request's error.
     """
     sigma_des = np.asarray(sigma_des, dtype=float)
     fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
@@ -316,14 +309,12 @@ def allocate_arrays(dr: DualRotor, nu_bar, force_level, sigma_des) -> Allocation
     real = disc >= 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         q = -0.5 * (b + np.sqrt(disc))
-        refused = ~(sigma_des > 0.0) | (real & (q == 0.0))
-        if refused.any():
-            i = np.unravel_index(np.argmax(refused), refused.shape)
-            if not sigma_des[i] > 0.0:
-                raise ValueError(f"requested damping must be positive, got {float(sigma_des[i])}")
-            raise ValueError(
-                f"requested damping {float(sigma_des[i])} underflows the allocation quadratic"
-            )
+        # q is 0 only where disc >= 0 and b underflows; NaN elsewhere passes
+        allowed = (sigma_des > 0.0) & (q != 0.0)
+        if not allowed.all():
+            # allocate refuses the first such entry by the same arithmetic
+            one, nu, force, sigma = _first_refused(allowed, dr, nu_bar, force_level, sigma_des)
+            allocate(one, TrimPoint(nu_bar=nu, force_level=force), sigma)
 
         def speeds(x):
             y = (sigma_des - rx.k_inflow * x) / ry.k_inflow

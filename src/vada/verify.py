@@ -347,6 +347,6 @@ def run_verify(seed: int = 0, inject_constant_damping: bool = False) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    """Strict JSON: a non-finite number raises ValueError instead of
-    being written as NaN or Infinity."""
+    """Strict JSON, the one format of every CLI output file: a non-finite
+    number raises ValueError instead of being written as NaN or Infinity."""
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)

@@ -169,6 +169,19 @@ class TestFiberTangent:
                 u = rng.uniform(0.1, 5.0, size=2)
                 assert fiber_tangent(act, u) > 0.0
 
+    def test_zero_sensitivity_refused(self):
+        # h = u^3 / 3 - u has g = u^2 - 1, zero at u = 1
+        flat_at_one = ChannelLaw(
+            output_fn=lambda u: u * u * u / 3.0 - u,
+            output_sensitivity_fn=lambda u: u * u - 1.0,
+            passive_coeff_fn=lambda u: 1.0,
+            inverse_fn=lambda y: math.nan,
+        )
+        act = AntagonisticActuator(channel_plus=quadratic_channel(), channel_minus=flat_at_one)
+        with pytest.raises(ValueError) as info:
+            fiber_tangent(act, (2.0, 1.0))
+        assert str(info.value) == "channel sensitivity must be positive, got g2=0.0 at u2=1.0"
+
 
 class TestTraceFiber:
     def test_symmetric_fiber_is_diagonal(self):

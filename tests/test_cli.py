@@ -12,7 +12,9 @@ import pytest
 import vada
 from vada import verify
 from vada.cli import _fit_time_constant, main
-from vada.config import ConfigError, RunConfig, build_dual_rotor, build_schedule, build_vsa
+from vada.aero import derive_coefficients
+from vada.config import (ConfigError, RunConfig, build_dual_rotor, build_rotor_geometry,
+                         build_schedule, build_vsa)
 from vada.dynamics import BodyConfig, simulate
 
 
@@ -318,6 +320,20 @@ class TestAllocate:
         assert record["reason"] == "differential mode exceeds common mode"
         assert record["speeds"] == pytest.approx([-1.0 / 3.0, 2.0 / 3.0], rel=1e-12)
 
+    def test_rotor_geometry_allocates_as_its_derived_dual_rotor(self, tmp_path, capsys):
+        model = derive_coefficients(build_rotor_geometry({"rotor_geometry": GEOMETRY}))
+        explicit = {"dual_rotor": {"k_thrust": model.k_thrust, "k_inflow": model.k_inflow}}
+        outputs = []
+        for name, section in (("geometry", {"rotor_geometry": GEOMETRY}), ("explicit", explicit)):
+            data = {"scenario": "allocate", "model": section,
+                    "params": {"force_level": 4.0, "sigma_des": 1.5, "nu_bar": 0.5}}
+            out = tmp_path / name
+            code = main(["allocate", "--config", write_config(tmp_path, data, f"{name}.json"),
+                         "--out", str(out)])
+            outputs.append((code, capsys.readouterr(), (out / "allocation.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
 
 def loop_fit_time_constant(times, nus, nu_inf):
     """Reference: the per-sample least-squares loop over Python floats."""
@@ -576,6 +592,19 @@ def vsa_sweep_config(**edits):
     return {"scenario": "fiber-sweep", "model": {"vsa": dict(vsa, **edits)}}
 
 
+SIMULATE_CONFIG = {
+    "scenario": "simulate",
+    "model": {"dual_rotor": UNIT_ROTOR},
+    "params": {
+        "mass": 1.0,
+        "nu0": 0.0,
+        "t_end": 0.5,
+        "dt": 1e-3,
+        "schedule": {"speeds": [[1.5, 0.5], [2.5, 1.5]], "forces": [0.0, 0.2], "breakpoints": [0.2]},
+    },
+}
+
+
 class TestConfigFaults:
     @pytest.mark.parametrize(
         "data",
@@ -626,6 +655,14 @@ class TestConfigFaults:
             dict(vsa_sweep_config(pulley_radius=1e200, state=[2.0, 1.0]), params={"steps": 5}),
             allocate_config(sigma_des=5e-324),
             allocate_config(force_level=1e300, sigma_des=1e300),
+            {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR}},
+            dict(SIMULATE_CONFIG, params={k: v for k, v in SIMULATE_CONFIG["params"].items()
+                                          if k != "schedule"}),
+            {"model": {"dual_rotor": UNIT_ROTOR}, "params": {"force_level": 3.0, "sigma_des": 4.0}},
+            {"scenario": "verify", "parameters": {"seed": 3}},
+            dict(SIMULATE_CONFIG, params=dict(SIMULATE_CONFIG["params"], mass=0.0)),
+            vsa_sweep_config(law={"kind": "exponential", "k": 1.0, "alpha": 0.0}),
+            vsa_sweep_config(law={"kind": "cubic", "k": 0.0}),
         ],
         ids=["k_thrust-string", "k_inflow-bool", "force_level-string", "sigma_des-null",
              "sigma_des-zero", "nu_bar-string", "speed_box-string", "speed_box-one-pair",
@@ -636,11 +673,13 @@ class TestConfigFaults:
              "inject-string", "inject-number", "sweep-nu_bar-outside-monotone-regime",
              "start-outside-box", "dual-rotor-start-outside-box", "u1_end-below-start",
              "u1_end-at-start", "steps-too-many", "law-kind-list", "sweep-overflows",
-             "sigma_des-underflows", "allocation-overflows"],
+             "sigma_des-underflows", "allocation-overflows", "dual-rotor-sweep-without-start",
+             "simulate-without-schedule", "no-scenario-key", "unknown-top-level-key",
+             "mass-zero", "alpha-zero", "cubic-k-zero"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, data):
         config = write_config(tmp_path, data)
-        assert main([data["scenario"], "--config", config]) == 2
+        assert main([data.get("scenario", "allocate"), "--config", config]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -705,19 +744,6 @@ class TestPathFaults:
         (tmp_path / "out" / "summary.json").mkdir(parents=True)
         out = str(tmp_path / "out")
         assert_one_error_line(capsys, ["simulate", "--config", config, "--out", out], "summary.json")
-
-
-SIMULATE_CONFIG = {
-    "scenario": "simulate",
-    "model": {"dual_rotor": UNIT_ROTOR},
-    "params": {
-        "mass": 1.0,
-        "nu0": 0.0,
-        "t_end": 0.5,
-        "dt": 1e-3,
-        "schedule": {"speeds": [[1.5, 0.5], [2.5, 1.5]], "forces": [0.0, 0.2], "breakpoints": [0.2]},
-    },
-}
 
 
 def _reject_constant(name):

@@ -27,6 +27,10 @@ from vada.dual_rotor import (
 FD_H = 1e-5
 
 UNIT = AffineThrustModel(k_thrust=1.0, k_inflow=1.0)
+# monotone-regime bound 2 at the box floor 1
+UNIT_FLOOR_ONE = DualRotor.identical(UNIT, speed_box=((1.0, math.inf), (1.0, math.inf)))
+# k_T / k_D overflows to inf against the default box floor 0: a NaN bound
+NAN_BOUND = DualRotor.identical(AffineThrustModel(k_thrust=1e300, k_inflow=1e-300))
 
 
 def random_rotor(rng, symmetric=False):
@@ -139,6 +143,28 @@ class TestAsAntagonisticAtTrim:
         dr = DualRotor.identical(UNIT, speed_box=((1.0, math.inf), (1.0, math.inf)))
         with pytest.raises(ValueError, match="trim inflow must be a number, got nan"):
             as_antagonistic_at_trim(dr, nu_bar)
+
+    @pytest.mark.parametrize(
+        "dr, nu_bar, side",
+        [
+            (UNIT_FLOOR_ONE, 0.0, None),
+            (UNIT_FLOOR_ONE, -0.0, None),
+            (UNIT_FLOOR_ONE, np.array([[0.0, -0.0], [1.5, -1.5]]), None),
+            (NAN_BOUND, 0.5, "forward"),
+            (NAN_BOUND, -0.5, "backward"),
+            (NAN_BOUND, 0.0, None),
+        ],
+        ids=["zero", "negative-zero", "array-with-zeros", "nan-bound-forward",
+             "nan-bound-backward", "nan-bound-zero"],
+    )
+    def test_trim_check_at_zero_and_at_a_nan_bound(self, dr, nu_bar, side):
+        if side is None:
+            as_antagonistic_at_trim(dr, nu_bar)
+            return
+        with pytest.raises(ValueError) as info:
+            as_antagonistic_at_trim(dr, nu_bar)
+        assert str(info.value) == (
+            f"trim inflow {nu_bar} violates the monotone regime on the {side} rotor box")
 
     def test_cocontraction_raises_damping_zero_trim(self):
         rng = np.random.default_rng(43)
@@ -366,16 +392,19 @@ class TestAllocateArrays:
         assert not batch.feasible.any()
         assert set(batch.reason.tolist()) <= {"speed box violation", "differential mode exceeds common mode"}
 
-    @pytest.mark.parametrize("sigma_des", [5e-324, 0.0, -1.0], ids=["underflow", "zero", "negative"])
+    @pytest.mark.parametrize("sigma_des", [5e-324, 0.0, -1.0, math.nan],
+                             ids=["underflow", "zero", "negative", "nan"])
     def test_a_request_allocate_refuses_raises_its_error(self, sigma_des):
-        # with k_D = 0.25, b = 2 k_T k_D sigma_des rounds to 0 at the smallest subnormal
+        # with k_D = 0.25, b = 2 k_T k_D sigma_des rounds to 0 at the smallest subnormal;
+        # the later refused entry, -2.0, has a message of its own
         model = AffineThrustModel(1.0, 0.25)
         dr = DualRotor.identical(AffineThrustModel(np.ones(3), np.full(3, 0.25)))
         with pytest.raises(ValueError) as alone:
             allocate(DualRotor.identical(model), TrimPoint(nu_bar=0.0, force_level=0.0), sigma_des)
         with pytest.raises(ValueError) as batch:
-            allocate_arrays(dr, np.zeros(3), np.zeros(3), np.array([1.0, sigma_des, 5e-324]))
+            allocate_arrays(dr, np.zeros(3), np.zeros(3), np.array([1.0, sigma_des, -2.0]))
         assert str(batch.value) == str(alone.value)
+        assert "-2.0" not in str(batch.value)
 
 
 FLOOR_BOX = ((1.0, math.inf), (1.0, math.inf))
@@ -451,15 +480,28 @@ class TestTrimBridgeBatches:
                 assert report.is_strictly_increasing == sweep.is_strictly_increasing[i, j]
                 assert report.min_increment == sweep.min_increment[i, j]
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
-    def test_a_violating_entry_raises_its_scalar_message(self, symmetric, sign):
+    @pytest.mark.parametrize(
+        "first, later",
+        [("forward", "forward"), ("backward", "backward"), ("backward", "forward"),
+         ("nan", "forward"), ("forward", "nan")],
+        ids=["forward", "backward", "backward-then-forward", "nan-then-forward",
+             "forward-then-nan"],
+    )
+    def test_a_violating_entry_raises_its_scalar_message(self, symmetric, first, later):
         dr, nu_bar, singles = trim_batch(symmetric)
-        bound = monotone_regime_bound(dr.rotor_fwd if sign > 0 else dr.rotor_bwd, 1.0)[:, 0, 0]
+
+        def violating(kind, i, scale):
+            if kind == "nan":
+                return math.nan
+            sign, rotor = (1.0, dr.rotor_fwd) if kind == "forward" else (-1.0, dr.rotor_bwd)
+            return sign * scale * monotone_regime_bound(rotor, 1.0)[i, 0, 0]
+
         # entries (2, 1) and (4, 0) violate; (2, 1) comes first in C order
-        nu_bar[2, 1], nu_bar[4, 0] = sign * 1.5 * bound[2], sign * 2.0 * bound[4]
+        nu_bar[2, 1], nu_bar[4, 0] = violating(first, 2, 1.5), violating(later, 4, 2.0)
         got = raised(lambda: as_antagonistic_at_trim(dr, nu_bar[..., None]))
         assert got == raised(lambda: as_antagonistic_at_trim(singles[2], nu_bar[2, 1].item()))
-        assert got[0] is ValueError and "monotone regime" in got[1]
+        assert got[0] is ValueError
+        assert ("must be a number" if first == "nan" else f"on the {first} rotor") in got[1]
 
     def test_a_float_trim_is_checked_against_every_entry(self, symmetric):
         dr, _, singles = trim_batch(symmetric)
@@ -468,3 +510,13 @@ class TestTrimBridgeBatches:
         worst = int(np.argmin(bound))
         assert raised(lambda: as_antagonistic_at_trim(dr, nu)) == raised(
             lambda: as_antagonistic_at_trim(singles[worst], nu))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+    def test_a_float_trim_names_the_side_it_loads(self, symmetric, sign):
+        # array coefficients, a float trim that one entry's bound refuses
+        dr, _, _ = trim_batch(symmetric)
+        side, rotor = ("forward", dr.rotor_fwd) if sign > 0 else ("backward", dr.rotor_bwd)
+        nu = sign * 1.01 * monotone_regime_bound(rotor, 1.0).min().item()
+        with pytest.raises(ValueError) as info:
+            as_antagonistic_at_trim(dr, nu)
+        assert str(info.value) == f"trim inflow {nu} violates the monotone regime on the {side} rotor box"

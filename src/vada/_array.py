@@ -2,7 +2,7 @@
 
 Every formula in vada takes either floats or equal-shape float arrays; these
 helpers turn an elementwise condition into the one bool that a validity check
-needs, and hold the one raising box check of the library.
+needs, and hold the library's one raising box check and one batch refusal.
 """
 
 from __future__ import annotations
@@ -37,3 +37,12 @@ def require_inside(box, u, what: str) -> None:
     """ValueError, naming u as `what`, unless every point of u is in the open box."""
     if not everywhere(inside(box, u)):
         raise ValueError(f"{what} {tuple(u)} outside admissible box {box}")
+
+
+def first_refused(allowed, *values) -> tuple:
+    """The index of the first entry, in C order, where the mask allowed is
+    False, then each of values at that entry as a Python number; allowed and
+    values broadcast together, so a float is every entry's."""
+    shape = np.broadcast_shapes(np.shape(allowed), *map(np.shape, values))
+    k = np.unravel_index(np.argmin(np.broadcast_to(allowed, shape)), shape)
+    return (k, *(np.broadcast_to(x, shape)[k].item() for x in values))

@@ -146,6 +146,10 @@ def speed_sensitivity(model: AffineThrustModel, v: float, nu_in: float) -> float
 
 
 def monotone_regime_bound(model: AffineThrustModel, v: float) -> float:
-    """Supremum of inflows at which dT/dv stays positive: 2 (k_T/k_D) v."""
+    """Supremum of inflows at which dT/dv stays positive: 2 (k_T/k_D) v.
+
+    A k_T/k_D that overflows gives inf, or NaN at v = 0, without numpy's
+    warning: the trim check refuses such a bound."""
     _require_nonnegative(v)
-    return 2.0 * model.k_thrust / model.k_inflow * v
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2.0 * model.k_thrust / model.k_inflow * v

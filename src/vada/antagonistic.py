@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._array import everywhere, inside, require_inside
+from ._array import everywhere, first_refused, inside, require_inside
 
 __all__ = [
     "ChannelLaw",
@@ -59,8 +59,8 @@ __all__ = [
     "passive_promptness_relation",
 ]
 
-# Relative tolerance on |f(u) - level| for accepted fiber points, scaled at
-# each point by max(1, |level|, |h1(u1)|): the largest output differenced there.
+# A fiber point passes at |f(u) - level| <= FIBER_TOLERANCE * max(1, |level|, |h1(u1)|):
+# an exact inverse misses by the rounding of the largest output differenced there.
 FIBER_TOLERANCE = 1e-10
 
 
@@ -187,11 +187,11 @@ def trace_fiber(
     Returns `steps` points at equally spaced u1 values, the first being the
     start itself. The fiber is explicit, u2 = h2^-1(h1(u1) - level), so all
     points come from one call of the minus channel's inverse on the grid of
-    targets. A point whose residual exceeds FIBER_TOLERANCE, scaled by
-    max(1, |level|, |h1(u1)|), is a ConvergenceError; a point that is NaN or
-    outside the admissible box (no root, as the inverse contract reports it)
-    is an error at the first such step, never a silently clipped result. A
-    level or target outside the float range is an OverflowError.
+    targets. A residual over FIBER_TOLERANCE * max(1, |level|, |h1(u1)|) is a
+    ConvergenceError; a point that is NaN or outside the admissible box (no
+    root, as the inverse contract reports it) is an error at the first such
+    step, never a silently clipped result. A level or target outside the
+    float range is an OverflowError.
 
     One body traces a single fiber or a batch. A start that is a pair of
     arrays of shape S traces one fiber per entry (u1_end is then a float or
@@ -204,7 +204,7 @@ def trace_fiber(
     """
     box = act.admissible_box
     if steps < 1:
-        require_inside(box, _entries((start[0], start[1])), "command")
+        require_inside(box, first_refused(False, start[0], start[1])[1:], "command")
         raise ValueError(f"steps must be >= 1, got {steps}")
     plus, minus = act.channel_plus, act.channel_minus
     s1, s2, end = _column(start[0]), _column(start[1]), _column(u1_end)
@@ -221,25 +221,18 @@ def trace_fiber(
         u2[:] = minus.inverse_fn(target)
         u2[..., 0] = start[1]
         residual = np.abs(_on_grid(minus.output_fn(u2), u1.shape) - target)
-        outside = ~inside(box, (u1, u2))
-        failing = outside | ~(residual <= FIBER_TOLERANCE * np.maximum(1.0, np.abs(level)))
-    ok = inside(box, start) & (u1[..., 1:] > u1[..., :-1]).all(axis=-1)
-    if failing.any():
-        # the residual differences outputs as large as h1 and level, and an
-        # exact inverse misses by their rounding alone: the bound is
-        # FIBER_TOLERANCE times max(1, |level|, |h1(u1)|), so a point over
-        # the level's part of it still passes within h1's
-        failing &= outside | ~(residual <= FIBER_TOLERANCE * np.abs(h1))
-        ok = ok & ~failing.any(axis=-1)
+        bound = FIBER_TOLERANCE * np.maximum(np.maximum(1.0, np.abs(level)), np.abs(h1))
+        # step 0 is the start, so this also tests the start against the box
+        passing = inside(box, (u1, u2)) & (residual <= bound)
+    ok = (u1[..., 1:] > u1[..., :-1]).all(axis=-1) & passing.all(axis=-1)
     level = level[..., 0] if isinstance(level, np.ndarray) and level.ndim else float(level)
     if not everywhere(ok):
-        k = np.unravel_index(np.argmin(ok), np.shape(ok))
-        s1_k, s2_k, end_k, level_k = _entries((start[0], start[1], u1_end, level), k)
+        k, s1_k, s2_k, end_k, level_k = first_refused(ok, start[0], start[1], u1_end, level)
         require_inside(box, (s1_k, s2_k), "command")
         fiber_grid(s1_k, end_k, steps)
         if not math.isfinite(level_k):
             raise OverflowError(f"fiber level at the start {(s1_k, s2_k)} is {level_k}")
-        _raise_point_error(act, u1[k], u2[k], target[k], residual[k], failing[k])
+        _raise_point_error(act, u1[k], u2[k], target[k], residual[k], passing[k])
     points = _columns(u1, u2)
     points.setflags(write=False)
     path = FiberPath(level=level, points=points, residuals=residual)
@@ -253,17 +246,6 @@ def _column(x):
     return np.asarray(x, dtype=float)[..., None] if isinstance(x, np.ndarray) else x
 
 
-def _entries(values: tuple, k=None) -> tuple:
-    """Fiber k's entries of a start's coordinates, its end and its level,
-    for an error message: floats from a batch's arrays (by default the first
-    fiber's), a single fiber's values as given."""
-    if not any(isinstance(x, np.ndarray) for x in values):
-        return values
-    shape = np.broadcast_shapes(*map(np.shape, values))
-    k = (0,) * len(shape) if k is None else k
-    return tuple(float(np.broadcast_to(x, shape)[k]) for x in values)
-
-
 def _columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a and b side by side along a new last axis: an S + (n, 2) array."""
     out = np.empty(a.shape + (2,))
@@ -272,7 +254,7 @@ def _columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _raise_point_error(act, u1, u2, target, residual, failing) -> None:
+def _raise_point_error(act, u1, u2, target, residual, passing) -> None:
     """The error of one fiber's first failing step, as a step-by-step trace
     would report it."""
     # a target out of the float range has an infinite or NaN residual, so it
@@ -281,7 +263,7 @@ def _raise_point_error(act, u1, u2, target, residual, failing) -> None:
     if not finite.all():
         i = int(np.argmin(finite))
         raise OverflowError(f"fiber target at u1={u1[i]} is {target[i]}")
-    i = int(np.argmax(failing))
+    i = int(np.argmin(passing))
     if not inside(act.admissible_box, (u1[i], u2[i])):
         raise ValueError(f"fiber left the admissible box at step {i}: u=({u1[i]}, {u2[i]})")
     raise ConvergenceError(

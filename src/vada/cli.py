@@ -23,6 +23,7 @@ from .config import (
     SCENARIOS,
     ConfigError,
     RunConfig,
+    _config_fault,
     _integer,
     _number,
     build_dual_rotor,
@@ -92,13 +93,12 @@ def _build_actuator(cfg: RunConfig):
         dr = build_dual_rotor(cfg.model)
         if "start" not in params:
             raise ConfigError("params.start required for a dual-rotor fiber sweep")
-        try:
+        # the configured trim leaves the monotone regime of the configured box
+        with _config_fault("params.nu_bar"):
             act = as_antagonistic_at_trim(dr, _number(params, "nu_bar", "params", 0.0))
-        except ValueError as exc:
-            # the configured trim leaves the monotone regime of the configured box
-            raise ConfigError(f"params.nu_bar: {exc}") from exc
         start = params["start"]
     start = (_number(start, 0, "params.start"), _number(start, 1, "params.start"))
+    # kept: trace_fiber's ValueError for a bad start exits 1, as a fiber leaving the box does
     if not act.in_box(start):
         raise ConfigError(f"params.start {start} outside admissible box {act.admissible_box}")
     return act, start
@@ -110,10 +110,9 @@ def run_fiber_sweep(cfg: RunConfig, out_dir: Path | None) -> int:
     if steps > MAX_SAMPLES:
         raise ConfigError(f"params.steps must be at most {MAX_SAMPLES}, got {steps}")
     u1_end = _number(cfg.params, "u1_end", "params", start[0] + 1.0)
-    try:
+    # kept: trace_fiber's ValueError for a bad grid exits 1, as a fiber leaving the box does
+    with _config_fault("params"):
         core.fiber_grid(start[0], u1_end, steps)
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
     try:
         path = core.trace_fiber(act, start, u1_end, steps)
     except OverflowError as exc:
@@ -151,11 +150,9 @@ def run_allocate(cfg: RunConfig, out_dir: Path | None) -> int:
     nu_bar = _number(params, "nu_bar", "params", 0.0)
     trim = TrimPoint(nu_bar=nu_bar, force_level=_number(params, "force_level", "params"))
     sigma_des = _number(params, "sigma_des", "params")
-    try:
+    # allocate's checks are on sigma_des: positive, and no underflow
+    with _config_fault("params"):
         result = allocate(dr, trim, sigma_des)
-    except ValueError as exc:
-        # allocate's checks are on sigma_des: positive, and no underflow
-        raise ConfigError(f"params: {exc}") from exc
     common, differential = mode_decomposition(result.speeds)
     record = {
         "speeds": list(result.speeds),
@@ -197,13 +194,11 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
     schedule = build_schedule(params["schedule"])
     if dt > 0.0 and t_end / dt > MAX_SAMPLES:
         raise ConfigError(f"params: t_end / dt must be at most {MAX_SAMPLES}, got {t_end / dt}")
-    try:
+    # every check on this path is on a configured value: mass, t_end, dt, or
+    # speeds against the speed box
+    with _config_fault("params"):
         body = BodyConfig(mass=mass, dual_rotor=dr)
         traj = simulate(body, schedule, nu0, t_end, dt)
-    except ValueError as exc:
-        # every check on this path is on a configured value: mass, t_end,
-        # dt, or speeds against the speed box
-        raise ConfigError(f"params: {exc}") from exc
     if not (np.isfinite(traj.nu).all() and np.isfinite(traj.force).all()):
         raise ConfigError("params: the configured values drive the trajectory out of the float range")
     if out_dir is not None:

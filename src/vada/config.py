@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .aero import AffineThrustModel, RotorGeometry, derive_coefficients
@@ -57,6 +58,18 @@ _MODEL_SECTIONS = ("rotor_geometry", "dual_rotor", "vsa")
 
 class ConfigError(ValueError):
     """Malformed or incomplete run configuration."""
+
+
+@contextmanager
+def _config_fault(key: str):
+    """A ValueError raised on the configured value `key` as the ConfigError
+    "key: reason"; a ConfigError, which names its own key, as it is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -173,19 +186,13 @@ def build_rotor_geometry(model: dict) -> RotorGeometry:
     if section is None:
         raise ConfigError("model section 'rotor_geometry' required for this scenario")
     keys = ("blade_count", "radius", "chord", "pitch_angle", "lift_slope", "air_density")
-    try:
+    with _config_fault("rotor_geometry"):
         return RotorGeometry(**{k: _number(section, k, "rotor_geometry") for k in keys})
-    except ValueError as exc:
-        raise ConfigError(f"rotor_geometry: {exc}") from exc
 
 
 def _thrust_model(section: dict, where: str) -> AffineThrustModel:
-    try:
-        return AffineThrustModel(
-            k_thrust=_number(section, "k_thrust", where), k_inflow=_number(section, "k_inflow", where)
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    with _config_fault(where):
+        return AffineThrustModel(**{k: _number(section, k, where) for k in ("k_thrust", "k_inflow")})
 
 
 def build_dual_rotor(model: dict) -> DualRotor:
@@ -213,10 +220,8 @@ def build_dual_rotor(model: dict) -> DualRotor:
         lo = _number(lo_hi, 0, "dual_rotor.speed_box")
         hi = math.inf if lo_hi[1] is None else _number(lo_hi, 1, "dual_rotor.speed_box")
         speed_box.append((lo, hi))
-    try:
+    with _config_fault("dual_rotor"):
         return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, speed_box=tuple(speed_box))
-    except ValueError as exc:
-        raise ConfigError(f"dual_rotor: {exc}") from exc
 
 
 def _numbers(values, where: str) -> list:
@@ -237,14 +242,12 @@ def build_schedule(section: dict) -> InputSchedule:
     if any(len(v) != 2 for v in pairs):
         raise ConfigError(f"params.schedule: each speeds entry must be a pair [v1, v2], "
                           f"got {speeds}")
-    try:
+    with _config_fault("params.schedule"):
         return InputSchedule(
             speeds=pairs,
             forces=_numbers(section["forces"], "params.schedule.forces"),
             breakpoints=_numbers(section.get("breakpoints", []), "params.schedule.breakpoints"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"params.schedule: {exc}") from exc
 
 
 # kind -> (constructor, its parameters in call order)
@@ -268,7 +271,5 @@ def build_vsa(model: dict) -> VsaConfig:
     law_params = [_number(law, key, "vsa.law") for key in keys]
     pulley_radius = _number(section, "pulley_radius", "vsa")
     state = (_number(section["state"], 0, "vsa.state"), _number(section["state"], 1, "vsa.state"))
-    try:
+    with _config_fault("vsa"):
         return VsaConfig(law=make_law(*law_params), pulley_radius=pulley_radius, state=state)
-    except ValueError as exc:
-        raise ConfigError(f"vsa: {exc}") from exc

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._array import everywhere, inside, require_inside
+from ._array import everywhere, first_refused, inside, require_inside
 from .aero import (
     AffineThrustModel,
     inflow_sensitivity,
@@ -202,15 +202,10 @@ def _require_monotone_trim(dr: DualRotor, nu) -> None:
 def _first_refused(allowed: np.ndarray, dr: DualRotor, *values):
     """Where the mask allowed is first False in C order, as floats: the dual
     rotor of that entry's coefficients, then each of values at that entry."""
-    k = np.unravel_index(np.argmin(allowed), allowed.shape)
-
-    def entry(x) -> float:
-        return np.broadcast_to(x, allowed.shape)[k].item()
-
-    def model(m: AffineThrustModel) -> AffineThrustModel:
-        return AffineThrustModel(k_thrust=entry(m.k_thrust), k_inflow=entry(m.k_inflow))
-
-    return (DualRotor(model(dr.rotor_fwd), model(dr.rotor_bwd), dr.speed_box), *map(entry, values))
+    fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
+    _, kt1, kd1, kt2, kd2, *rest = first_refused(
+        allowed, fwd.k_thrust, fwd.k_inflow, bwd.k_thrust, bwd.k_inflow, *values)
+    return (DualRotor(AffineThrustModel(kt1, kd1), AffineThrustModel(kt2, kd2), dr.speed_box), *rest)
 
 
 def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResult:

@@ -61,8 +61,8 @@ _SPEED_FLOOR = 1.0
 _FLOOR_BOX = ((_SPEED_FLOOR, math.inf), (_SPEED_FLOOR, math.inf))
 
 
-def _central_diff(fn, x, h=FD_STEP):
-    return (fn(x + h) - fn(x - h)) / (2.0 * h)
+def _central_diff(fn, x):
+    return (fn(x + FD_STEP) - fn(x - FD_STEP)) / (2.0 * FD_STEP)
 
 
 def _record(prop_id: str, draws: int, passed: bool, worst: float, note: str = "") -> dict:
@@ -89,9 +89,9 @@ def _random_geometry(rng, n: int) -> RotorGeometry:
     )
 
 
-def _random_model(rng, n: int, low: float = 0.1, high: float = 2.0) -> AffineThrustModel:
+def _random_model(rng, n: int) -> AffineThrustModel:
     """n thrust models, one per entry of the array coefficients."""
-    return AffineThrustModel(k_thrust=rng.uniform(low, high, n), k_inflow=rng.uniform(low, high, n))
+    return AffineThrustModel(k_thrust=rng.uniform(0.1, 2.0, n), k_inflow=rng.uniform(0.1, 2.0, n))
 
 
 def _random_rotor_pairs(rng, symmetric, low: float = 0.1, high: float = 2.0):
@@ -112,7 +112,8 @@ def _dual_rotor(k_thrust, k_inflow, **box) -> DualRotor:
     return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, **box)
 
 
-def check_bet_quadrature(rng, draws: int = 1000) -> dict:
+def check_bet_quadrature(rng) -> dict:
+    draws = 1000
     geom = _random_geometry(rng, draws)
     v = rng.uniform(10.0, 500.0, draws)
     nu_in = rng.uniform(-5.0, 5.0, draws)
@@ -133,7 +134,8 @@ def check_bet_quadrature(rng, draws: int = 1000) -> dict:
     return _record("bet-quadrature-agreement", draws, worst <= 1e-12, worst)
 
 
-def check_damping_and_hardening(rng, draws: int = 1000) -> dict:
+def check_damping_and_hardening(rng) -> dict:
+    draws = 1000
     model = _random_model(rng, draws)
     v = rng.uniform(0.5, 50.0, draws)
     nu_in = rng.uniform(-5.0, 5.0, draws)
@@ -144,12 +146,12 @@ def check_damping_and_hardening(rng, draws: int = 1000) -> dict:
     return _record("inflow-damping-and-hardening", draws, signs_ok and worst <= FD_RTOL, worst)
 
 
-def check_vsa_cocontraction(rng, fibers_per_family: int = 20, points: int = 100) -> dict:
+def check_vsa_cocontraction(rng) -> dict:
     """Co-contraction strictly raises stiffness and promptness (all families).
 
     Each family's fibers are one batch: law parameters and radii of shape
-    (fibers, 1) give each fiber its own actuator against its row of points."""
-    n = fibers_per_family
+    (fibers, 1) give each fiber its own actuator on its row of 100 points."""
+    n = 20  # fibers per family
     worst = math.inf
     ok = True
     for family in ("quadratic", "exponential", "cubic"):
@@ -165,7 +167,7 @@ def check_vsa_cocontraction(rng, fibers_per_family: int = 20, points: int = 100)
         cfg = VsaConfig(law=law, pulley_radius=radius, state=(states[:, 0], states[:, 1]))
         act = as_antagonistic(cfg)
         start = cfg.state
-        path = trace_fiber(act, start, start[0] + spans, points)
+        path = trace_fiber(act, start, start[0] + spans, 100)
         for which in ("passive", "promptness"):
             report = monotonicity_sweep(act, path, which)
             ok = ok and report.is_strictly_increasing.all()
@@ -174,14 +176,14 @@ def check_vsa_cocontraction(rng, fibers_per_family: int = 20, points: int = 100)
     return _record("vsa-cocontraction-monotonicity", 3 * n, ok, worst)
 
 
-def check_vada_damping(rng, fibers: int = 20, points: int = 100, trims: int = 0) -> dict:
+def check_vada_damping(rng, fibers: int = 20, trims: int = 0) -> dict:
     """Prop 2 at zero trim (trims=0) or Prop 5 at random nonzero trims.
 
     Even-numbered fibers use identical rotors. A nonzero trim is drawn
     within 30 % of the monotone-regime bound at the speed floor of either
     rotor. All fibers are one batch: rotor coefficients of shape
     (fibers, 1, 1) and trims of shape (fibers, per_fiber, 1) give each fiber
-    its own actuator against its row of points."""
+    its own actuator against its row of 100 points."""
     symmetric = np.arange(fibers) % 2 == 0
     k_thrust, k_inflow = _random_rotor_pairs(rng, symmetric)
     dr = _dual_rotor(k_thrust[..., None, None], k_inflow[..., None, None], speed_box=_FLOOR_BOX)
@@ -198,19 +200,20 @@ def check_vada_damping(rng, fibers: int = 20, points: int = 100, trims: int = 0)
     spans = rng.uniform(1.0, 3.0, (fibers, per_fiber))
     act = _batch_trim_bridge(dr, nu_bars[..., None])
     start = (starts[..., 0], starts[..., 1])
-    path = trace_fiber(act, start, start[0] + spans, points)
+    path = trace_fiber(act, start, start[0] + spans, 100)
     report = monotonicity_sweep(act, path, "passive")
     prop_id = "vada-damping-at-trim" if trims else "vada-damping-zero-trim"
     return _record(prop_id, fibers * per_fiber, report.is_strictly_increasing.all(),
                    report.min_increment.min())
 
 
-def check_constant_damping_injection(rng, fibers: int = 5, points: int = 50) -> dict:
+def check_constant_damping_injection(rng) -> dict:
     """Necessity of hardening: with lambda independent of rotor speed, the
     damping-increase claim must fail (the sweep sees zero increments).
 
     All fibers are one batch: coefficients of shape (fibers, 1) give each
-    fiber its own channels against its row of points."""
+    fiber its own channels against its row of 50 points."""
+    fibers = 5
     k_t = rng.uniform(0.5, 2.0, (fibers, 1))
     k_d = rng.uniform(0.5, 2.0, (fibers, 1))
     starts = rng.uniform(2.0, 4.0, (fibers, 2))
@@ -222,7 +225,7 @@ def check_constant_damping_injection(rng, fibers: int = 5, points: int = 50) -> 
     )
     act = core.AntagonisticActuator(channel_plus=channel, channel_minus=channel)
     start = (starts[:, 0], starts[:, 1])
-    path = trace_fiber(act, start, start[0] + 2.0, points)
+    path = trace_fiber(act, start, start[0] + 2.0, 50)
     report = monotonicity_sweep(act, path, "passive")
     return _record(
         "vada-damping-zero-trim[constant-damping-injected]",
@@ -233,7 +236,8 @@ def check_constant_damping_injection(rng, fibers: int = 5, points: int = 50) -> 
     )
 
 
-def check_trim_damping_fd(rng, draws: int = 1000) -> dict:
+def check_trim_damping_fd(rng) -> dict:
+    draws = 1000
     symmetric = rng.integers(0, 2, draws).astype(bool)
     dr = _dual_rotor(*_random_rotor_pairs(rng, symmetric), speed_box=_FLOOR_BOX)
     v = rng.uniform(1.5, 20.0, (2, draws))
@@ -244,13 +248,14 @@ def check_trim_damping_fd(rng, draws: int = 1000) -> dict:
     return _record("trim-damping-fd-agreement", draws, worst <= FD_RTOL, worst)
 
 
-def check_allocation_roundtrip(rng, draws: int = 1000) -> dict:
+def check_allocation_roundtrip(rng) -> dict:
     """Round trip of requests made from in-box speeds, with k in [0.05, 5],
     v in [0.01, 50] and nu_bar in [-20, 20] on the default (0, inf) box:
     ranges wide enough to reach requests where picking the wrong root of
     the allocation quadratic shows. Requests and their allocations are
     computed for all draws at once; allocate_arrays gives, entry by entry,
     what the scalar allocate gives."""
+    draws = 1000
     symmetric = rng.integers(0, 2, draws).astype(bool)
     k_thrust, k_inflow = _random_rotor_pairs(rng, symmetric, 0.05, 5.0)
     v = rng.uniform(0.01, 50.0, (2, draws))
@@ -268,7 +273,8 @@ def check_allocation_roundtrip(rng, draws: int = 1000) -> dict:
     return _record("allocation-roundtrip", draws, feasible.all() and worst <= 1e-9, worst)
 
 
-def check_impedance_rk4(rng, draws: int = 20, dt: float = 1e-3) -> dict:
+def check_impedance_rk4(rng) -> dict:
+    draws, dt = 20, 1e-3
     mass = rng.uniform(0.5, 2.0, draws)
     k_t = rng.uniform(0.5, 2.0, draws)
     decay = rng.uniform(4.0, 8.0, draws)          # c_app / m
@@ -289,7 +295,8 @@ def check_impedance_rk4(rng, draws: int = 20, dt: float = 1e-3) -> dict:
     return _record("impedance-rk4-vs-analytic", draws, worst <= 1e-8, worst)
 
 
-def check_mode_decoupling(rng, draws: int = 200) -> dict:
+def check_mode_decoupling(rng) -> dict:
+    draws = 200
     body = BodyConfig(mass=1.0, dual_rotor=DualRotor.identical(_random_model(rng, draws)))
     v = rng.uniform(2.0, 10.0, (2, draws))
     delta = rng.uniform(0.1, np.minimum(2.0, 0.9 * v.min(axis=0)))
@@ -308,9 +315,10 @@ def check_mode_decoupling(rng, draws: int = 200) -> dict:
     return _record("mode-decoupling", draws, ok and worst <= 1e-12, worst)
 
 
-def check_isomorphism(rng, draws: int = 200) -> dict:
+def check_isomorphism(rng) -> dict:
     """VSA with R = 1, quadratic tendon k = k_D matches the zero-trim VADA
     passive coefficient at identical commands."""
+    draws = 200
     model = _random_model(rng, draws)
     vada = as_antagonistic_at_trim(DualRotor.identical(model), 0.0)
     vsa = as_antagonistic(

@@ -787,6 +787,9 @@ GOOD_FIBER = ((1.0, 0.5), 1.5)
 # (name, fiber k's start, its u1_end, box, whether its inverse misses, what it raises)
 FAILING_FIBERS = [
     ("start-outside-box", (-0.5, 1.0), 1.0, None, False, "outside admissible box"),
+    # u1 = 0 is on the open box's edge, and every later point is inside
+    ("only-the-start-outside-box", (0.0, 1.0), 1.0, None, False,
+     "command (0.0, 1.0) outside admissible box"),
     ("grid-does-not-increase", (1.0, 0.5), 0.5, None, False, "distinct u1 values"),
     ("level-overflows", (800.0, 800.0), 801.0, None, False, "fiber level at the start"),
     ("leaves-the-box", (2.0, 2.5), 4.0, ((0.0, math.inf), (0.0, 3.0)), False,

@@ -684,6 +684,28 @@ class TestConfigFaults:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            ({"scenario": "derive-coeffs",
+              "model": {"rotor_geometry": {k: v for k, v in GEOMETRY.items() if k != "chord"}}},
+             "error: rotor_geometry: missing field 'chord'"),
+            (allocate_config({"fwd": {"k_thrust": "1", "k_inflow": 1.0}, "bwd": UNIT_ROTOR}),
+             "error: dual_rotor.fwd.k_thrust must be a number, got '1'"),
+            (dict(SIMULATE_CONFIG, params=dict(SIMULATE_CONFIG["params"], schedule=dict(
+                SIMULATE_CONFIG["params"]["schedule"], forces=["x", 0.2]))),
+             "error: params.schedule.forces.0 must be a number, got 'x'"),
+            ({"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
+              "params": {"start": [2.0, 1.0], "nu_bar": "x"}},
+             "error: params.nu_bar must be a number, got 'x'"),
+        ],
+        ids=["rotor_geometry-missing", "fwd-k_thrust-string", "schedule-force-string",
+             "sweep-nu_bar-string"],
+    )
+    def test_a_fault_names_its_key_once(self, tmp_path, capsys, data, line):
+        assert main([data["scenario"], "--config", write_config(tmp_path, data)]) == 2
+        assert capsys.readouterr().err == line + "\n"
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         assert main(["verify", "--config", write_config(tmp_path, 5)]) == 2
         assert capsys.readouterr().err.startswith("error: ")

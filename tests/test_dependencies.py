@@ -1,0 +1,36 @@
+"""numpy is vada's only runtime dependency: every import in src/vada is from
+the standard library, numpy or vada itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "vada"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "vada"}
+
+
+def imported_modules(path):
+    """(line, top-level module) of each absolute import in the file; a
+    relative import is from vada."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.partition(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
+def test_imports_are_stdlib_numpy_or_vada(path):
+    foreign = [f"line {line}: {name}" for line, name in imported_modules(path)
+               if name not in ALLOWED]
+    assert foreign == []
+
+
+def test_a_foreign_import_is_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("import os.path\nfrom . import aero\nimport scipy.linalg\n"
+                    "from pandas import DataFrame\nimport numpy as np\n")
+    assert [name for _, name in imported_modules(path) if name not in ALLOWED] == [
+        "scipy", "pandas"]

@@ -31,6 +31,9 @@ UNIT = AffineThrustModel(k_thrust=1.0, k_inflow=1.0)
 UNIT_FLOOR_ONE = DualRotor.identical(UNIT, speed_box=((1.0, math.inf), (1.0, math.inf)))
 # k_T / k_D overflows to inf against the default box floor 0: a NaN bound
 NAN_BOUND = DualRotor.identical(AffineThrustModel(k_thrust=1e300, k_inflow=1e-300))
+# the same overflow in numpy, as entry 0 of array coefficients
+NAN_BOUND_ARRAYS = DualRotor.identical(
+    AffineThrustModel(k_thrust=np.array([1e300, 1.0]), k_inflow=np.array([1e-300, 1.0])))
 
 
 def random_rotor(rng, symmetric=False):
@@ -153,9 +156,13 @@ class TestAsAntagonisticAtTrim:
             (NAN_BOUND, 0.5, "forward"),
             (NAN_BOUND, -0.5, "backward"),
             (NAN_BOUND, 0.0, None),
+            (NAN_BOUND_ARRAYS, 0.5, "forward"),
+            (NAN_BOUND_ARRAYS, -0.5, "backward"),
+            (NAN_BOUND_ARRAYS, 0.0, None),
         ],
         ids=["zero", "negative-zero", "array-with-zeros", "nan-bound-forward",
-             "nan-bound-backward", "nan-bound-zero"],
+             "nan-bound-backward", "nan-bound-zero", "array-nan-bound-forward",
+             "array-nan-bound-backward", "array-nan-bound-zero"],
     )
     def test_trim_check_at_zero_and_at_a_nan_bound(self, dr, nu_bar, side):
         if side is None:

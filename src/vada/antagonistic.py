@@ -275,9 +275,10 @@ def fiber_grid(u1_start: float, u1_end: float, steps: int) -> np.ndarray:
     """The u1 values trace_fiber solves at: `steps` equally spaced values
     from u1_start to u1_end. A grid that does not strictly increase is a
     ValueError: u1_end at or below u1_start, or a span of a few ulps, where
-    rounding repeats values."""
+    rounding repeats values, or a non-finite end, whose grid holds NaN."""
     du1 = (u1_end - u1_start) / (steps - 1) if steps > 1 else 0.0
-    u1 = float(u1_start) + np.arange(steps) * du1
+    with np.errstate(invalid="ignore"):  # 0 * inf, at an infinite end
+        u1 = float(u1_start) + np.arange(steps) * du1
     if not (u1[1:] > u1[:-1]).all():
         raise ValueError(
             f"u1_end ({u1_end}) must exceed start u1 ({u1_start}) by enough to give "

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,6 +60,17 @@ def _write_then_print(text: str, out_dir: Path | None, filename: str) -> None:
     if out_dir is not None:
         (out_dir / filename).write_text(text + "\n")
     print(text)
+
+
+def _write_csv(out_dir: Path | None, filename: str, header: list[str], columns) -> None:
+    """Write equal-length 1-D float arrays as CSV columns under a header row,
+    each cell a plain float literal (repr of a Python float), to
+    out_dir / filename, or to stdout without out_dir."""
+    with (nullcontext(sys.stdout) if out_dir is None
+          else open(out_dir / filename, "w", newline="")) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(x) for x in row] for row in zip(*(c.tolist() for c in columns)))
 
 
 def run_derive_coeffs(cfg: RunConfig, out_dir: Path | None) -> int:
@@ -125,16 +137,8 @@ def run_fiber_sweep(cfg: RunConfig, out_dir: Path | None) -> int:
     columns = (*path.points.T, path.residuals, passive.values, prompt.values)
     if not all(np.isfinite(c).all() for c in columns):
         raise ConfigError("the configured values drive the sweep out of the float range")
-    rows = zip(*(c.tolist() for c in columns))
-    target = (out_dir / "fiber_sweep.csv") if out_dir is not None else None
-    writer_target = open(target, "w", newline="") if target else sys.stdout
-    try:
-        writer = csv.writer(writer_target)
-        writer.writerow(["u1", "u2", "task_residual", "passive_coeff", "promptness"])
-        writer.writerows([repr(x) for x in row] for row in rows)
-    finally:
-        if target:
-            writer_target.close()
+    header = ["u1", "u2", "task_residual", "passive_coeff", "promptness"]
+    _write_csv(out_dir, "fiber_sweep.csv", header, columns)
 
     # the verdicts go to stderr, so that stdout holds the CSV alone without --out
     for name, report in (("passive_coeff", passive), ("promptness", prompt)):
@@ -202,7 +206,8 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
     if not (np.isfinite(traj.nu).all() and np.isfinite(traj.force).all()):
         raise ConfigError("params: the configured values drive the trajectory out of the float range")
     if out_dir is not None:
-        traj.to_csv(out_dir / "trajectory.csv")
+        columns = (traj.times, traj.nu, traj.v1, traj.v2, traj.force, traj.f_ext)
+        _write_csv(out_dir, "trajectory.csv", ["t", "nu", "v1", "v2", "F", "F_ext"], columns)
 
     segments = []
     # the table's leading records are the integrated segments, in this order

@@ -259,10 +259,16 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
         reason = _DIFFERENTIAL
     else:
         reason = _BOX
-    nu = trim.nu_bar
+    return _allocation(dr, trim.nu_bar, v1, v2, feasible, reason)
+
+
+def _allocation(dr: DualRotor, nu_bar, v1, v2, feasible, reason) -> AllocationResult:
+    """The result of allocating speeds (v1, v2) at trim inflow nu_bar, with
+    the net force and damping they achieve; floats or arrays alike."""
+    fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
     return AllocationResult(
         speeds=(v1, v2),
-        achieved_force=thrust_polynomial(fwd, v1, nu) - thrust_polynomial(bwd, v2, -nu),
+        achieved_force=thrust_polynomial(fwd, v1, nu_bar) - thrust_polynomial(bwd, v2, -nu_bar),
         achieved_damping=fwd.k_inflow * v1 + bwd.k_inflow * v2,
         feasible=feasible,
         reason=reason,
@@ -322,10 +328,5 @@ def allocate_arrays(dr: DualRotor, nu_bar, force_level, sigma_des) -> Allocation
     v1, v2 = np.where(upper_in, upper[0], lower[0]), np.where(upper_in, upper[1], lower[1])
     feasible = inside(dr.speed_box, (v1, v2))
     smaller = np.where(v2 < v1, v2, v1)  # as min(v1, v2) picks, NaN included
-    return AllocationResult(
-        speeds=(v1, v2),
-        achieved_force=thrust_polynomial(fwd, v1, nu_bar) - thrust_polynomial(bwd, v2, -nu_bar),
-        achieved_damping=fwd.k_inflow * v1 + bwd.k_inflow * v2,
-        feasible=feasible,
-        reason=np.where(feasible, "", np.where(smaller <= 0, _DIFFERENTIAL, _BOX)),
-    )
+    reason = np.where(feasible, "", np.where(smaller <= 0, _DIFFERENTIAL, _BOX))
+    return _allocation(dr, nu_bar, v1, v2, feasible, reason)

@@ -19,7 +19,6 @@ integer exponent keeps numpy off its SIMD power loop.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -156,14 +155,6 @@ class Trajectory:
         f_act = self._held([s.f_act for s in self.segments])
         f_act -= self._held([s.c_app for s in self.segments]) * self.nu
         return f_act
-
-    def to_csv(self, path) -> None:
-        """Write the columns as plain float literals (repr of Python floats)."""
-        columns = (self.times, self.nu, self.v1, self.v2, self.force, self.f_ext)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "nu", "v1", "v2", "F", "F_ext"])
-            writer.writerows([repr(x) for x in row] for row in zip(*(c.tolist() for c in columns)))
 
 
 def apparent_damping(body: BodyConfig, v: Sequence[float]) -> float:

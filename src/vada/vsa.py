@@ -154,13 +154,10 @@ def as_antagonistic(cfg: VsaConfig) -> AntagonisticActuator:
     h_i^-1(y) = r^-1(y / R)."""
     R = cfg.pulley_radius
     law = cfg.law
-
-    def channel() -> ChannelLaw:
-        return ChannelLaw(
-            output_fn=lambda x: R * law.r(x),
-            output_sensitivity_fn=lambda x: R * law.r_prime(x),
-            passive_coeff_fn=lambda x: R * R * law.r_prime(x),
-            inverse_fn=lambda y: law.r_inverse(y / R),
-        )
-
-    return AntagonisticActuator(channel_plus=channel(), channel_minus=channel())
+    channel = ChannelLaw(
+        output_fn=lambda x: R * law.r(x),
+        output_sensitivity_fn=lambda x: R * law.r_prime(x),
+        passive_coeff_fn=lambda x: R * R * law.r_prime(x),
+        inverse_fn=lambda y: law.r_inverse(y / R),
+    )
+    return AntagonisticActuator(channel_plus=channel, channel_minus=channel)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vada.antagonistic import (
     ChannelLaw,
     ConvergenceError,
     FiberPath,
+    fiber_grid,
     fiber_tangent,
     monotonicity_sweep,
     passive_coefficient,
@@ -235,6 +237,20 @@ class TestTraceFiber:
         with pytest.raises(ValueError, match="distinct u1 values"):
             trace_fiber(act, (1.0, 1.0), 1.0000000000000002, 50)
         assert len(trace_fiber(act, (1.0, 1.0), 1.0000000000000002, 2).points) == 2
+
+    @pytest.mark.parametrize("call", [
+        lambda act: fiber_grid(2.0, math.inf, 5),
+        lambda act: trace_fiber(act, (2.0, 1.0), math.inf, 5),
+    ], ids=["fiber_grid", "trace_fiber"])
+    def test_infinite_end_is_a_grid_error(self, call):
+        # the grid's first step is 0 * inf; numpy's warning on it must not
+        # take the place of the grid's own error
+        act = as_antagonistic(VsaConfig(law=TendonLaw.quadratic(1.0), pulley_radius=1.0,
+                                        state=(2.0, 1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="distinct u1 values"):
+                call(act)
 
     def test_level_outside_the_float_range_is_an_overflow(self):
         # both outputs overflow at the start: the level is inf - inf

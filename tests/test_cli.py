@@ -176,6 +176,14 @@ class TestFiberSweep:
             "verdict: promptness strict increase: PASS",
         ]
 
+    def test_stdout_and_out_file_are_the_same_bytes(self, tmp_path, capsysbinary):
+        config = write_config(tmp_path, dict(vsa_sweep_config(), params={"steps": 20}))
+        assert main(["fiber-sweep", "--config", config]) == 0
+        printed = capsysbinary.readouterr().out
+        assert main(["fiber-sweep", "--config", config, "--out", str(tmp_path)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert (tmp_path / "fiber_sweep.csv").read_bytes() == printed
+
     def test_vsa_symmetric_fiber_is_diagonal(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -381,6 +389,21 @@ class TestSimulate:
                 "schedule": schedule,
             },
         }
+
+    def test_trajectory_csv_parses_back_to_the_simulated_columns(self, tmp_path):
+        config = write_config(tmp_path, SIMULATE_CONFIG)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+        model, params = SIMULATE_CONFIG["model"], SIMULATE_CONFIG["params"]
+        body = BodyConfig(mass=params["mass"], dual_rotor=build_dual_rotor(model))
+        traj = simulate(body, build_schedule(params["schedule"]), params["nu0"],
+                        params["t_end"], params["dt"])
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["t", "nu", "v1", "v2", "F", "F_ext"]
+        columns = (traj.times, traj.nu, traj.v1, traj.v2, traj.force, traj.f_ext)
+        assert len(rows) == len(traj.times) == 501
+        for row, expected in zip(rows, zip(*columns)):
+            assert [float(cell) for cell in row] == list(expected)
 
     def test_step_response_fit(self, tmp_path, capsys):
         config = write_config(
@@ -605,6 +628,15 @@ SIMULATE_CONFIG = {
 }
 
 
+# the forward thrust k_T v1^2 = 1e320 overflows: the force is inf, then NaN from the second sample
+OVERFLOWING_SIMULATE_CONFIG = dict(
+    SIMULATE_CONFIG,
+    model={"dual_rotor": {"fwd": {"k_thrust": 1e300, "k_inflow": 1e-12}, "bwd": UNIT_ROTOR}},
+    params=dict(SIMULATE_CONFIG["params"], t_end=0.1, dt=0.01,
+                schedule={"speeds": [[1e10, 1.0]], "forces": [0.0]}),
+)
+
+
 class TestConfigFaults:
     @pytest.mark.parametrize(
         "data",
@@ -663,6 +695,9 @@ class TestConfigFaults:
             dict(SIMULATE_CONFIG, params=dict(SIMULATE_CONFIG["params"], mass=0.0)),
             vsa_sweep_config(law={"kind": "exponential", "k": 1.0, "alpha": 0.0}),
             vsa_sweep_config(law={"kind": "cubic", "k": 0.0}),
+            OVERFLOWING_SIMULATE_CONFIG,
+            dict(allocate_config(), model=vsa_sweep_config()["model"]),
+            {"scenario": "derive-coeffs", "model": {"dual_rotor": UNIT_ROTOR}},
         ],
         ids=["k_thrust-string", "k_inflow-bool", "force_level-string", "sigma_des-null",
              "sigma_des-zero", "nu_bar-string", "speed_box-string", "speed_box-one-pair",
@@ -675,7 +710,8 @@ class TestConfigFaults:
              "u1_end-at-start", "steps-too-many", "law-kind-list", "sweep-overflows",
              "sigma_des-underflows", "allocation-overflows", "dual-rotor-sweep-without-start",
              "simulate-without-schedule", "no-scenario-key", "unknown-top-level-key",
-             "mass-zero", "alpha-zero", "cubic-k-zero"],
+             "mass-zero", "alpha-zero", "cubic-k-zero", "trajectory-overflows",
+             "allocate-with-a-vsa-model", "derive-coeffs-with-a-dual-rotor-model"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, data):
         config = write_config(tmp_path, data)
@@ -705,6 +741,13 @@ class TestConfigFaults:
     def test_a_fault_names_its_key_once(self, tmp_path, capsys, data, line):
         assert main([data["scenario"], "--config", write_config(tmp_path, data)]) == 2
         assert capsys.readouterr().err == line + "\n"
+
+    def test_trajectory_out_of_the_float_range_writes_no_csv(self, tmp_path, capsys):
+        config = write_config(tmp_path, OVERFLOWING_SIMULATE_CONFIG)
+        out = tmp_path / "out"
+        assert_one_error_line(capsys, ["simulate", "--config", config, "--out", str(out)],
+                              "params: the configured values drive the trajectory out of the float range")
+        assert list(out.iterdir()) == []
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         assert main(["verify", "--config", write_config(tmp_path, 5)]) == 2

@@ -34,3 +34,10 @@ def test_a_foreign_import_is_found(tmp_path):
                     "from pandas import DataFrame\nimport numpy as np\n")
     assert [name for _, name in imported_modules(path) if name not in ALLOWED] == [
         "scipy", "pandas"]
+
+
+def test_csv_is_imported_by_the_cli_alone():
+    # the CLI writes every CSV output through one writer
+    importers = sorted(path.name for path in SRC.rglob("*.py")
+                       if "csv" in (name for _, name in imported_modules(path)))
+    assert importers == ["cli.py"]

@@ -1,4 +1,3 @@
-import csv
 import math
 import tracemalloc
 import warnings
@@ -464,19 +463,6 @@ class TestTrajectoryOutput:
             assert isinstance(column, np.ndarray) and column.dtype == np.float64
             assert column.shape == traj.times.shape == (101,)
         assert type(traj.dt) is float
-
-    def test_csv_roundtrip(self, tmp_path):
-        body = unit_body()
-        traj = simulate(body, InputSchedule.constant((2.0, 1.0)), 0.0, 0.1, 1e-2)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == len(traj.times)
-        for row, t, x, f in zip(rows, traj.times, traj.nu, traj.force):
-            assert float(row["t"]) == t
-            assert float(row["nu"]) == x
-            assert float(row["F"]) == f
 
 
 class TestSegmentTable:

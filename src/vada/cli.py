@@ -27,6 +27,7 @@ from .config import (
     _config_fault,
     _integer,
     _number,
+    _pair,
     build_dual_rotor,
     build_rotor_geometry,
     build_schedule,
@@ -100,7 +101,7 @@ def _build_actuator(cfg: RunConfig):
     params = cfg.params
     if "vsa" in cfg.model:
         vsa_cfg = build_vsa(cfg.model)
-        act, start = as_antagonistic(vsa_cfg), params.get("start", vsa_cfg.state)
+        act, start = as_antagonistic(vsa_cfg), vsa_cfg.state
     else:
         dr = build_dual_rotor(cfg.model)
         if "start" not in params:
@@ -108,8 +109,8 @@ def _build_actuator(cfg: RunConfig):
         # the configured trim leaves the monotone regime of the configured box
         with _config_fault("params.nu_bar"):
             act = as_antagonistic_at_trim(dr, _number(params, "nu_bar", "params", 0.0))
-        start = params["start"]
-    start = (_number(start, 0, "params.start"), _number(start, 1, "params.start"))
+    if "start" in params:
+        start = _pair(params["start"], "params.start")
     # kept: trace_fiber's ValueError for a bad start exits 1, as a fiber leaving the box does
     if not act.in_box(start):
         raise ConfigError(f"params.start {start} outside admissible box {act.admissible_box}")

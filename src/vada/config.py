@@ -26,8 +26,9 @@ a JSON boolean (default false).
 
 Every number must be finite: NaN, Infinity and literals that overflow a
 float are rejected when the file is read. Numeric fields must be JSON
-numbers, not strings or booleans. fiber-sweep params.steps is an integer
-of at least 2 (default 50).
+numbers, not strings or booleans. A pair (vsa.state, a speed_box or speeds
+entry, params.start) is a list of exactly two. fiber-sweep params.start
+defaults to the VSA state; params.steps is an integer of at least 2 (default 50).
 """
 
 from __future__ import annotations
@@ -212,16 +213,11 @@ def build_dual_rotor(model: dict) -> DualRotor:
     box = section.get("speed_box")
     if box is None:
         return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd)
-    if not (isinstance(box, list) and len(box) == 2
-            and all(isinstance(lo_hi, list) and len(lo_hi) == 2 for lo_hi in box)):
+    if not (isinstance(box, list) and len(box) == 2):
         raise ConfigError(f"dual_rotor.speed_box must be [[lo, hi], [lo, hi]], got {box!r}")
-    speed_box = []
-    for lo_hi in box:
-        lo = _number(lo_hi, 0, "dual_rotor.speed_box")
-        hi = math.inf if lo_hi[1] is None else _number(lo_hi, 1, "dual_rotor.speed_box")
-        speed_box.append((lo, hi))
+    speed_box = tuple(_pair(lo_hi, "dual_rotor.speed_box", open_above=True) for lo_hi in box)
     with _config_fault("dual_rotor"):
-        return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, speed_box=tuple(speed_box))
+        return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, speed_box=speed_box)
 
 
 def _numbers(values, where: str) -> list:
@@ -231,6 +227,15 @@ def _numbers(values, where: str) -> list:
     return [_number(values, i, where) for i in range(len(values))]
 
 
+def _pair(value, where: str, open_above: bool = False) -> tuple[float, float]:
+    """A JSON list of exactly two numbers, each read as `_number` reads one, as
+    floats, else ConfigError; with open_above, a null second entry reads as inf."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{where}: expected a pair [a, b] of numbers, got {value!r}")
+    first = _number(value, 0, where)
+    return first, (math.inf if open_above and value[1] is None else _number(value, 1, where))
+
+
 def build_schedule(section: dict) -> InputSchedule:
     if not isinstance(section, dict):
         raise ConfigError(f"params.schedule must be a JSON object, got {section!r}")
@@ -238,10 +243,7 @@ def build_schedule(section: dict) -> InputSchedule:
     speeds = section["speeds"]
     if not isinstance(speeds, list):
         raise ConfigError(f"params.schedule.speeds must be a list of pairs, got {speeds!r}")
-    pairs = [tuple(_numbers(v, f"params.schedule.speeds.{i}")) for i, v in enumerate(speeds)]
-    if any(len(v) != 2 for v in pairs):
-        raise ConfigError(f"params.schedule: each speeds entry must be a pair [v1, v2], "
-                          f"got {speeds}")
+    pairs = [_pair(v, f"params.schedule.speeds.{i}") for i, v in enumerate(speeds)]
     with _config_fault("params.schedule"):
         return InputSchedule(
             speeds=pairs,
@@ -270,6 +272,6 @@ def build_vsa(model: dict) -> VsaConfig:
     make_law, keys = _LAWS[kind]
     law_params = [_number(law, key, "vsa.law") for key in keys]
     pulley_radius = _number(section, "pulley_radius", "vsa")
-    state = (_number(section["state"], 0, "vsa.state"), _number(section["state"], 1, "vsa.state"))
+    state = _pair(section["state"], "vsa.state")
     with _config_fault("vsa"):
         return VsaConfig(law=make_law(*law_params), pulley_radius=pulley_radius, state=state)

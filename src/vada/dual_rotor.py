@@ -2,10 +2,11 @@
 
 Two counter-facing rotors on a common translation axis see opposite
 inflows (+nu on the forward rotor, -nu on the backward one). Net force,
-trim-linearized damping, promptness, the bridge into the antagonistic
-core, and the inverse (force, damping) -> speeds allocation live here.
-The net force, the bridge's channels and the allocator's achieved force
-all read aero's one thrust polynomial, and box checks are _array's.
+trim-linearized damping, the bridge into the antagonistic core (force
+promptness is the core's, read through it), and the inverse (force,
+damping) -> speeds allocation live here. The net force, the bridge's
+channels and the allocator's achieved force all read aero's one thrust
+polynomial, and box checks are _array's.
 net_force and damping_at_trim also take a pair of speed arrays, with
 float or array rotor coefficients. as_antagonistic_at_trim takes array
 rotor coefficients and an array trim, for a batch of fibers traced in one
@@ -30,7 +31,7 @@ from .aero import (
     speed_sensitivity,
     thrust_polynomial,
 )
-from .antagonistic import AntagonisticActuator, ChannelLaw
+from .antagonistic import AntagonisticActuator, ChannelLaw, promptness
 
 __all__ = [
     "DualRotor",
@@ -106,12 +107,9 @@ def damping_at_trim(dr: DualRotor, v: Sequence[float], nu_bar: float = 0.0) -> f
 
 
 def force_promptness(dr: DualRotor, v: Sequence[float], nu_bar: float = 0.0) -> float:
-    """Norm of the force task-map gradient at the trim."""
-    require_inside(dr.speed_box, v, "speeds")
-    return math.hypot(
-        speed_sensitivity(dr.rotor_fwd, v[0], nu_bar),
-        speed_sensitivity(dr.rotor_bwd, v[1], -nu_bar),
-    )
+    """Norm of the force task-map gradient at the trim: the core's promptness
+    through the trim bridge, which refuses a trim outside the monotone regime."""
+    return promptness(as_antagonistic_at_trim(dr, nu_bar), v)
 
 
 def as_antagonistic_at_trim(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .aero import (
     thrust,
 )
 # the batched fibers call these names, not core.*, which perfbench's tracer probes per fiber
-from .antagonistic import ChannelLaw, monotonicity_sweep, passive_promptness_relation, trace_fiber
+from .antagonistic import monotonicity_sweep, passive_promptness_relation, trace_fiber
 from .dual_rotor import (
     DualRotor,
     allocate,  # noqa: F401 -- not called here, but perfbench's tracer probes this name
@@ -208,8 +209,8 @@ def check_vada_damping(rng, fibers: int = 20, trims: int = 0) -> dict:
 
 
 def check_constant_damping_injection(rng) -> dict:
-    """Necessity of hardening: with lambda independent of rotor speed, the
-    damping-increase claim must fail (the sweep sees zero increments).
+    """Necessity of hardening: the zero-trim VADA channel with a constant
+    lambda must fail the damping-increase claim (zero increments).
 
     All fibers are one batch: coefficients of shape (fibers, 1) give each
     fiber its own channels against its row of 50 points."""
@@ -217,12 +218,8 @@ def check_constant_damping_injection(rng) -> dict:
     k_t = rng.uniform(0.5, 2.0, (fibers, 1))
     k_d = rng.uniform(0.5, 2.0, (fibers, 1))
     starts = rng.uniform(2.0, 4.0, (fibers, 2))
-    channel = ChannelLaw(
-        output_fn=lambda v: k_t * v * v,
-        output_sensitivity_fn=lambda v: 2.0 * k_t * v,
-        passive_coeff_fn=lambda v: k_d,  # no v dependence: hardening violated
-        inverse_fn=lambda y: np.sqrt(y / k_t),
-    )
+    bridge = _batch_trim_bridge(DualRotor.identical(AffineThrustModel(k_thrust=k_t, k_inflow=k_d)))
+    channel = replace(bridge.channel_plus, passive_coeff_fn=lambda v: k_d)  # no v dependence
     act = core.AntagonisticActuator(channel_plus=channel, channel_minus=channel)
     start = (starts[:, 0], starts[:, 1])
     path = trace_fiber(act, start, start[0] + 2.0, 50)

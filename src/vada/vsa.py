@@ -1,21 +1,20 @@
 """Antagonistic variable-stiffness actuator: hardening tendons on a pulley.
 
-Joint torque tau(x, theta) = R (r(x1 - R theta) - r(x2 + R theta)); the
-deflection theta is a query parameter. Stiffness and promptness, at
-theta = 0, are the generic core's passive coefficient and promptness read
-through the as_antagonistic bridge, where the tendon formulas live.
+Joint torque tau(x, theta) = R (r(x1 - R theta) - r(x2 + R theta)) at a
+deflection theta, and stiffness and promptness at theta = 0, are the generic
+core's task output, passive coefficient and promptness read through the
+as_antagonistic bridge, where the tendon formulas live.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import antagonistic as core
 from ._array import everywhere
-from .antagonistic import AntagonisticActuator, ChannelLaw, passive_coefficient, promptness
 
 __all__ = [
     "TendonLaw",
@@ -50,7 +49,7 @@ class TendonLaw:
             raise ValueError(f"k must be positive, got {k}")
         # sqrt(2 t / k) as sqrt(t) sqrt(2 / k): 2 t / k overflows for a small k
         # and a large t whose root is a float
-        scale = math.sqrt(2.0) / np.sqrt(k)
+        scale = np.sqrt(2.0) / np.sqrt(k)
         return cls(
             kind=f"quadratic(k={_label(k)})",
             r=lambda x: 0.5 * k * x * x,
@@ -125,39 +124,33 @@ class VsaConfig:
 
 
 def joint_torque(cfg: VsaConfig, theta: float) -> float:
-    """Net elastic torque at deflection theta; errors outside the
-    admissibility window rather than extrapolating the tendon law."""
-    R = cfg.pulley_radius
-    x1, x2 = cfg.state
-    e1, e2 = x1 - R * theta, x2 + R * theta
-    if not (e1 > 0.0 and e2 > 0.0):
-        raise ValueError(
-            f"deflection {theta} leaves the admissible window: extensions ({e1}, {e2})"
-        )
-    return R * (cfg.law.r(e1) - cfg.law.r(e2))
+    """Net elastic torque at deflection theta: the core's task output at the
+    extensions (x1 - R theta, x2 + R theta), refused outside its box."""
+    R, (x1, x2) = cfg.pulley_radius, cfg.state
+    return core.task_output(as_antagonistic(cfg), (x1 - R * theta, x2 + R * theta))
 
 
 def stiffness(cfg: VsaConfig) -> float:
     """sigma = R^2 (r'(x1) + r'(x2)), the passive stiffness at theta = 0: the
     core's passive coefficient at the state."""
-    return passive_coefficient(as_antagonistic(cfg), cfg.state)
+    return core.passive_coefficient(as_antagonistic(cfg), cfg.state)
 
 
 def torque_promptness(cfg: VsaConfig) -> float:
     """rho = R sqrt(r'(x1)^2 + r'(x2)^2), the fiber density at theta = 0: the
     core's promptness at the state."""
-    return promptness(as_antagonistic(cfg), cfg.state)
+    return core.promptness(as_antagonistic(cfg), cfg.state)
 
 
-def as_antagonistic(cfg: VsaConfig) -> AntagonisticActuator:
+def as_antagonistic(cfg: VsaConfig) -> core.AntagonisticActuator:
     """Bridge into the generic core: h_i = R r, g_i = R r', p_i = R^2 r',
     h_i^-1(y) = r^-1(y / R)."""
     R = cfg.pulley_radius
     law = cfg.law
-    channel = ChannelLaw(
+    channel = core.ChannelLaw(
         output_fn=lambda x: R * law.r(x),
         output_sensitivity_fn=lambda x: R * law.r_prime(x),
         passive_coeff_fn=lambda x: R * R * law.r_prime(x),
         inverse_fn=lambda y: law.r_inverse(y / R),
     )
-    return AntagonisticActuator(channel_plus=channel, channel_minus=channel)
+    return core.AntagonisticActuator(channel_plus=channel, channel_minus=channel)

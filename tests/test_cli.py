@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -665,9 +666,12 @@ class TestConfigFaults:
             vsa_sweep_config(pulley_radius="1"),
             vsa_sweep_config(state=["a", 1.0]),
             vsa_sweep_config(state=[1.0]),
+            vsa_sweep_config(state=[1.0, 1.0, 99.0]),
             dict(vsa_sweep_config(), params={"u1_end": "x"}),
             {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
              "params": {"start": ["a", 1.0]}},
+            {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
+             "params": {"start": [2.0, 2.0, "junk"]}},
             {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
              "params": {"start": [2.0, 1.0], "nu_bar": "x"}},
             {"scenario": "verify", "params": {"seed": "x"}},
@@ -703,8 +707,8 @@ class TestConfigFaults:
              "sigma_des-zero", "nu_bar-string", "speed_box-string", "speed_box-one-pair",
              "speed_box-inverted", "vsa-number", "params-list", "blade_count-string",
              "sample_speed-string", "sample_speed-negative", "sample_speed-zero", "k-string", "alpha-list", "law-string",
-             "pulley_radius-string", "state-string", "state-short", "u1_end-string",
-             "start-string", "sweep-nu_bar-string", "seed-string", "seed-fraction",
+             "pulley_radius-string", "state-string", "state-short", "state-long", "u1_end-string",
+             "start-string", "start-long", "sweep-nu_bar-string", "seed-string", "seed-fraction",
              "inject-string", "inject-number", "sweep-nu_bar-outside-monotone-regime",
              "start-outside-box", "dual-rotor-start-outside-box", "u1_end-below-start",
              "u1_end-at-start", "steps-too-many", "law-kind-list", "sweep-overflows",
@@ -755,6 +759,21 @@ class TestConfigFaults:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["explode", "--config", "c.json"], ["verify"], ["verify", "--config", "c.json", "--seed", "x"]],
+        ids=["no-arguments", "unknown-scenario", "missing-config", "seed-not-an-integer"],
+    )
+    def test_argument_errors_print_usage(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: vada ")
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: vada ")
+
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -766,6 +785,17 @@ class TestUsageErrors:
     def test_scenario_mismatch(self, tmp_path):
         config = write_config(tmp_path, {"scenario": "verify"})
         assert main(["allocate", "--config", config]) == 2
+
+
+def test_readme_example_prints_what_the_readme_shows(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    config = re.search(r"Example:\n\n```json\n(.*?)```", readme, re.S).group(1)
+    command, expected = re.search(r"```sh\n\$ PYTHONPATH=src python -m vada\.cli (.*?)\n(.*?)```",
+                                  readme, re.S).groups()
+    (tmp_path / "alloc.json").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == expected
 
 
 def assert_one_error_line(capsys, argv, names):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vada.aero import AffineThrustModel, monotone_regime_bound
+from vada.aero import AffineThrustModel, monotone_regime_bound, speed_sensitivity
 from vada.antagonistic import (
     fiber_tangent,
     monotonicity_sweep,
@@ -107,7 +107,21 @@ class TestForcePromptness:
             nu_bar = rng.uniform(-0.05, 0.05)
             act = as_antagonistic_at_trim(dr, nu_bar)
             v = (rng.uniform(2.0, 10.0), rng.uniform(2.0, 10.0))
-            assert abs(force_promptness(dr, v, nu_bar) - promptness(act, v)) <= 1e-12
+            # the oracle: the gradient's two speed sensitivities, written out here
+            gradient_norm = math.hypot(
+                speed_sensitivity(dr.rotor_fwd, v[0], nu_bar),
+                speed_sensitivity(dr.rotor_bwd, v[1], -nu_bar),
+            )
+            value = force_promptness(dr, v, nu_bar)
+            assert value == promptness(act, v)
+            assert abs(value - gradient_norm) <= math.ulp(gradient_norm)
+
+    @pytest.mark.parametrize("nu_bar, side", [(2.5, "forward"), (-2.5, "backward")])
+    def test_trim_outside_the_monotone_regime_raises_the_bridge_message(self, nu_bar, side):
+        # bound at the box floor is 2 (k_T / k_D) * 1 = 2
+        with pytest.raises(ValueError, match=f"trim inflow {nu_bar} violates the monotone "
+                                             f"regime on the {side} rotor box"):
+            force_promptness(UNIT_FLOOR_ONE, (3.0, 3.0), nu_bar)
 
 
 class TestAsAntagonisticAtTrim:

@@ -47,8 +47,29 @@ class TestJointTorque:
         assert joint_torque(quad_cfg((2.0, 2.0)), 0.5) == -2.0
 
     def test_inadmissible_deflection(self):
-        with pytest.raises(ValueError, match="admissible"):
+        # the core's box check on the extensions (1 - 1.5, 1 + 1.5)
+        with pytest.raises(ValueError, match=r"command \(-0\.5, 2\.5\) outside admissible box"):
             joint_torque(quad_cfg((1.0, 1.0)), 1.5)
+
+    @pytest.mark.parametrize("family", ["quadratic", "exponential", "cubic"])
+    def test_batch_config_gives_each_entry_its_own_torque(self, family):
+        # array k, radius, state and deflection: one actuator per entry
+        rng = np.random.default_rng(43)
+        n = 200
+        k, alpha, radius = rng.uniform(0.2, 3.0, n), rng.uniform(0.3, 1.5, n), rng.uniform(0.5, 2.0, n)
+        x1, x2 = rng.uniform(1.0, 2.0, (2, n))
+        theta = rng.uniform(-0.4, 0.4, n)
+
+        def config(k, alpha, radius, state):
+            law = (TendonLaw.exponential(k, alpha) if family == "exponential"
+                   else getattr(TendonLaw, family)(k))
+            return VsaConfig(law=law, pulley_radius=radius, state=state)
+
+        batch = joint_torque(config(k, alpha, radius, (x1, x2)), theta)
+        assert batch.shape == (n,)
+        for i in range(n):
+            one = config(k[i].item(), alpha[i].item(), radius[i].item(), (x1[i].item(), x2[i].item()))
+            assert joint_torque(one, theta[i].item()) == batch[i]
 
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError):
@@ -111,7 +132,7 @@ class TestAsAntagonistic:
             R, (x1, x2) = cfg.pulley_radius, cfg.state
             sigma = R * R * (law.r_prime(x1) + law.r_prime(x2))
             rho = R * math.hypot(law.r_prime(x1), law.r_prime(x2))
-            assert abs(task_output(act, cfg.state) - joint_torque(cfg, 0.0)) <= 1e-12
+            assert task_output(act, cfg.state) == joint_torque(cfg, 0.0)
             for value in (passive_coefficient(act, cfg.state), stiffness(cfg)):
                 assert abs(value - sigma) <= 1e-12 * sigma
             for value in (promptness(act, cfg.state), torque_promptness(cfg)):

@@ -215,7 +215,9 @@ def build_dual_rotor(model: dict) -> DualRotor:
         return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd)
     if not (isinstance(box, list) and len(box) == 2):
         raise ConfigError(f"dual_rotor.speed_box must be [[lo, hi], [lo, hi]], got {box!r}")
-    speed_box = tuple(_pair(lo_hi, "dual_rotor.speed_box", open_above=True) for lo_hi in box)
+    speed_box = tuple(
+        _pair(lo_hi, f"dual_rotor.speed_box.{i}", open_above=True) for i, lo_hi in enumerate(box)
+    )
     with _config_fault("dual_rotor"):
         return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, speed_box=speed_box)
 

@@ -77,6 +77,9 @@ class InputSchedule:
             raise ValueError(f"breakpoints must be strictly increasing: {self.breakpoints}")
         if self.breakpoints and not self.breakpoints[0] > 0.0:
             raise ValueError("breakpoints must be positive times")
+        # a NaN or infinite force would fill the trajectory with NaN
+        if not all(map(math.isfinite, self.forces)):
+            raise ValueError(f"forces must be finite: {self.forces}")
 
     @classmethod
     def constant(cls, speeds: Sequence[float], f_ext: float = 0.0) -> "InputSchedule":

@@ -104,7 +104,8 @@ def _cubic_root(q):
 def _label(param) -> str:
     """A law parameter as it appears in TendonLaw.kind; arrays by their size
     alone, since printing every entry costs more than the law is used for."""
-    return str(param) if np.ndim(param) == 0 else f"<{np.size(param)} values>"
+    # np.ndim and np.size would build an array of a Python float
+    return f"<{param.size} values>" if isinstance(param, np.ndarray) and param.ndim else str(param)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,60 @@ class TestMonotonicitySweep:
         with pytest.raises(ValueError):
             monotonicity_sweep(act, path, "stiffness")
 
+    # passive values along hand-built paths: NaN anywhere, ties of 0.0 and -0.0
+    VALUE_ROWS = [
+        [1.0, 2.0, 3.0, 4.0],
+        [1.0, 2.0, math.nan, 4.0],
+        [math.nan, 1.0, 2.0, 3.0],
+        [1.0, 2.0, 3.0, math.nan],
+        [0.0, -0.0, 1.0, 2.0],
+        [-0.0, 0.0, 1.0, 2.0],
+        [1.0, 1.0, 2.0, 3.0],
+        [4.0, 3.0, 2.0, 1.0],
+    ]
+
+    @staticmethod
+    def valued_path(values):
+        """An actuator whose passive coefficient at the point (k, 0) is the
+        k-th entry of values (flattened), and the FiberPath of those points
+        in the shape of values."""
+        values = np.asarray(values, dtype=float)
+        table = values.ravel()
+        plus = dataclasses.replace(quadratic_channel(), passive_coeff_fn=lambda u: table[u.astype(int)])
+        # adding -0.0 keeps every value, -0.0 included
+        minus = dataclasses.replace(quadratic_channel(), passive_coeff_fn=lambda u: -0.0)
+        act = AntagonisticActuator(plus, minus, ((-1.0, math.inf), (-1.0, math.inf)))
+        u1 = np.arange(values.size, dtype=float).reshape(values.shape)
+        points = np.stack([u1, np.zeros_like(u1)], axis=-1)
+        return act, FiberPath(level=0.0, points=points)
+
+    @pytest.mark.parametrize("values", VALUE_ROWS + [VALUE_ROWS, [VALUE_ROWS[:4], VALUE_ROWS[4:]]],
+                             ids=[f"row-{i}" for i in range(len(VALUE_ROWS))] + ["batch", "(2, 4) batch"])
+    def test_verdict_is_every_increment_positive(self, values):
+        act, path = self.valued_path(values)
+        report = monotonicity_sweep(act, path, "passive")
+        values = np.asarray(values)
+        assert report.values.tobytes() == values.tobytes()
+        increments = values[..., 1:] - values[..., :-1]
+        expected = (increments > 0.0).all(axis=-1)
+        if values.ndim == 1:
+            assert type(report.is_strictly_increasing) is bool
+            assert type(report.min_increment) is float
+        assert np.array_equal(report.is_strictly_increasing, expected)
+        assert np.array_equal(report.min_increment, increments.min(axis=-1), equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 1), (2, 3, 1)])
+    def test_one_point_path_is_vacuously_increasing(self, shape):
+        act, path = self.valued_path(np.ones(shape))
+        report = monotonicity_sweep(act, path, "passive")
+        assert report.min_increment is None
+        if len(shape) == 1:
+            assert report.is_strictly_increasing is True
+        else:
+            assert report.is_strictly_increasing.dtype == bool
+            assert report.is_strictly_increasing.shape == shape[:-1]
+            assert report.is_strictly_increasing.all()
+
 
 class TestPassivePromptnessRelation:
     def test_monotone_for_hardening(self):
@@ -330,6 +384,25 @@ class TestPassivePromptnessRelation:
         path = FiberPath(level=0.0, points=[(1.0, 1.0), (1.0, 1.0)], residuals=[0.0, 0.0])
         with pytest.raises(ValueError, match="degenerate"):
             passive_promptness_relation(act, path)
+
+    @pytest.mark.parametrize("degenerate", [0, 1, 2])
+    def test_one_degenerate_fiber_in_a_batch_raises(self, degenerate):
+        # fibers along the diagonal, each monotone; one repeats a point
+        act = symmetric_actuator()
+        u = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (3, 1))
+        points = np.stack([u, u], axis=-1)
+        assert passive_promptness_relation(act, FiberPath(0.0, points)).is_monotone.all()
+        points[degenerate, 2] = points[degenerate, 1]
+        with pytest.raises(ValueError, match="degenerate path"):
+            passive_promptness_relation(act, FiberPath(0.0, points))
+
+    def test_a_step_with_one_zero_increment_is_not_degenerate(self):
+        # fiber 1 steps from (2, 2) to (3, 1): passive u1 + u2 ties, promptness rises
+        act = symmetric_actuator()
+        u = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
+        v = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1.0, 2.5]])
+        report = passive_promptness_relation(act, FiberPath(0.0, np.stack([u, v], axis=-1)))
+        assert report.is_monotone.tolist() == [True, False]
 
     def test_too_short_path_rejected(self):
         from vada.antagonistic import FiberPath
@@ -669,6 +742,24 @@ class TestToleranceScale:
         with pytest.raises(ConvergenceError, match="misses its target"):
             trace_fiber(act, start, start[0] + span, 200)
 
+    @pytest.mark.parametrize("alpha, start, span", LARGE_OUTPUTS)
+    def test_a_miss_on_both_scales_is_reported_at_its_own_step(self, alpha, start, span):
+        # the exact trace has points that pass only on |h1|'s scale; an inverse
+        # that misses from a later step k on is reported at k, not at the first
+        # point that missed the level's bound alone
+        act = self.exponential_tendons(alpha, start)
+        path = trace_fiber(act, start, start[0] + span, 200)
+        level_only = np.flatnonzero(path.residuals > FIBER_TOLERANCE * max(1.0, abs(path.level)))
+        k = level_only[0] + 5
+        assert k < 199
+        h1 = act.channel_plus.output_fn(path.points[:, 0])
+        target_k = h1[k] - path.level
+        exact = act.channel_minus.inverse_fn
+        late = dataclasses.replace(act.channel_minus,
+                                   inverse_fn=lambda y: exact(y) * np.where(y >= target_k, 1.0 + 1e-8, 1.0))
+        with pytest.raises(ConvergenceError, match=f"fiber point at u1={path.points[k, 0]} misses"):
+            trace_fiber(dataclasses.replace(act, channel_minus=late), start, start[0] + span, 200)
+
 
 WHICH = ("passive", "promptness")
 
@@ -938,6 +1029,18 @@ class TestTracedPath:
             assert copy.traced_on is None
             assert (sweeps_and_relation(act, path, relation_first)
                     == sweeps_and_relation(act, copy, relation_first)), name
+
+    def test_traced_path_sweeps_like_its_replaced_copy(self):
+        # the traced path reads the trace's own u1 and u2 arrays, its replaced
+        # copy the columns of its points: the same values bit for bit
+        cases = [(name, act, start, end) for name, act, start, end in fiber_workload_cases(4, 4)]
+        cases.append(("exp channel", symmetric_actuator(exponential_channel), (1.0, 0.5), 3.0))
+        assert len({name.split("(")[0] for name, *_ in cases}) == 6
+        for name, act, start, end in cases:
+            path = trace_fiber(act, start, end, 200)
+            copy = dataclasses.replace(path)
+            assert copy.traced_on is None
+            assert sweeps_and_relation(act, path) == sweeps_and_relation(act, copy), name
 
     def test_each_channel_quantity_is_evaluated_once(self):
         from collections import Counter

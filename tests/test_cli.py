@@ -738,9 +738,14 @@ class TestConfigFaults:
             ({"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
               "params": {"start": [2.0, 1.0], "nu_bar": "x"}},
              "error: params.nu_bar must be a number, got 'x'"),
+            # a speed_box entry is named by its index, as schedule speeds are
+            (allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, "a"], [0.0, None]])),
+             "error: dual_rotor.speed_box.0.1 must be a number, got 'a'"),
+            (allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, None], [0.0, "b"]])),
+             "error: dual_rotor.speed_box.1.1 must be a number, got 'b'"),
         ],
         ids=["rotor_geometry-missing", "fwd-k_thrust-string", "schedule-force-string",
-             "sweep-nu_bar-string"],
+             "sweep-nu_bar-string", "speed_box-string", "speed_box-second-entry-string"],
     )
     def test_a_fault_names_its_key_once(self, tmp_path, capsys, data, line):
         assert main([data["scenario"], "--config", write_config(tmp_path, data)]) == 2

@@ -336,6 +336,14 @@ class TestSimulate:
                 speeds=[(1.0, 1.0), (2.0, 2.0)], forces=[0.0, 0.0], breakpoints=[-0.5]
             )
 
+    @pytest.mark.parametrize("force", [math.nan, math.inf, -math.inf])
+    def test_non_finite_force_rejected(self, force):
+        # accepted, a NaN force gave an all-NaN nu; an infinite one did too, with a RuntimeWarning
+        with pytest.raises(ValueError, match="forces must be finite"):
+            InputSchedule.constant((2.0, 1.0), force)
+        with pytest.raises(ValueError, match="forces must be finite"):
+            InputSchedule(speeds=[(2.0, 1.0), (3.0, 2.0)], forces=[0.5, force], breakpoints=[0.5])
+
     def test_breakpoints_must_increase(self):
         speeds, forces = [(1.0, 1.0)] * 3, [0.0] * 3
         InputSchedule(speeds=speeds, forces=forces, breakpoints=[0.5, 1.5])

@@ -356,7 +356,11 @@ def _per_fiber(reduced, kind):
 def monotonicity_sweep(act: AntagonisticActuator, path: FiberPath, which: str) -> SweepReport:
     """Evaluate passive coefficient or promptness along the path and check
     for strict pointwise increase (no epsilon: ties are failures), per fiber
-    of a batch."""
+    of a batch.
+
+    Two infinite values of one sign in a row give an inf - inf increment:
+    NaN, with numpy's invalid-value RuntimeWarning left as it is, and a
+    False verdict, since min propagates the NaN."""
     if which not in _QUANTITIES:
         raise ValueError(f"which must be 'passive' or 'promptness', got {which!r}")
     (values,) = _values(act, path, (which,), _grid(path))
@@ -374,14 +378,21 @@ def passive_promptness_relation(act: AntagonisticActuator, path: FiberPath) -> R
     is_monotone is true when promptness is a strictly increasing function of
     the passive coefficient (discretely: same-sign nonzero increments),
     regardless of traversal direction; one verdict per fiber of a batch.
+    The signs agree where sign(ds) dr > 0: |sign(ds) dr| = |dr|, so unlike
+    ds dr it neither overflows nor underflows to 0 on finite increments. The
+    increments are formed as the sweeps form theirs, inf - inf warning
+    included.
     """
     u = _grid(path)
     if u[0].shape[-1] < 2:
         raise ValueError("relation needs a path with at least 2 points")
     passive, prompt = _values(act, path, ("passive", "promptness"), u)
     ds, dr = passive[..., 1:] - passive[..., :-1], prompt[..., 1:] - prompt[..., :-1]
-    is_monotone = (ds * dr > 0.0).all(axis=-1)
-    # ds * dr is 0 at a degenerate step, so only a fiber that is not monotone holds one
+    agree = np.sign(ds)
+    agree *= dr  # in place: one temporary, as ds * dr was, on a batch of fibers
+    # min propagates NaN, so this is (agree > 0).all(axis=-1) in one pass
+    is_monotone = agree.min(axis=-1) > 0.0
+    # sign(ds) dr is 0 at a degenerate step, so only a fiber that is not monotone holds one
     if not everywhere(is_monotone) and ((ds == 0.0) & (dr == 0.0)).any():
         raise ValueError("degenerate path: adjacent points coincide")
     return RelationReport(pairs=_columns(passive, prompt), is_monotone=_per_fiber(is_monotone, bool))

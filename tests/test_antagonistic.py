@@ -404,6 +404,29 @@ class TestPassivePromptnessRelation:
         report = passive_promptness_relation(act, FiberPath(0.0, np.stack([u, v], axis=-1)))
         assert report.is_monotone.tolist() == [True, False]
 
+    def test_huge_increments_give_a_verdict_under_warnings_as_errors(self):
+        # increments near 1e300 on both quantities: their product overflows
+        act = as_antagonistic(VsaConfig(law=TendonLaw.quadratic(1e300), pulley_radius=1.0,
+                                        state=(1.0, 1.0)))
+        path = FiberPath(level=0.0, points=[(1.0, 1.0), (3.0, 3.0), (5.0, 5.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = passive_promptness_relation(act, path)
+        assert report.is_monotone is True
+        assert report.pairs[:, 0].tolist() == [2e300, 6e300, 1e301]
+
+    def test_tiny_increments_are_monotone(self):
+        # increments near 1e-200 on both quantities: their product underflows to 0
+        act = symmetric_actuator(k=1e-200)
+        path = FiberPath(level=0.0, points=[(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+        report = passive_promptness_relation(act, path)
+        increments = np.diff(report.pairs, axis=0)
+        assert np.all((increments > 1e-200) & (increments < 3e-200))
+        assert np.all(increments[:, 0] * increments[:, 1] == 0.0)
+        assert report.is_monotone is True
+        reverse = FiberPath(level=0.0, points=path.points[::-1])
+        assert passive_promptness_relation(act, reverse).is_monotone is True
+
     def test_too_short_path_rejected(self):
         from vada.antagonistic import FiberPath
 

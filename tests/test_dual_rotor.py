@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from vada.antagonistic import (
 )
 from vada import verify
 from vada.dual_rotor import (
+    AllocationResult,
     DualRotor,
     TrimPoint,
     allocate,
@@ -296,6 +300,62 @@ class TestAllocate:
             assert result.speeds == speeds
             assert result.reason == "speed box violation"
 
+
+
+class TestAllocationResult:
+    """A frozen dataclass built positionally: value semantics, each field in its place."""
+
+    def result(self, force=3.0):
+        return allocate(DualRotor.identical(UNIT), TrimPoint(nu_bar=0.0, force_level=force), 4.0)
+
+    def test_fields_are_frozen(self):
+        result = self.result()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.feasible = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.reason = "changed"
+        assert result.feasible and result.reason == ""
+
+    def test_equality_and_hash(self):
+        result, again, other = self.result(), self.result(), self.result(force=2.0)
+        assert result == again and hash(result) == hash(again)
+        assert result != other
+        assert repr(result).startswith("AllocationResult(speeds=(")
+
+    def test_replace_and_asdict(self):
+        result = self.result()
+        changed = dataclasses.replace(result, feasible=False, reason="speed box violation")
+        assert (changed.speeds, changed.feasible, changed.reason) == (
+            result.speeds, False, "speed box violation")
+        assert dataclasses.asdict(result) == {
+            "speeds": result.speeds,
+            "achieved_force": result.achieved_force,
+            "achieved_damping": result.achieved_damping,
+            "feasible": True,
+            "reason": "",
+        }
+
+    @pytest.mark.parametrize(
+        "round_trip", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips(self, round_trip):
+        result = self.result()
+        again = round_trip(result)
+        assert type(again) is AllocationResult and again == result
+
+    def test_the_allocators_fill_every_field_in_order(self):
+        # built positionally: each field must hold what its name says
+        dr = DualRotor.identical(UNIT)
+        result = allocate(dr, TrimPoint(nu_bar=0.0, force_level=5.0), sigma_des=2.0)
+        assert result.speeds == pytest.approx((2.25, -0.25), rel=1e-12)
+        assert result.achieved_force == pytest.approx(2.25**2 - 0.25**2, rel=1e-12)
+        assert result.achieved_damping == pytest.approx(2.0, rel=1e-12)
+        assert (result.feasible, result.reason) == (False, "differential mode exceeds common mode")
+        ones = DualRotor.identical(AffineThrustModel(np.ones(1), np.ones(1)))
+        batch = allocate_arrays(ones, np.zeros(1), np.full(1, 5.0), np.full(1, 2.0))
+        assert [x.tolist() for x in batch.speeds] == [[v] for v in result.speeds]
+        for name in ("achieved_force", "achieved_damping", "feasible", "reason"):
+            assert getattr(batch, name).tolist() == [getattr(result, name)]
 
 
 class TestArraySpeeds:

@@ -3,6 +3,12 @@
 Every formula in vada takes either floats or equal-shape float arrays; these
 helpers turn an elementwise condition into the one bool that a validity check
 needs, and hold the library's one raising box check and one batch refusal.
+
+Float range: no formula checks that its result is finite. A float call in
+Python float arithmetic returns inf or NaN silently (thrust at k_T 1e300,
+v 1e10); a call that reaches a numpy ufunc (every array call, a float call
+through np.exp) also raises numpy's RuntimeWarning. Under
+np.errstate(all="ignore"), as the CLI runs, both give the same value.
 """
 
 from __future__ import annotations

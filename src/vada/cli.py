@@ -173,23 +173,6 @@ def run_allocate(cfg: RunConfig, out_dir: Path | None) -> int:
     return EXIT_OK if result.feasible else EXIT_NEGATIVE
 
 
-def _fit_time_constant(times: np.ndarray, nus: np.ndarray, nu_inf: float):
-    """Least-squares slope of ln|nu - nu_inf| against t over the samples
-    whose gap exceeds 1e-12; returns 1/|slope|, or None without a decay."""
-    gap = np.abs(nus - nu_inf)
-    keep = gap > 1e-12
-    if np.count_nonzero(keep) < 2:
-        return None
-    t = times[keep]
-    y = np.log(gap[keep])
-    t_dev = t - t.mean()
-    num = float(t_dev @ (y - y.mean()))
-    den = float(t_dev @ t_dev)
-    if den == 0.0 or num == 0.0:
-        return None
-    return -den / num if num < 0 else None
-
-
 def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
     dr = build_dual_rotor(cfg.model)
     params = cfg.params
@@ -212,33 +195,14 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
 
     segments = []
     # the table's leading records are the integrated segments, in this order
-    for (a, b, _, _), record in zip(schedule.segments(t_end), traj.segments):
-        c_app = record.c_app
-        nu_eq = record.f_act / c_app
-        nu_inf = nu_eq + record.f_ext / c_app
-        lo = np.searchsorted(traj.times, a, side="left")
-        hi = np.searchsorted(traj.times, b, side="right")
-        tau_fit = (
-            _fit_time_constant(traj.times[lo:hi], traj.nu[lo:hi], nu_inf) if hi - lo > 2 else None
-        )
-        tau_model = body.mass / c_app
-        segments.append(
-            {
-                "t_start": a,
-                "t_end": b,
-                "nu_eq": nu_eq,
-                "c_app": c_app,
-                "time_constant_model": tau_model,
-                "time_constant_fit": tau_fit,
-                "fit_relative_deviation": (
-                    abs(tau_fit - tau_model) / tau_model if tau_fit is not None else None
-                ),
-                "steps": record.steps,
-                "h": record.h,
-                "r": record.r,
-                "shortened": record.shortened,
-            }
-        )
+    for (a, b, _, _), rec in zip(schedule.segments(t_end), traj.segments):
+        tau_model, tau_rk4 = mass / rec.c_app, rec.time_constant
+        segments.append({
+            "t_start": a, "t_end": b, "nu_eq": rec.f_act / rec.c_app, "c_app": rec.c_app,
+            "time_constant_model": tau_model, "time_constant_rk4": tau_rk4,
+            "rk4_relative_deviation": abs(tau_rk4 - tau_model) / tau_model,
+            "steps": rec.steps, "h": rec.h, "r": rec.r, "shortened": rec.shortened,
+        })
     _emit({"segments": segments, "final_nu": float(traj.nu[-1])}, out_dir, "summary.json")
     return EXIT_OK
 

@@ -82,6 +82,10 @@ _BOX = "speed box violation"
 # built positionally: keyword arguments made a scalar allocate about 9 % slower
 @dataclass(frozen=True)
 class AllocationResult:
+    """allocate's floats or allocate_arrays' arrays. A scalar result has value
+    equality and a hash; on a batch result `==` and `hash` raise on the array
+    fields, so batches are compared field by field with np.array_equal."""
+
     speeds: tuple[float, float]
     achieved_force: float
     achieved_damping: float
@@ -222,6 +226,9 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
     quadrant, so at most one root lies in the box. An infeasible request
     is reported with the unconstrained candidate, never clamped: the root
     c/q, or the vertex -b/(2a) when no real root exists.
+    A finite quadratic whose b^2 - 4ac overflows is scaled by a power of two
+    first, which keeps its roots; one whose coefficients overflow (c = -inf
+    at sigma_des 1e160 on unit rotors) is solved as it stands, infeasible.
     """
     if not sigma_des > 0.0:
         raise ValueError(f"requested damping must be positive, got {sigma_des}")
@@ -234,6 +241,11 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
         g = -g
     a, b, c = _allocation_quadratic(rx, ry, g, sigma_des)
     disc = b * b - 4.0 * a * c
+    if not disc < math.inf and all(map(math.isfinite, (a, b, c))):
+        # b^2 or 4ac overflowed (-inf is right): 2^e, exact, brings all below 2^510
+        e = 510 - math.frexp(max(abs(a), abs(b), abs(c)))[1]
+        a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
+        disc = b * b - 4.0 * a * c
     # candidates in the order tried; c/q comes last, so it is what is left
     # when neither root is in the box
     if disc < 0.0:
@@ -293,7 +305,8 @@ def allocate_arrays(dr: DualRotor, nu_bar, force_level, sigma_des) -> Allocation
     allocate returns for that request: the same quadratic, and the root
     picked with np.where as allocate's loop picks it. A batch with requests
     that allocate refuses runs allocate on the first of them in C order, as
-    floats, which raises that request's error.
+    floats, which raises that request's error. `==` and `hash` raise on the
+    result's arrays: compare batches field by field with np.array_equal.
     """
     sigma_des = np.asarray(sigma_des, dtype=float)
     fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
@@ -306,6 +319,13 @@ def allocate_arrays(dr: DualRotor, nu_bar, force_level, sigma_des) -> Allocation
     g = np.where(swap, -g, g)
     a, b, c = _allocation_quadratic(rx, ry, g, sigma_des)
     disc = b * b - 4.0 * a * c
+    wide = ~(disc < np.inf)
+    if wide.any():
+        # allocate's scaling where it scales, and by 2^0 elsewhere
+        big = np.maximum(np.maximum(abs(a), abs(b)), abs(c))
+        e = np.where(wide & np.isfinite(big), 510 - np.frexp(big)[1], 0)
+        a, b, c = np.ldexp(a, e), np.ldexp(b, e), np.ldexp(c, e)
+        disc = b * b - 4.0 * a * c
     real = disc >= 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         q = -0.5 * (b + np.sqrt(disc))

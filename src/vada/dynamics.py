@@ -11,10 +11,6 @@ RK4. `simulate` evaluates that recurrence in closed form per input segment.
 R is positive on the real axis, so the recurrence is stable exactly where
 R(z) < 1, that is z > -2.7852... (Hairer & Wanner, Solving Ordinary
 Differential Equations II, IV.2).
-
-One float64 array of step indices k feeds both a + k h and R(z)^k, and the
-power runs on an output slice filled with R(z) in place: a scalar base or an
-integer exponent keeps numpy off its SIMD power loop.
 """
 
 from __future__ import annotations
@@ -45,6 +41,11 @@ __all__ = [
 # |z| below this (the negative root of R(z) = 1, -2.78529..., truncated) keeps an
 # RK4 step stable.
 RK4_STABILITY_LIMIT = 2.785
+
+
+def _stability_increment(z: float) -> float:
+    """R(z) - 1, the one place RK4's stability polynomial is written."""
+    return z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,13 @@ class SegmentRecord:
     z: float
     r: float
     shortened: bool
+
+    @property
+    def time_constant(self) -> float:
+        """-h / ln R(z), the RK4 recurrence's own time constant (NaN for 0
+        steps): m / c_app (1 + z^4/120 + ...), as ln R(z) = z - z^5/120 + ....
+        ln R(z) is log1p of R(z) - 1 from z: r's rounding costs eps/|z|."""
+        return -self.h / math.log1p(_stability_increment(self.z)) if self.steps else math.nan
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +247,7 @@ def simulate(
         n = max(1, math.ceil((b - a) / dt - 1e-12))
         h = (b - a) / n
         z = -h * c_app / body.mass
-        r = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+        r = 1.0 + _stability_increment(z)
         if not r < 1.0:
             raise ValueError(
                 f"dt {dt} is outside the RK4 stability region at speeds {tuple(v)}: "
@@ -277,10 +285,9 @@ def simulate(
     # that was not integrated: check its speeds as the others were
     for i in range(len(fields), len(counts)):
         if counts[i]:
-            v, f_ext = schedule.speeds[i], schedule.forces[i]
-            f_act = active_force(body, v)
-            c_app = apparent_damping(body, v)
-            table.append(SegmentRecord(counts[i], v, f_ext, c_app, f_act, 0, 0.0, 0.0, 1.0, False))
+            v = schedule.speeds[i]
+            table.append(SegmentRecord(counts[i], v, schedule.forces[i], apparent_damping(body, v),
+                                       active_force(body, v), 0, 0.0, 0.0, 1.0, False))
     return Trajectory(times=times, nu=nu, dt=dt, segments=tuple(table))
 
 

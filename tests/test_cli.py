@@ -12,7 +12,7 @@ import pytest
 
 import vada
 from vada import verify
-from vada.cli import _fit_time_constant, main
+from vada.cli import main
 from vada.aero import derive_coefficients
 from vada.config import (ConfigError, RunConfig, build_dual_rotor, build_rotor_geometry,
                          build_schedule, build_vsa)
@@ -344,39 +344,6 @@ class TestAllocate:
         assert outputs[0][0] == 0
 
 
-def loop_fit_time_constant(times, nus, nu_inf):
-    """Reference: the per-sample least-squares loop over Python floats."""
-    pairs = [(t, math.log(abs(x - nu_inf))) for t, x in zip(times, nus) if abs(x - nu_inf) > 1e-12]
-    if len(pairs) < 2:
-        return None
-    mean_t = sum(t for t, _ in pairs) / len(pairs)
-    mean_y = sum(y for _, y in pairs) / len(pairs)
-    num = sum((t - mean_t) * (y - mean_y) for t, y in pairs)
-    den = sum((t - mean_t) ** 2 for t, _ in pairs)
-    if den == 0.0 or num == 0.0:
-        return None
-    return -den / num if num < 0 else None
-
-
-class TestFitTimeConstant:
-    def test_matches_the_loop_reference(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            tau, nu_inf = rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0)
-            t = np.linspace(rng.uniform(0.0, 1.0), 3.0, int(rng.integers(3, 2000)))
-            nu = nu_inf + rng.uniform(-2.0, 2.0) * np.exp(-t / tau)
-            want = loop_fit_time_constant(t.tolist(), nu.tolist(), nu_inf)
-            assert _fit_time_constant(t, nu, nu_inf) == pytest.approx(want, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "nus", [[0.5, 0.5, 0.5], [0.5, 0.6, 0.5], [0.6, 0.7, 0.8]], ids=["flat", "one-gap", "growing"]
-    )
-    def test_no_decay_gives_none(self, nus):
-        times = [0.0, 0.1, 0.2]
-        assert loop_fit_time_constant(times, nus, 0.5) is None
-        assert _fit_time_constant(np.array(times), np.array(nus), 0.5) is None
-
-
 class TestSimulate:
     def base_config(self, schedule, t_end=2.0):
         return {
@@ -416,7 +383,9 @@ class TestSimulate:
         seg = summary["segments"][0]
         assert seg["c_app"] == pytest.approx(2.0, rel=1e-12)
         assert seg["nu_eq"] == pytest.approx(1.0, rel=1e-12)
-        assert seg["fit_relative_deviation"] <= 1e-4
+        assert seg["rk4_relative_deviation"] <= 1e-4
+        # z = -2e-3: the deviation is RK4's own time-constant error, z^4/120
+        assert seg["rk4_relative_deviation"] == pytest.approx(2e-3**4 / 120, rel=0.05)
 
     def test_flat_trajectory_at_equilibrium(self, tmp_path):
         cfg_data = self.base_config({"speeds": [[1.5, 0.5]], "forces": [0.0]})
@@ -426,6 +395,9 @@ class TestSimulate:
         with open(tmp_path / "trajectory.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert all(abs(float(r["nu"]) - 1.0) <= 1e-12 for r in rows)
+        # no decay to fit, but the recurrence has its time constant all the same
+        (seg,) = json.loads((tmp_path / "summary.json").read_text())["segments"]
+        assert seg["time_constant_rk4"] == pytest.approx(0.5, rel=1e-12)
 
     def test_cocontraction_step_summary(self, tmp_path):
         schedule = {
@@ -458,7 +430,7 @@ class TestSimulate:
         assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
         segments = json.loads((tmp_path / "summary.json").read_text())["segments"]
         assert [(s["t_start"], s["t_end"]) for s in segments] == [(0.0, 0.5), (0.5, 1.2), (1.2, 2.0)]
-        assert all(s["fit_relative_deviation"] <= 1e-4 for s in segments)
+        assert all(s["rk4_relative_deviation"] <= 1e-4 for s in segments)
 
     def test_summary_reports_how_each_segment_was_integrated(self, tmp_path):
         # the middle segment is 0.3 dt long: one shortened step

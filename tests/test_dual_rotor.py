@@ -300,6 +300,29 @@ class TestAllocate:
             assert result.speeds == speeds
             assert result.reason == "speed box violation"
 
+    @pytest.mark.parametrize("k_thrust", [1e155, 1e300])
+    def test_discriminant_overflow_is_scaled_away(self, k_thrust):
+        # a = 0, b = 2 k_T and c = -1.5 k_T are finite, but b^2 is not
+        dr = DualRotor.identical(AffineThrustModel(k_thrust, 1.0))
+        result = allocate(dr, TrimPoint(nu_bar=0.0, force_level=0.5 * k_thrust), sigma_des=1.0)
+        assert result.feasible
+        assert result.speeds == (0.75, 0.25)
+        assert result.achieved_force == pytest.approx(0.5 * k_thrust, rel=1e-15)
+
+    def test_discriminant_overflow_of_distinct_rotors(self):
+        # b^2 and -4ac both overflow to +inf
+        dr = DualRotor(AffineThrustModel(1e300, 1.0), AffineThrustModel(2e300, 3.0))
+        v = (1.2, 0.5)
+        trim = TrimPoint(nu_bar=0.0, force_level=net_force(dr, v, 0.0))
+        result = allocate(dr, trim, damping_at_trim(dr, v))
+        assert result.feasible
+        assert result.speeds == pytest.approx(v, rel=1e-12)
+
+    def test_an_overflowing_coefficient_is_left_as_it_is(self):
+        # c = -(k_T sigma^2 + F) is -inf: no scaling brings it back
+        result = allocate(DualRotor.identical(UNIT), TrimPoint(nu_bar=0.0, force_level=1.0), 1e160)
+        assert not result.feasible
+        assert all(math.isnan(x) for x in result.speeds)
 
 
 class TestAllocationResult:
@@ -472,6 +495,20 @@ class TestAllocateArrays:
         batch = assert_allocates_as_each(dr, nu_bar, force, sigma)
         assert not batch.feasible.any()
         assert set(batch.reason.tolist()) <= {"speed box violation", "differential mode exceeds common mode"}
+
+    def test_discriminant_overflow_is_scaled_entry_by_entry(self):
+        # the scalar tests' overflowing requests beside ordinary ones
+        dr = DualRotor(
+            AffineThrustModel(np.array([1e155, 1.0, 1e300, 1e300]), np.ones(4)),
+            AffineThrustModel(np.array([1e155, 1.0, 1e300, 2e300]), np.array([1.0, 1.0, 1.0, 3.0])),
+        )
+        force = np.array([5e154, 0.5, 5e299, 1.44e300 - 0.5e300])
+        sigma = np.array([1.0, 1.0, 1.0, 2.7])
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = assert_allocates_as_each(dr, np.zeros(4), force, sigma)
+        assert batch.feasible.all()
+        assert batch.speeds[0][:3].tolist() == [0.75] * 3
+        assert batch.speeds[1][:3].tolist() == [0.25] * 3
 
     @pytest.mark.parametrize("sigma_des", [5e-324, 0.0, -1.0, math.nan],
                              ids=["underflow", "zero", "negative", "nan"])

@@ -512,6 +512,29 @@ class TestSegmentTable:
             assert sum(s.samples for s in traj.segments) == len(traj.times)
             assert 1 + sum(s.steps for s in traj.segments) == len(traj.times)
 
+    def test_time_constant_exceeds_the_model_by_z4_over_120(self):
+        # ln R(z) = z - z^5/120 + O(z^6), so -h / ln R(z) = (m / c_app)(1 + z^4/120 + ...);
+        # below |z| = 1e-2, ln(r) in place of log1p would miss by up to eps/|z| relative
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            mass, speeds = rng.uniform(0.5, 2.0), tuple(rng.uniform(1.0, 5.0, 2))
+            body = unit_body(mass=mass, k_thrust=rng.uniform(0.5, 2.0), k_inflow=rng.uniform(0.5, 2.0))
+            dt = 10 ** rng.uniform(-2.69, -1.31) * mass / apparent_damping(body, speeds)
+            (record,) = simulate(body, InputSchedule.constant(speeds), 0.0, 7 * dt, dt).segments
+            assert 2e-3 <= -record.z <= 5e-2
+            tau_model = mass / record.c_app
+            deviation = (record.time_constant - tau_model) / tau_model
+            assert 0.9 <= deviation / (record.z**4 / 120) <= 1.1
+
+    def test_time_constant_of_every_record(self):
+        traj = simulate(unit_body(), self.SCHEDULE, 0.0, 1.0, 1e-2)
+        for record in traj.segments:
+            assert record.time_constant == pytest.approx(-record.h / math.log(record.r), rel=1e-12)
+        # a segment holding the last sample with 0 steps has none
+        schedule = InputSchedule(speeds=[(2.0, 1.0), (3.0, 2.0)], forces=[0.0, 0.5], breakpoints=[1.0])
+        last = simulate(unit_body(), schedule, 0.0, 1.0, 0.1).segments[-1]
+        assert last.steps == 0 and math.isnan(last.time_constant)
+
     def test_columns_are_built_once(self):
         traj = simulate(unit_body(), self.SCHEDULE, 0.0, 1.0, 1e-2)
         for name in ("v1", "v2", "f_ext", "force"):

@@ -67,7 +67,7 @@ FIBER_TOLERANCE = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """A fiber point misses its target output by more than FIBER_TOLERANCE."""
+    """The fiber cannot be continued: a point misses its target or leaves the box."""
 
 
 @dataclass(frozen=True)
@@ -192,11 +192,11 @@ def trace_fiber(
     Returns `steps` points at equally spaced u1 values, the first being the
     start itself. The fiber is explicit, u2 = h2^-1(h1(u1) - level), so all
     points come from one call of the minus channel's inverse on the grid of
-    targets. A residual over FIBER_TOLERANCE * max(1, |level|, |h1(u1)|) is a
-    ConvergenceError; a point that is NaN or outside the admissible box (no
-    root, as the inverse contract reports it) is an error at the first such
-    step, never a silently clipped result. A level or target outside the
-    float range is an OverflowError.
+    targets. A residual over FIBER_TOLERANCE * max(1, |level|, |h1(u1)|), or a
+    point that is NaN or outside the admissible box (no root, as the inverse
+    contract reports it), is a ConvergenceError at the first such step: the
+    fiber cannot be continued, and no point is silently clipped. A level or
+    target outside the float range is an OverflowError.
 
     One body traces a single fiber or a batch. A start that is a pair of
     arrays of shape S traces one fiber per entry (u1_end is then a float or
@@ -280,10 +280,9 @@ def _raise_point_error(act, u1, u2, target, residual, passing) -> None:
         raise OverflowError(f"fiber target at u1={u1[i]} is {target[i]}")
     i = int(np.argmin(passing))
     if not inside(act.admissible_box, (u1[i], u2[i])):
-        raise ValueError(f"fiber left the admissible box at step {i}: u=({u1[i]}, {u2[i]})")
+        raise ConvergenceError(f"fiber left the admissible box at step {i}: u=({u1[i]}, {u2[i]})")
     raise ConvergenceError(
-        f"fiber point at u1={u1[i]} misses its target (residual {residual[i]:.3e})"
-    )
+        f"fiber point at u1={u1[i]} misses its target (residual {residual[i]:.3e})")
 
 
 def fiber_grid(u1_start: float, u1_end: float, steps: int) -> np.ndarray:

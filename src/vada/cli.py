@@ -3,8 +3,10 @@
     vada <scenario> --config <path> [--seed N] [--out <dir>]
 
 Exit status: 0 on success, 1 on a domain-level negative result
-(infeasible allocation, failed monotonicity verdict, failed property),
-2 on usage or configuration errors.
+(infeasible allocation, failed monotonicity verdict, failed property, a
+fiber that cannot be continued), 2 on usage or configuration errors. Only
+`main` maps an exception to a status: ConvergenceError to 1; ValueError,
+ArithmeticError and OSError to 2.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def _write_csv(out_dir: Path | None, filename: str, header: list[str], columns) 
 
 def run_derive_coeffs(cfg: RunConfig, out_dir: Path | None) -> int:
     geom = build_rotor_geometry(cfg.model)
-    model = derive_coefficients(geom)
+    with _config_fault("rotor_geometry"):
+        model = derive_coefficients(geom)
     v = _number(cfg.params, "sample_speed", "params", 100.0)
     if not v > 0.0:
         # the quadrature oracle needs a spinning rotor
@@ -111,9 +114,6 @@ def _build_actuator(cfg: RunConfig):
             act = as_antagonistic_at_trim(dr, _number(params, "nu_bar", "params", 0.0))
     if "start" in params:
         start = _pair(params["start"], "params.start")
-    # kept: trace_fiber's ValueError for a bad start exits 1, as a fiber leaving the box does
-    if not act.in_box(start):
-        raise ConfigError(f"params.start {start} outside admissible box {act.admissible_box}")
     return act, start
 
 
@@ -123,15 +123,9 @@ def run_fiber_sweep(cfg: RunConfig, out_dir: Path | None) -> int:
     if steps > MAX_SAMPLES:
         raise ConfigError(f"params.steps must be at most {MAX_SAMPLES}, got {steps}")
     u1_end = _number(cfg.params, "u1_end", "params", start[0] + 1.0)
-    # kept: trace_fiber's ValueError for a bad grid exits 1, as a fiber leaving the box does
+    # a bad start or grid is a config fault; a fiber leaving the box, a ConvergenceError
     with _config_fault("params"):
-        core.fiber_grid(start[0], u1_end, steps)
-    try:
         path = core.trace_fiber(act, start, u1_end, steps)
-    except OverflowError as exc:
-        raise ConfigError(
-            f"the configured values drive the sweep out of the float range ({exc})"
-        ) from exc
     passive = core.monotonicity_sweep(act, path, "passive")
     prompt = core.monotonicity_sweep(act, path, "promptness")
 
@@ -260,14 +254,14 @@ def main(argv=None) -> int:
         # them in one line, so numpy's floating-point warnings only add noise
         with np.errstate(all="ignore"):
             return RUNNERS[args.scenario](cfg, out_dir)
-    except (ConfigError, OSError) as exc:
+    except core.ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
+    except (ValueError, ArithmeticError, OSError) as exc:
         # OSError: an --out that cannot be a directory, or an output that
         # cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, core.ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

@@ -64,13 +64,17 @@ class ConfigError(ValueError):
 @contextmanager
 def _config_fault(key: str):
     """A ValueError raised on the configured value `key` as the ConfigError
-    "key: reason"; a ConfigError, which names its own key, as it is."""
+    "key: reason" (an OverflowError as a float-range fault of `key`); a
+    ConfigError, which names its own key, as it is."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+    except OverflowError as exc:
+        reason = exc.args[-1] if exc.args else exc  # Python's own has args (errno, text)
+        raise ConfigError(f"{key}: the configured values leave the float range ({reason})") from exc
 
 
 @dataclass(frozen=True)
@@ -201,8 +205,9 @@ def build_dual_rotor(model: dict) -> DualRotor:
     if section is None:
         if "rotor_geometry" in model:
             # identical rotors derived from blade geometry
-            coeffs = derive_coefficients(build_rotor_geometry(model))
-            return DualRotor.identical(coeffs)
+            geom = build_rotor_geometry(model)
+            with _config_fault("rotor_geometry"):
+                return DualRotor.identical(derive_coefficients(geom))
         raise ConfigError("model section 'dual_rotor' (or 'rotor_geometry') required")
     if "fwd" in section or "bwd" in section:
         _require(section, ("fwd", "bwd"), "dual_rotor")

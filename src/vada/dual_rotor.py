@@ -326,7 +326,7 @@ def allocate_arrays(dr: DualRotor, nu_bar, force_level, sigma_des) -> Allocation
         e = np.where(wide & np.isfinite(big), 510 - np.frexp(big)[1], 0)
         a, b, c = np.ldexp(a, e), np.ldexp(b, e), np.ldexp(c, e)
         disc = b * b - 4.0 * a * c
-    real = disc >= 0.0
+    real = ~(disc < 0.0)  # a NaN discriminant takes the roots, as allocate does
     with np.errstate(invalid="ignore", divide="ignore"):
         q = -0.5 * (b + np.sqrt(disc))
         # q is 0 only where disc >= 0 and b underflows; NaN elsewhere passes

@@ -223,7 +223,7 @@ class TestTraceFiber:
             admissible_box=((0.0, math.inf), (0.0, 2.0)),
         )
         # the level-4 fiber needs u2 > 2 once u1 is large enough
-        with pytest.raises(ValueError, match="box"):
+        with pytest.raises(ConvergenceError, match="box"):
             trace_fiber(act, (3.0, 1.0), 10.0, 40)
 
     def test_bad_direction_rejected(self):
@@ -676,7 +676,7 @@ class TestBatchedFiberAgainstSequential:
             admissible_box=((0.0, math.inf), (0.0, 2.0)),
         )
         # level 4: u2 = sqrt(u1^2 - 8) passes 2 at u1 = sqrt(12) = 3.46, step 5 of 0.1
-        with pytest.raises(ValueError, match="box at step 5:"):
+        with pytest.raises(ConvergenceError, match="box at step 5:"):
             trace_fiber(act, (3.0, 1.0), 3.9, 10)
 
     def test_missing_root_is_an_error(self):

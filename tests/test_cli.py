@@ -227,6 +227,21 @@ class TestFiberSweep:
         assert all(b > a for a, b in zip(passive, passive[1:]))
         assert all(b > a for a, b in zip(prompt, prompt[1:]))
 
+    def test_fiber_that_leaves_the_box_exits_1(self, tmp_path, capsys):
+        # the level-3 fiber u2 = sqrt(u1^2 - 3) stays inside, but its grid passes u1 = 3 at step 7
+        box = dict(UNIT_ROTOR, speed_box=[[0.5, 3.0], [0.5, 3.0]])
+        config = write_config(tmp_path, {
+            "scenario": "fiber-sweep", "model": {"dual_rotor": box},
+            "params": {"start": [2.0, 1.0], "u1_end": 5.0, "steps": 20},
+        })
+        out = tmp_path / "out"
+        assert main(["fiber-sweep", "--config", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: fiber left the admissible box at step 7: "
+                                "u=(3.1052631578947367, 2.5773356940411145)\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("steps", [0, -5, 1, 2.5, "x"])
     def test_steps_must_be_an_integer_of_at_least_two(self, tmp_path, capsys, steps):
         config = write_config(
@@ -610,6 +625,35 @@ OVERFLOWING_SIMULATE_CONFIG = dict(
 )
 
 
+def geometry_config(scenario, **edits):
+    """A run of `scenario` on identical rotors derived from GEOMETRY with `edits`."""
+    params = {
+        "derive-coeffs": {},
+        "allocate": allocate_config()["params"],
+        "simulate": SIMULATE_CONFIG["params"],
+    }[scenario]
+    return {"scenario": scenario, "model": {"rotor_geometry": dict(GEOMETRY, **edits)},
+            "params": params}
+
+
+# radius ** 3 overflows a float; a radius of 1e-160 or 1e-120 or a pitch of
+# 5e-324 gives k_thrust 0.0, which the thrust model refuses
+RADIUS_OVERFLOWS = ("error: rotor_geometry: the configured values leave the float range "
+                    "(Numerical result out of range)")
+K_THRUST_ZERO = "error: rotor_geometry: k_thrust must be strictly positive, got 0.0"
+GEOMETRY_FAULTS = [
+    (geometry_config("derive-coeffs", radius=1e120), RADIUS_OVERFLOWS),
+    (geometry_config("allocate", radius=1e120), RADIUS_OVERFLOWS),
+    (geometry_config("simulate", radius=1e120), RADIUS_OVERFLOWS),
+    (geometry_config("derive-coeffs", radius=1e-160), K_THRUST_ZERO),
+    (geometry_config("simulate", radius=1e-120), K_THRUST_ZERO),
+    (geometry_config("allocate", pitch_angle=5e-324), K_THRUST_ZERO),
+]
+GEOMETRY_FAULT_IDS = ["derive-coeffs-radius-overflows", "allocate-radius-overflows",
+                      "simulate-radius-overflows", "radius-underflows-k_thrust",
+                      "simulate-radius-underflows-k_thrust", "pitch-underflows-k_thrust"]
+
+
 class TestConfigFaults:
     @pytest.mark.parametrize(
         "data",
@@ -674,6 +718,7 @@ class TestConfigFaults:
             OVERFLOWING_SIMULATE_CONFIG,
             dict(allocate_config(), model=vsa_sweep_config()["model"]),
             {"scenario": "derive-coeffs", "model": {"dual_rotor": UNIT_ROTOR}},
+            *(data for data, _ in GEOMETRY_FAULTS),
         ],
         ids=["k_thrust-string", "k_inflow-bool", "force_level-string", "sigma_des-null",
              "sigma_des-zero", "nu_bar-string", "speed_box-string", "speed_box-one-pair",
@@ -687,7 +732,8 @@ class TestConfigFaults:
              "sigma_des-underflows", "allocation-overflows", "dual-rotor-sweep-without-start",
              "simulate-without-schedule", "no-scenario-key", "unknown-top-level-key",
              "mass-zero", "alpha-zero", "cubic-k-zero", "trajectory-overflows",
-             "allocate-with-a-vsa-model", "derive-coeffs-with-a-dual-rotor-model"],
+             "allocate-with-a-vsa-model", "derive-coeffs-with-a-dual-rotor-model",
+             *GEOMETRY_FAULT_IDS],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, data):
         config = write_config(tmp_path, data)
@@ -715,9 +761,15 @@ class TestConfigFaults:
              "error: dual_rotor.speed_box.0.1 must be a number, got 'a'"),
             (allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, None], [0.0, "b"]])),
              "error: dual_rotor.speed_box.1.1 must be a number, got 'b'"),
+            # trace_fiber's own check of the start, under the params key
+            ({"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
+              "params": {"start": [0.0, 1.0]}},
+             "error: params: command (0.0, 1.0) outside admissible box ((0.0, inf), (0.0, inf))"),
+            *GEOMETRY_FAULTS,
         ],
         ids=["rotor_geometry-missing", "fwd-k_thrust-string", "schedule-force-string",
-             "sweep-nu_bar-string", "speed_box-string", "speed_box-second-entry-string"],
+             "sweep-nu_bar-string", "speed_box-string", "speed_box-second-entry-string",
+             "dual-rotor-start-outside-box", *GEOMETRY_FAULT_IDS],
     )
     def test_a_fault_names_its_key_once(self, tmp_path, capsys, data, line):
         assert main([data["scenario"], "--config", write_config(tmp_path, data)]) == 2

@@ -510,6 +510,24 @@ class TestAllocateArrays:
         assert batch.speeds[0][:3].tolist() == [0.75] * 3
         assert batch.speeds[1][:3].tolist() == [0.25] * 3
 
+    def test_coefficient_overflow_takes_the_roots_as_allocate_does(self):
+        # trim (0, 1) and sigma_des 1e160 give c = -inf and a NaN discriminant on
+        # identical and on distinct rotors: allocate reports the NaN root, infeasible
+        dr = DualRotor(
+            AffineThrustModel(np.ones(3), np.ones(3)),
+            AffineThrustModel(np.array([1.0, 1.0, 3.0]), np.array([1.0, 2.0, 1.0])),
+        )
+        request = np.zeros(3), np.ones(3), np.full(3, 1e160)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = allocate_arrays(dr, *request)
+        speeds, force, damping, feasible, reason = allocate_each(dr, *request)
+        assert np.isnan(speeds).all()
+        assert np.array_equal(np.stack(batch.speeds, axis=-1), speeds, equal_nan=True)
+        assert np.array_equal(batch.achieved_force, force, equal_nan=True)
+        assert np.array_equal(batch.achieved_damping, damping, equal_nan=True)
+        assert not (batch.feasible.any() or feasible.any())
+        assert batch.reason.tolist() == reason.tolist() == ["speed box violation"] * 3
+
     @pytest.mark.parametrize("sigma_des", [5e-324, 0.0, -1.0, math.nan],
                              ids=["underflow", "zero", "negative", "nan"])
     def test_a_request_allocate_refuses_raises_its_error(self, sigma_des):

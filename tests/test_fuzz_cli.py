@@ -50,11 +50,21 @@ VSA = {"law": {"kind": "exponential", "k": 1.0, "alpha": 0.8}, "pulley_radius": 
 VSA_QUADRATIC = dict(VSA, law={"kind": "quadratic", "k": 1.0})
 VSA_CUBIC = dict(VSA, law={"kind": "cubic", "k": 1.3}, pulley_radius=0.5)
 SCHEDULE = {"speeds": [[1.5, 1.0], [2.5, 1.5]], "forces": [0.0, 0.2], "breakpoints": [0.4]}
+GEOMETRY = {"blade_count": 2, "radius": 0.1, "chord": 0.02, "pitch_angle": 0.2,
+            "lift_slope": 6.283185307179586, "air_density": 1.225}
+# the fiber through (2, 1) passes u1 = 3 at step 7 of 20: it leaves the box, exit 1
+BOXED_ROTOR = dict(UNIT_ROTOR, speed_box=[[0.5, 3.0], [0.5, 3.0]])
 
 BASES = {
+    "derive-coeffs": [
+        {"scenario": "derive-coeffs", "model": {"rotor_geometry": GEOMETRY},
+         "params": {"sample_speed": 100.0, "sample_inflow": 1.0}},
+    ],
     "allocate": [
         {"scenario": "allocate", "model": {"dual_rotor": UNIT_ROTOR},
          "params": {"force_level": 3.0, "sigma_des": 4.0, "nu_bar": 0.1}},
+        {"scenario": "allocate", "model": {"rotor_geometry": GEOMETRY},
+         "params": {"force_level": 0.05, "sigma_des": 0.1, "nu_bar": 0.1}},
     ],
     "simulate": [
         {"scenario": "simulate", "model": {"dual_rotor": UNIT_ROTOR},
@@ -69,6 +79,8 @@ BASES = {
          "params": {"start": [0.5, 1.0], "u1_end": 2.0, "steps": 20}},
         {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
          "params": {"start": [2.0, 1.0], "u1_end": 5.0, "steps": 20, "nu_bar": 0.1}},
+        {"scenario": "fiber-sweep", "model": {"dual_rotor": BOXED_ROTOR},
+         "params": {"start": [2.0, 1.0], "u1_end": 5.0, "steps": 20}},
     ],
 }
 
@@ -160,13 +172,26 @@ FUZZ = settings(
 )
 
 
+# configs that once ended wrongly, kept as fixed examples
+def huge_rotor(base):
+    """`base` on rotors derived from a geometry whose radius ** 3 overflows a float."""
+    return dict(base, model={"rotor_geometry": dict(GEOMETRY, radius=1e120)})
+
+
+@FUZZ
+@given(config=configs("derive-coeffs"), with_out=st.booleans())
+@example(config=huge_rotor(BASES["derive-coeffs"][0]), with_out=False)
+def test_derive_coeffs_config_ends_cleanly(config, with_out):
+    check_run(config, with_out, json_stdout=True)
+
+
 @FUZZ
 @given(config=configs("allocate"), with_out=st.booleans())
+@example(config=huge_rotor(BASES["allocate"][0]), with_out=False)
 def test_allocate_config_ends_cleanly(config, with_out):
     check_run(config, with_out, json_stdout=True)
 
 
-# configs that once ended wrongly, kept as fixed examples
 UNSTABLE_STEP = {
     "scenario": "simulate", "model": {"dual_rotor": UNIT_ROTOR},
     "params": {"mass": 1e-3, "nu0": 0.0, "t_end": 0.05, "dt": 1e-2,
@@ -194,5 +219,6 @@ def test_simulate_config_ends_cleanly(config, with_out):
 @given(config=configs("fiber-sweep"), with_out=st.booleans())
 @example(config=OVERFLOWING_LEVEL, with_out=False)
 @example(config=REPEATED_GRID, with_out=True)
+@example(config=huge_rotor(BASES["fiber-sweep"][-1]), with_out=False)
 def test_fiber_sweep_config_ends_cleanly(config, with_out):
     check_run(config, with_out, json_stdout=False)

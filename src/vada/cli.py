@@ -50,16 +50,13 @@ MAX_SAMPLES = 1_000_000
 
 
 def _emit(record: dict, out_dir: Path | None, filename: str) -> None:
+    """Write the record's JSON under out_dir first, so that a failed write
+    leaves stdout empty, then print it."""
     try:
         text = report_to_json(record)
     except ValueError as exc:
         # a record holds only numbers computed from the configured ones
         raise ConfigError(f"{filename}: the configured values leave the float range ({exc})") from exc
-    _write_then_print(text, out_dir, filename)
-
-
-def _write_then_print(text: str, out_dir: Path | None, filename: str) -> None:
-    """Write the file first, so that a failed write leaves stdout empty."""
     if out_dir is not None:
         (out_dir / filename).write_text(text + "\n")
     print(text)
@@ -207,7 +204,7 @@ def run_verify_scenario(cfg: RunConfig, out_dir: Path | None) -> int:
     if not isinstance(inject, bool):
         raise ConfigError(f"params.inject_constant_damping must be true or false, got {inject!r}")
     report = run_verify(seed=seed, inject_constant_damping=inject)
-    _write_then_print(report_to_json(report), out_dir, "verification_report.json")
+    _emit(report, out_dir, "verification_report.json")
     return EXIT_OK if report["all_passed"] else EXIT_NEGATIVE
 
 
@@ -248,7 +245,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares scenario {cfg.scenario!r} but {args.scenario!r} was requested"
             )
-        if args.seed is not None:
+        if args.seed is not None and cfg.scenario == "verify":
             cfg = replace(cfg, params={**cfg.params, "seed": args.seed})
         # a run checks its own outputs for non-finite numbers and reports
         # them in one line, so numpy's floating-point warnings only add noise

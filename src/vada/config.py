@@ -24,6 +24,12 @@ every entry a JSON number. verify params.seed is an integer of at least 0
 (default 0; the CLI's --seed replaces it) and params.inject_constant_damping
 a JSON boolean (default false).
 
+Every JSON object the run reads (the top level, "model", each model section,
+"fwd"/"bwd", "law", params and params.schedule) refuses a key that the run
+does not read, such as a misspelled one: "<where>: unknown keys [...]".
+fiber-sweep reads params.nu_bar only for a dual rotor, and verify reads no
+model section.
+
 Every number must be finite: NaN, Infinity and literals that overflow a
 float are rejected when the file is read. Numeric fields must be JSON
 numbers, not strings or booleans. A pair (vsa.state, a speed_box or speeds
@@ -56,6 +62,15 @@ SCENARIOS = ("derive-coeffs", "fiber-sweep", "allocate", "simulate", "verify")
 
 _MODEL_SECTIONS = ("rotor_geometry", "dual_rotor", "vsa")
 
+# the params keys each scenario reads (fiber-sweep reads nu_bar only for a dual rotor)
+_PARAMS = {
+    "derive-coeffs": ("sample_speed", "sample_inflow"),
+    "fiber-sweep": ("start", "steps", "u1_end", "nu_bar"),
+    "allocate": ("nu_bar", "force_level", "sigma_des"),
+    "simulate": ("mass", "nu0", "t_end", "dt", "schedule"),
+    "verify": ("seed", "inject_constant_damping"),
+}
+
 
 class ConfigError(ValueError):
     """Malformed or incomplete run configuration."""
@@ -86,11 +101,17 @@ class RunConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
-        present = [k for k in _MODEL_SECTIONS if k in self.model]
-        if self.scenario != "verify" and len(present) != 1:
+        sections = () if self.scenario == "verify" else _MODEL_SECTIONS  # verify reads no model
+        _known(self.model, sections, "model")
+        present = [k for k in sections if k in self.model]
+        if sections and len(present) != 1:
             raise ConfigError(
                 f"exactly one model section of {_MODEL_SECTIONS} required, found {present}"
             )
+        read = _PARAMS[self.scenario]
+        if self.scenario == "fiber-sweep" and "vsa" in self.model:
+            read = tuple(k for k in read if k != "nu_bar")
+        _known(self.params, read, "params")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -98,9 +119,7 @@ class RunConfig:
             raise ConfigError(f"the config must be a JSON object, got {data!r}")
         if "scenario" not in data:
             raise ConfigError("missing required key 'scenario'")
-        unknown = set(data) - {"scenario", "model", "params"}
-        if unknown:
-            raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+        _known(data, ("scenario", "model", "params"), "config")
         model, params = data.get("model", {}), data.get("params", {})
         if not (isinstance(model, dict) and isinstance(params, dict)
                 and all(isinstance(model[k], dict) for k in _MODEL_SECTIONS if k in model)):
@@ -142,6 +161,15 @@ def _finite_float(literal: str) -> float:
 def _finite_int(literal: str) -> int:
     _finite_float(literal)
     return int(literal)
+
+
+def _known(section, keys, where: str) -> None:
+    """Refuse the keys of a JSON object that the run does not read, so that a
+    misspelled key is not silently ignored; a value that is not an object is
+    left to the field readers."""
+    unknown = set(section) - set(keys) if isinstance(section, dict) else ()
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _require(section: dict, keys: tuple[str, ...], where: str) -> None:
@@ -191,11 +219,14 @@ def build_rotor_geometry(model: dict) -> RotorGeometry:
     if section is None:
         raise ConfigError("model section 'rotor_geometry' required for this scenario")
     keys = ("blade_count", "radius", "chord", "pitch_angle", "lift_slope", "air_density")
+    _known(section, keys, "rotor_geometry")
     with _config_fault("rotor_geometry"):
         return RotorGeometry(**{k: _number(section, k, "rotor_geometry") for k in keys})
 
 
-def _thrust_model(section: dict, where: str) -> AffineThrustModel:
+def _thrust_model(section: dict, where: str, also: tuple = ()) -> AffineThrustModel:
+    """The thrust model of `section`, which may hold the keys `also` besides."""
+    _known(section, ("k_thrust", "k_inflow", *also), where)
     with _config_fault(where):
         return AffineThrustModel(**{k: _number(section, k, where) for k in ("k_thrust", "k_inflow")})
 
@@ -211,10 +242,11 @@ def build_dual_rotor(model: dict) -> DualRotor:
         raise ConfigError("model section 'dual_rotor' (or 'rotor_geometry') required")
     if "fwd" in section or "bwd" in section:
         _require(section, ("fwd", "bwd"), "dual_rotor")
+        _known(section, ("fwd", "bwd", "speed_box"), "dual_rotor")
         fwd = _thrust_model(section["fwd"], "dual_rotor.fwd")
         bwd = _thrust_model(section["bwd"], "dual_rotor.bwd")
     else:
-        fwd = bwd = _thrust_model(section, "dual_rotor")
+        fwd = bwd = _thrust_model(section, "dual_rotor", also=("speed_box",))
     box = section.get("speed_box")
     if box is None:
         return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd)
@@ -247,6 +279,7 @@ def build_schedule(section: dict) -> InputSchedule:
     if not isinstance(section, dict):
         raise ConfigError(f"params.schedule must be a JSON object, got {section!r}")
     _require(section, ("speeds", "forces"), "params.schedule")
+    _known(section, ("speeds", "forces", "breakpoints"), "params.schedule")
     speeds = section["speeds"]
     if not isinstance(speeds, list):
         raise ConfigError(f"params.schedule.speeds must be a list of pairs, got {speeds!r}")
@@ -272,11 +305,13 @@ def build_vsa(model: dict) -> VsaConfig:
     if section is None:
         raise ConfigError("model section 'vsa' required for this scenario")
     _require(section, ("law", "pulley_radius", "state"), "vsa")
+    _known(section, ("law", "pulley_radius", "state"), "vsa")
     law = section["law"]
     kind = law.get("kind") if isinstance(law, dict) else None
     if not isinstance(kind, str) or kind not in _LAWS:
         raise ConfigError(f"vsa.law.kind must be one of {sorted(_LAWS)}, got {kind!r}")
     make_law, keys = _LAWS[kind]
+    _known(law, ("kind", *keys), "vsa.law")
     law_params = [_number(law, key, "vsa.law") for key in keys]
     pulley_radius = _number(section, "pulley_radius", "vsa")
     state = _pair(section["state"], "vsa.state")

@@ -1,13 +1,15 @@
 """Randomized verification suite for every analytic claim in the library.
 
-Each property draws parameters from a seeded generator, evaluates the
-claim at its stated tolerance, and contributes one record to a
-deterministic report; failures are report content, never exceptions.
-Parameters are drawn as arrays, one entry per draw, and each claim is
-evaluated in numpy passes over all draws: the VSA fibers as one batch per
-tendon family, each VADA fiber check and the constant-damping injection as
-one batch, and the allocation round trip as one array allocation. Only the
-simulations run once per draw.
+`run_verify` holds the one claim table: each row names a property id and
+the check that backs it, in report order, and that order fixes every draw
+from the seeded generator. A check draws its parameters, evaluates its
+claim at its stated tolerance and returns its outcome (draws, passed,
+worst) through `_outcome`; it names no property. Failures are report
+content, never exceptions. Parameters are drawn as arrays, one entry per
+draw, and each claim is evaluated in numpy passes over all draws: the VSA
+fibers as one batch per tendon family, each VADA fiber check and the
+constant-damping injection as one batch, and the allocation round trip as
+one array allocation. Only the simulations run once per draw.
 """
 
 from __future__ import annotations
@@ -66,11 +68,9 @@ def _central_diff(fn, x):
     return (fn(x + FD_STEP) - fn(x - FD_STEP)) / (2.0 * FD_STEP)
 
 
-def _record(prop_id: str, draws: int, passed: bool, worst: float, note: str = "") -> dict:
-    rec = {"property": prop_id, "draws": draws, "passed": bool(passed), "worst": float(worst)}
-    if note:
-        rec["note"] = note
-    return rec
+def _outcome(draws: int, passed, worst) -> dict:
+    """A check's outcome; its row of the claim table adds the property id."""
+    return {"draws": draws, "passed": bool(passed), "worst": float(worst)}
 
 
 def _relative_gap(a, b, floor):
@@ -132,7 +132,7 @@ def check_bet_quadrature(rng) -> dict:
         part = RotorGeometry(**{name: value[lo:hi] for name, value in fields.items()})
         numeric[lo:hi] = bet_numeric_thrust(part, v[lo:hi], nu_in[lo:hi], panels=int(panels[lo]))
     worst = _relative_gap(numeric, closed, 1.0).max()
-    return _record("bet-quadrature-agreement", draws, worst <= 1e-12, worst)
+    return _outcome(draws, worst <= 1e-12, worst)
 
 
 def check_damping_and_hardening(rng) -> dict:
@@ -144,7 +144,7 @@ def check_damping_and_hardening(rng) -> dict:
     signs_ok = bool((lam > 0.0).all() and (hardening_rate(model, v, nu_in) > 0.0).all())
     fd = -_central_diff(lambda x: thrust(model, v, x), nu_in)
     worst = _relative_gap(fd, lam, 1e-30).max()
-    return _record("inflow-damping-and-hardening", draws, signs_ok and worst <= FD_RTOL, worst)
+    return _outcome(draws, signs_ok and worst <= FD_RTOL, worst)
 
 
 def check_vsa_cocontraction(rng) -> dict:
@@ -174,38 +174,35 @@ def check_vsa_cocontraction(rng) -> dict:
             ok = ok and report.is_strictly_increasing.all()
             worst = min(worst, report.min_increment.min())
         ok = ok and passive_promptness_relation(act, path).is_monotone.all()
-    return _record("vsa-cocontraction-monotonicity", 3 * n, ok, worst)
+    return _outcome(3 * n, ok, worst)
 
 
-def check_vada_damping(rng, fibers: int = 20, trims: int = 0) -> dict:
-    """Prop 2 at zero trim (trims=0) or Prop 5 at random nonzero trims.
+def check_vada_damping(rng, fibers: int = 20, trims: bool = False) -> dict:
+    """Prop 2 at zero trim, or with trims Prop 5 at random nonzero trims.
 
     Even-numbered fibers use identical rotors. A nonzero trim is drawn
     within 30 % of the monotone-regime bound at the speed floor of either
-    rotor. All fibers are one batch: rotor coefficients of shape
-    (fibers, 1, 1) and trims of shape (fibers, per_fiber, 1) give each fiber
-    its own actuator against its row of 100 points."""
+    rotor. All fibers are one batch: rotor coefficients and trims of shape
+    (fibers, 1) give each fiber its own actuator against its row of 100
+    points."""
     symmetric = np.arange(fibers) % 2 == 0
     k_thrust, k_inflow = _random_rotor_pairs(rng, symmetric)
-    dr = _dual_rotor(k_thrust[..., None, None], k_inflow[..., None, None], speed_box=_FLOOR_BOX)
-    per_fiber = max(trims, 1)
+    dr = _dual_rotor(k_thrust[..., None], k_inflow[..., None], speed_box=_FLOOR_BOX)
     if trims:
         cap = 0.3 * np.minimum(
             monotone_regime_bound(dr.rotor_fwd, _SPEED_FLOOR),
             monotone_regime_bound(dr.rotor_bwd, _SPEED_FLOOR),
         )
-        nu_bars = rng.uniform(-cap.ravel(), cap.ravel(), (per_fiber, fibers)).T
+        nu_bars = rng.uniform(-cap, cap)
     else:
         nu_bars = np.zeros((fibers, 1))
-    starts = rng.uniform(2.0, 4.0, (fibers, per_fiber, 2))
-    spans = rng.uniform(1.0, 3.0, (fibers, per_fiber))
-    act = _batch_trim_bridge(dr, nu_bars[..., None])
-    start = (starts[..., 0], starts[..., 1])
+    starts = rng.uniform(2.0, 4.0, (fibers, 2))
+    spans = rng.uniform(1.0, 3.0, fibers)
+    act = _batch_trim_bridge(dr, nu_bars)
+    start = (starts[:, 0], starts[:, 1])
     path = trace_fiber(act, start, start[0] + spans, 100)
     report = monotonicity_sweep(act, path, "passive")
-    prop_id = "vada-damping-at-trim" if trims else "vada-damping-zero-trim"
-    return _record(prop_id, fibers * per_fiber, report.is_strictly_increasing.all(),
-                   report.min_increment.min())
+    return _outcome(fibers, report.is_strictly_increasing.all(), report.min_increment.min())
 
 
 def check_constant_damping_injection(rng) -> dict:
@@ -224,13 +221,7 @@ def check_constant_damping_injection(rng) -> dict:
     start = (starts[:, 0], starts[:, 1])
     path = trace_fiber(act, start, start[0] + 2.0, 50)
     report = monotonicity_sweep(act, path, "passive")
-    return _record(
-        "vada-damping-zero-trim[constant-damping-injected]",
-        fibers,
-        report.is_strictly_increasing.any(),
-        report.min_increment.max(),
-        note="expected to fail: injected model has no aerodynamic hardening",
-    )
+    return _outcome(fibers, report.is_strictly_increasing.any(), report.min_increment.max())
 
 
 def check_trim_damping_fd(rng) -> dict:
@@ -242,7 +233,7 @@ def check_trim_damping_fd(rng) -> dict:
     sigma = damping_at_trim(dr, v, nu_bar)
     fd = -_central_diff(lambda x: net_force(dr, v, x), nu_bar)
     worst = _relative_gap(fd, sigma, 1e-30).max()
-    return _record("trim-damping-fd-agreement", draws, worst <= FD_RTOL, worst)
+    return _outcome(draws, worst <= FD_RTOL, worst)
 
 
 def check_allocation_roundtrip(rng) -> dict:
@@ -267,7 +258,7 @@ def check_allocation_roundtrip(rng) -> dict:
     )
     feasible = result.feasible
     worst = errors[feasible].max(initial=0.0)
-    return _record("allocation-roundtrip", draws, feasible.all() and worst <= 1e-9, worst)
+    return _outcome(draws, feasible.all() and worst <= 1e-9, worst)
 
 
 def check_impedance_rk4(rng) -> dict:
@@ -289,7 +280,7 @@ def check_impedance_rk4(rng) -> dict:
         traj = simulate(body, InputSchedule.constant((s1, s2), f), x0, t1, dt)
         exact = analytic_response(body, (s1, s2), x0, f, traj.times)
         worst = max(worst, float(np.abs(traj.nu - exact).max()))
-    return _record("impedance-rk4-vs-analytic", draws, worst <= 1e-8, worst)
+    return _outcome(draws, worst <= 1e-8, worst)
 
 
 def check_mode_decoupling(rng) -> dict:
@@ -309,7 +300,7 @@ def check_mode_decoupling(rng) -> dict:
     ok = (apparent_damping(body, co) > damping).all() and (
         equilibrium_velocity(body, diff) != nu_eq
     ).all()
-    return _record("mode-decoupling", draws, ok and worst <= 1e-12, worst)
+    return _outcome(draws, ok and worst <= 1e-12, worst)
 
 
 def check_isomorphism(rng) -> dict:
@@ -323,25 +314,31 @@ def check_isomorphism(rng) -> dict:
     )
     u = rng.uniform(0.5, 20.0, (2, draws))
     worst = np.abs(core.passive_coefficient(vsa, u) - core.passive_coefficient(vada, u)).max()
-    return _record("vsa-vada-isomorphism", draws, worst <= 1e-12, worst)
+    return _outcome(draws, worst <= 1e-12, worst)
 
 
 def run_verify(seed: int = 0, inject_constant_damping: bool = False) -> dict:
-    rng = np.random.default_rng(seed)
-    records = [
-        check_bet_quadrature(rng),
-        check_damping_and_hardening(rng),
-        check_vsa_cocontraction(rng),
-        check_vada_damping(rng, trims=0),
-        check_vada_damping(rng, fibers=10, trims=1),
-        check_trim_damping_fd(rng),
-        check_allocation_roundtrip(rng),
-        check_impedance_rk4(rng),
-        check_mode_decoupling(rng),
-        check_isomorphism(rng),
+    """One record per row of the claim table, in row order. A row calls its
+    check by its module name when it runs, so a wrapped check is the one run."""
+    claims = [
+        ("bet-quadrature-agreement", check_bet_quadrature),
+        ("inflow-damping-and-hardening", check_damping_and_hardening),
+        ("vsa-cocontraction-monotonicity", check_vsa_cocontraction),
+        ("vada-damping-zero-trim", lambda rng: check_vada_damping(rng, trims=False)),
+        ("vada-damping-at-trim", lambda rng: check_vada_damping(rng, fibers=10, trims=True)),
+        ("trim-damping-fd-agreement", check_trim_damping_fd),
+        ("allocation-roundtrip", check_allocation_roundtrip),
+        ("impedance-rk4-vs-analytic", check_impedance_rk4),
+        ("mode-decoupling", check_mode_decoupling),
+        ("vsa-vada-isomorphism", check_isomorphism),
     ]
     if inject_constant_damping:
-        records.append(check_constant_damping_injection(rng))
+        # the negative control, drawn last: its record fails, and says why
+        note = "expected to fail: injected model has no aerodynamic hardening"
+        claims.append(("vada-damping-zero-trim[constant-damping-injected]",
+                       lambda rng: {**check_constant_damping_injection(rng), "note": note}))
+    rng = np.random.default_rng(seed)
+    records = [{"property": prop_id, **check(rng)} for prop_id, check in claims]
     passed = sum(1 for r in records if r["passed"])
     return {
         "seed": seed,

@@ -576,14 +576,14 @@ class TestVerify:
 
     def test_non_finite_worst_is_never_printed(self, tmp_path, capsys, monkeypatch):
         def check_isomorphism(rng):
-            return verify._record("vsa-vada-isomorphism", 1, True, math.nan)
+            return verify._outcome(1, True, math.nan)
 
         monkeypatch.setattr(verify, "check_isomorphism", check_isomorphism)
         config = write_config(tmp_path, {"scenario": "verify", "params": {"seed": 3}})
         assert main(["verify", "--config", config, "--out", str(tmp_path)]) != 0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: verification_report.json: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "verification_report.json").exists()
 
 
@@ -785,6 +785,69 @@ class TestConfigFaults:
     def test_config_must_be_an_object(self, tmp_path, capsys):
         assert main(["verify", "--config", write_config(tmp_path, 5)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def with_params(data, **params):
+    return dict(data, params=dict(data.get("params", {}), **params))
+
+
+class TestUnknownKeys:
+    """A key that the run does not read, such as a misspelled one, is refused."""
+
+    def test_misspelled_keys_are_not_ignored(self, tmp_path, capsys):
+        # spelled right, this request is infeasible and exits 1; misspelled,
+        # it used to print speeds (2.375, 1.625), feasible, and exit 0
+        data = allocate_config(dict(UNIT_ROTOR, speedbox=[[1.0, 2.0], [1.0, 2.0]]), nubar=5.0)
+        assert main(["allocate", "--config", write_config(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: params: unknown keys ['nubar']\n"
+        fixed = allocate_config(dict(UNIT_ROTOR, speed_box=[[1.0, 2.0], [1.0, 2.0]]), nu_bar=5.0)
+        assert main(["allocate", "--config", write_config(tmp_path, fixed)]) == 1
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (dict(allocate_config(), extra=1), "config: unknown keys ['extra']"),
+            (dict(allocate_config(), model={"dual_rotor": UNIT_ROTOR, "dual_rotr": {}}),
+             "model: unknown keys ['dual_rotr']"),
+            (allocate_config(dict(UNIT_ROTOR, speedbox=None)),
+             "dual_rotor: unknown keys ['speedbox']"),
+            # k_thrust beside fwd/bwd is not read
+            (allocate_config({"fwd": UNIT_ROTOR, "bwd": UNIT_ROTOR, "k_thrust": 1.0}),
+             "dual_rotor: unknown keys ['k_thrust']"),
+            (allocate_config({"fwd": UNIT_ROTOR, "bwd": dict(UNIT_ROTOR, speed_box=None)}),
+             "dual_rotor.bwd: unknown keys ['speed_box']"),
+            (geometry_config("derive-coeffs", radius_m=0.1), "rotor_geometry: unknown keys ['radius_m']"),
+            (vsa_sweep_config(radius=1.0), "vsa: unknown keys ['radius']"),
+            (vsa_sweep_config(law={"kind": "quadratic", "k": 1.0, "alpha": 2.0}),
+             "vsa.law: unknown keys ['alpha']"),
+            (with_params(geometry_config("derive-coeffs"), speed=1.0), "params: unknown keys ['speed']"),
+            (with_params(vsa_sweep_config(), step=5), "params: unknown keys ['step']"),
+            # a trim inflow is read only for a dual rotor
+            (with_params(vsa_sweep_config(), nu_bar=0.0), "params: unknown keys ['nu_bar']"),
+            (with_params(SIMULATE_CONFIG, t_start=0.0), "params: unknown keys ['t_start']"),
+            (with_params(SIMULATE_CONFIG, schedule=dict(SIMULATE_CONFIG["params"]["schedule"], b=[])),
+             "params.schedule: unknown keys ['b']"),
+            ({"scenario": "verify", "params": {"sead": 3, "inject": True}},
+             "params: unknown keys ['inject', 'sead']"),
+            ({"scenario": "verify", "model": {"dual_rotor": UNIT_ROTOR}},
+             "model: unknown keys ['dual_rotor']"),
+        ],
+        ids=["top-level", "model", "dual_rotor", "dual_rotor-pair", "dual_rotor-bwd",
+             "rotor_geometry", "vsa", "vsa-law", "derive-coeffs-params", "fiber-sweep-params",
+             "vsa-sweep-nu_bar", "simulate-params", "schedule", "verify-params", "verify-model"],
+    )
+    def test_exit_2_naming_the_object(self, tmp_path, capsys, data, line):
+        assert main([data["scenario"], "--config", write_config(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {line}\n"
+
+    def test_seed_override_is_ignored_by_a_scenario_that_reads_no_seed(self, tmp_path, capsys):
+        config = write_config(tmp_path, allocate_config())
+        assert main(["allocate", "--config", config, "--seed", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["feasible"] is True
 
 
 class TestUsageErrors:

@@ -1,4 +1,8 @@
+import ast
 import json
+import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,3 +70,59 @@ def test_checks_evaluate_draws_in_batches(monkeypatch, name, owners, least, most
     # the injection's record fails by design, every other record passes
     assert run_verify(seed=11, inject_constant_damping=inject)["all_passed"] is not inject
     assert least <= len(calls) <= most
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def emitted_ids():
+    return [r["property"] for r in run_verify(seed=2, inject_constant_damping=True)["records"]]
+
+
+def test_the_claim_table_calls_every_check_once_and_the_vada_check_twice(monkeypatch):
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    names = [name for name in vars(verify) if name.startswith("check_")]
+    for name in names:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    run_verify(seed=2, inject_constant_damping=True)
+    assert calls == {name: 2 if name == "check_vada_damping" else 1 for name in names}
+
+
+def test_property_ids_are_unique():
+    ids = emitted_ids()
+    assert len(set(ids)) == len(ids) == len(RECORDS) + 1
+
+
+def test_each_property_id_is_written_once_in_the_claim_table():
+    """A static scan of src/vada: each id's one string literal lies inside
+    run_verify, so no check body names a property."""
+    found = {}
+    for path in sorted((ROOT / "src" / "vada").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.setdefault(node.value, []).append((path.name, node.lineno))
+    table = next(node for node in ast.parse((ROOT / "src" / "vada" / "verify.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "run_verify")
+    for prop_id in emitted_ids():
+        [(name, line)] = found[prop_id]
+        assert name == "verify.py" and table.lineno <= line <= table.end_lineno, prop_id
+
+
+def readme_claim_ids():
+    """The property ids in the second column of the README's claim table."""
+    section = (ROOT / "README.md").read_text().split("## Claims", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("|")]
+    return [prop_id for row in rows[2:] for prop_id in re.findall(r"`([^`]+)`", row[2])]
+
+
+def test_every_emitted_id_is_a_row_of_the_readme_claim_table():
+    table = readme_claim_ids()
+    assert len(set(table)) == len(table)
+    assert sorted(emitted_ids()) == sorted(table)

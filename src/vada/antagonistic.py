@@ -55,7 +55,6 @@ __all__ = [
     "passive_coefficient",
     "promptness",
     "fiber_tangent",
-    "fiber_grid",
     "trace_fiber",
     "monotonicity_sweep",
     "passive_promptness_relation",
@@ -237,15 +236,20 @@ def trace_fiber(
             # (a NaN scale or |h1| comes with a NaN residual, which fails both)
             passing |= in_box & (residual <= FIBER_TOLERANCE * np.abs(h1))
             fits = passing.all(axis=-1)
-    ok = (u1[..., 1:] > u1[..., :-1]).all(axis=-1) & fits
+    # rounding repeats values on a span of a few ulps, and a non-finite end gives NaN
+    increasing = (u1[..., 1:] > u1[..., :-1]).all(axis=-1)
+    ok = increasing & fits
     level = level[..., 0] if isinstance(level, np.ndarray) and level.ndim else float(level)
     if not everywhere(ok):
         k, s1_k, s2_k, end_k, level_k = first_refused(ok, start[0], start[1], u1_end, level)
+        # the start's own floats: at an infinite end, step 0 of the grid is 0 * inf
         require_inside(box, (s1_k, s2_k), "command")
-        fiber_grid(s1_k, end_k, steps)
+        if not increasing[k]:
+            raise ValueError(f"u1_end ({end_k}) must exceed start u1 ({s1_k}) by enough to give "
+                             f"{steps} distinct u1 values")
         if not math.isfinite(level_k):
             raise OverflowError(f"fiber level at the start {(s1_k, s2_k)} is {level_k}")
-        _raise_point_error(act, u1[k], u2[k], target[k], residual[k], passing[k])
+        _raise_point_error(u1[k], u2[k], target[k], residual[k], passing[k], in_box[k])
     points = _columns(u1, u2)
     for grid in (points, u1, u2):
         grid.setflags(write=False)
@@ -269,9 +273,9 @@ def _columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _raise_point_error(act, u1, u2, target, residual, passing) -> None:
+def _raise_point_error(u1, u2, target, residual, passing, in_box) -> None:
     """The error of one fiber's first failing step, as a step-by-step trace
-    would report it."""
+    would report it, read off that fiber's rows of the trace."""
     # a target out of the float range has an infinite or NaN residual, so it
     # fails; it is reported as such, before any step that left the box
     finite = np.isfinite(target)
@@ -279,26 +283,10 @@ def _raise_point_error(act, u1, u2, target, residual, passing) -> None:
         i = int(np.argmin(finite))
         raise OverflowError(f"fiber target at u1={u1[i]} is {target[i]}")
     i = int(np.argmin(passing))
-    if not inside(act.admissible_box, (u1[i], u2[i])):
+    if not in_box[i]:
         raise ConvergenceError(f"fiber left the admissible box at step {i}: u=({u1[i]}, {u2[i]})")
     raise ConvergenceError(
         f"fiber point at u1={u1[i]} misses its target (residual {residual[i]:.3e})")
-
-
-def fiber_grid(u1_start: float, u1_end: float, steps: int) -> np.ndarray:
-    """The u1 values trace_fiber solves at: `steps` equally spaced values
-    from u1_start to u1_end. A grid that does not strictly increase is a
-    ValueError: u1_end at or below u1_start, or a span of a few ulps, where
-    rounding repeats values, or a non-finite end, whose grid holds NaN."""
-    du1 = (u1_end - u1_start) / (steps - 1) if steps > 1 else 0.0
-    with np.errstate(invalid="ignore"):  # 0 * inf, at an infinite end
-        u1 = float(u1_start) + np.arange(steps) * du1
-    if not (u1[1:] > u1[:-1]).all():
-        raise ValueError(
-            f"u1_end ({u1_end}) must exceed start u1 ({u1_start}) by enough to give "
-            f"{steps} distinct u1 values"
-        )
-    return u1
 
 
 def _on_grid(values, shape) -> np.ndarray:

@@ -138,11 +138,11 @@ def as_antagonistic_at_trim(
     (m, 1, 1) and nu_bar of shape (m, n, 1) give m rotor pairs at n trims
     each). Floats and arrays take the one trim check, which holds at every
     entry; the first refused entry in C order raises the message of its own
-    float trim against its own rotor pair, so a float nu_bar against array
-    coefficients reports the float. Each inverse picks its form per entry,
-    on the sign of that entry's inflow (-0.0 takes the first), so every
-    entry equals the scalar inverse bit for bit; both forms are computed,
-    which only trace_fiber's error state keeps quiet.
+    trim, so a float nu_bar against array coefficients reports the float.
+    Each inverse picks its form per entry, on the sign of that entry's
+    inflow (-0.0 takes the first), so every entry equals the scalar inverse
+    bit for bit; both forms are computed, which only trace_fiber's error
+    state keeps quiet.
     """
     _require_monotone_trim(dr, nu_bar)
 
@@ -186,8 +186,8 @@ def _require_monotone_trim(dr: DualRotor, nu) -> None:
     positive, -nu below the backward rotor's where negative. The mask uses &
     and | alone, so a float stays in Python bools (~True is -2), and nu <
     bound refuses a NaN bound (k_T / k_D overflowing against a zero floor).
-    An array's first refused entry in C order is checked again as floats,
-    which raises its message."""
+    An array's first refused entry in C order raises the message of its own
+    trim."""
     (lo1, _), (lo2, _) = dr.speed_box
     fwd_bound = monotone_regime_bound(dr.rotor_fwd, lo1)
     bwd_bound = monotone_regime_bound(dr.rotor_bwd, lo2)
@@ -195,7 +195,7 @@ def _require_monotone_trim(dr: DualRotor, nu) -> None:
     if everywhere(allowed):
         return
     if isinstance(allowed, np.ndarray):
-        _require_monotone_trim(*_first_refused(allowed, dr, nu))
+        nu = first_refused(allowed, nu)[1]
     if nu != nu:
         raise ValueError(f"trim inflow must be a number, got {nu}")
     side = "forward" if nu > 0.0 else "backward"

@@ -12,7 +12,6 @@ from vada.antagonistic import (
     ChannelLaw,
     ConvergenceError,
     FiberPath,
-    fiber_grid,
     fiber_tangent,
     monotonicity_sweep,
     passive_coefficient,
@@ -239,9 +238,8 @@ class TestTraceFiber:
         assert len(trace_fiber(act, (1.0, 1.0), 1.0000000000000002, 2).points) == 2
 
     @pytest.mark.parametrize("call", [
-        lambda act: fiber_grid(2.0, math.inf, 5),
         lambda act: trace_fiber(act, (2.0, 1.0), math.inf, 5),
-    ], ids=["fiber_grid", "trace_fiber"])
+    ], ids=["trace_fiber"])
     def test_infinite_end_is_a_grid_error(self, call):
         # the grid's first step is 0 * inf; numpy's warning on it must not
         # take the place of the grid's own error
@@ -921,6 +919,9 @@ FAILING_FIBERS = [
     ("only-the-start-outside-box", (0.0, 1.0), 1.0, None, False,
      "command (0.0, 1.0) outside admissible box"),
     ("grid-does-not-increase", (1.0, 0.5), 0.5, None, False, "distinct u1 values"),
+    # the grid's first step is 0 * inf or NaN, so the grid holds NaN
+    ("infinite-end", (1.0, 0.5), math.inf, None, False, "u1_end (inf) must exceed"),
+    ("nan-end", (1.0, 0.5), math.nan, None, False, "u1_end (nan) must exceed"),
     ("level-overflows", (800.0, 800.0), 801.0, None, False, "fiber level at the start"),
     ("leaves-the-box", (2.0, 2.5), 4.0, ((0.0, math.inf), (0.0, 3.0)), False,
      "left the admissible box at step 18"),

@@ -939,14 +939,21 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("data", [SIMULATE_CONFIG, {"scenario": "verify"}], ids=["simulate", "verify"])
 def test_module_entry_point_in_a_fresh_interpreter(tmp_path, data):
-    # the real `python -m vada.cli`, with every warning an error
+    # the real `python -m vada.cli`, with every warning an error; verify runs
+    # under two string hash seeds, and its report is the in-process one
     config = write_config(tmp_path, data)
     src = str(Path(vada.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-W", "error", "-m", "vada.cli", data["scenario"], "--config", config]
-    done = subprocess.run(
-        [*argv, "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert (done.returncode, done.stderr) == (0, "")
-    # json.loads refuses trailing data, so this is exactly one document
-    json.loads(done.stdout, parse_constant=_reject_constant)
+    stdouts = set()
+    for hash_seed in ("0", "1") if data["scenario"] == "verify" else (None,):
+        run_env = env if hash_seed is None else dict(env, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [*argv, "--out", str(tmp_path / "out")], capture_output=True, text=True, env=run_env, timeout=120
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        # json.loads refuses trailing data, so this is exactly one document
+        json.loads(done.stdout, parse_constant=_reject_constant)
+        stdouts.add(done.stdout)
+    if data["scenario"] == "verify":
+        assert stdouts == {verify.report_to_json(verify.run_verify(0)) + "\n"}

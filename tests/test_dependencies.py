@@ -1,7 +1,9 @@
 """numpy is vada's only runtime dependency: every import in src/vada is from
-the standard library, numpy or vada itself."""
+the standard library, numpy or vada itself. And each module's __all__ names
+what it defines, including every name the package re-exports."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -41,3 +43,21 @@ def test_csv_is_imported_by_the_cli_alone():
     importers = sorted(path.name for path in SRC.rglob("*.py")
                        if "csv" in (name for _, name in imported_modules(path)))
     assert importers == ["cli.py"]
+
+
+EXPORTING = sorted(path.stem for path in SRC.glob("*.py") if "\n__all__ = " in path.read_text())
+
+
+@pytest.mark.parametrize("module", EXPORTING)
+def test_star_import_finds_every_exported_name(module):
+    # a stale __all__ entry makes `import *` raise AttributeError
+    exec(f"from vada.{module} import *", {})
+
+
+def test_the_package_re_exports_only_exported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    unlisted = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names
+                if alias.name not in importlib.import_module(f"vada.{node.module}").__all__]
+    assert unlisted == []

@@ -22,31 +22,15 @@ import numpy as np
 
 from . import antagonistic as core
 from .aero import bet_numeric_thrust, derive_coefficients, thrust
-from .config import (
-    SCENARIOS,
-    ConfigError,
-    RunConfig,
-    _config_fault,
-    _integer,
-    _number,
-    _pair,
-    build_dual_rotor,
-    build_rotor_geometry,
-    build_schedule,
-    build_vsa,
-)
+from .config import SCENARIOS, ConfigError, RunConfig, config_fault
 from .dual_rotor import TrimPoint, allocate, as_antagonistic_at_trim
 from .dynamics import BodyConfig, mode_decomposition, simulate
 from .verify import report_to_json, run_verify
-from .vsa import as_antagonistic
+from .vsa import VsaConfig, as_antagonistic
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-
-# The most samples one run may ask for (fiber-sweep steps, simulate t_end / dt),
-# so that a config cannot demand more memory than a sweep or a trajectory needs.
-MAX_SAMPLES = 1_000_000
 
 
 def _emit(record: dict, out_dir: Path | None, filename: str) -> None:
@@ -74,14 +58,9 @@ def _write_csv(out_dir: Path | None, filename: str, header: list[str], columns) 
 
 
 def run_derive_coeffs(cfg: RunConfig, out_dir: Path | None) -> int:
-    geom = build_rotor_geometry(cfg.model)
-    with _config_fault("rotor_geometry"):
+    geom, v, nu_in = cfg.system, cfg.values["sample_speed"], cfg.values["sample_inflow"]
+    with config_fault("rotor_geometry"):
         model = derive_coefficients(geom)
-    v = _number(cfg.params, "sample_speed", "params", 100.0)
-    if not v > 0.0:
-        # the quadrature oracle needs a spinning rotor
-        raise ConfigError(f"params.sample_speed must be positive, got {v}")
-    nu_in = _number(cfg.params, "sample_inflow", "params", 1.0)
     closed = thrust(model, v, nu_in)
     residual = abs(bet_numeric_thrust(geom, v, nu_in) - closed) / max(1.0, abs(closed))
     _emit(
@@ -97,32 +76,17 @@ def run_derive_coeffs(cfg: RunConfig, out_dir: Path | None) -> int:
     return EXIT_OK
 
 
-def _build_actuator(cfg: RunConfig):
-    params = cfg.params
-    if "vsa" in cfg.model:
-        vsa_cfg = build_vsa(cfg.model)
-        act, start = as_antagonistic(vsa_cfg), vsa_cfg.state
-    else:
-        dr = build_dual_rotor(cfg.model)
-        if "start" not in params:
-            raise ConfigError("params.start required for a dual-rotor fiber sweep")
-        # the configured trim leaves the monotone regime of the configured box
-        with _config_fault("params.nu_bar"):
-            act = as_antagonistic_at_trim(dr, _number(params, "nu_bar", "params", 0.0))
-    if "start" in params:
-        start = _pair(params["start"], "params.start")
-    return act, start
-
-
 def run_fiber_sweep(cfg: RunConfig, out_dir: Path | None) -> int:
-    act, start = _build_actuator(cfg)
-    steps = _integer(cfg.params, "steps", 50, least=2)
-    if steps > MAX_SAMPLES:
-        raise ConfigError(f"params.steps must be at most {MAX_SAMPLES}, got {steps}")
-    u1_end = _number(cfg.params, "u1_end", "params", start[0] + 1.0)
+    values = cfg.values
+    if isinstance(cfg.system, VsaConfig):
+        act = as_antagonistic(cfg.system)
+    else:
+        # the configured trim leaves the monotone regime of the configured box
+        with config_fault("params.nu_bar"):
+            act = as_antagonistic_at_trim(cfg.system, values["nu_bar"])
     # a bad start or grid is a config fault; a fiber leaving the box, a ConvergenceError
-    with _config_fault("params"):
-        path = core.trace_fiber(act, start, u1_end, steps)
+    with config_fault("params"):
+        path = core.trace_fiber(act, values["start"], values["u1_end"], values["steps"])
     passive = core.monotonicity_sweep(act, path, "passive")
     prompt = core.monotonicity_sweep(act, path, "promptness")
 
@@ -141,14 +105,11 @@ def run_fiber_sweep(cfg: RunConfig, out_dir: Path | None) -> int:
 
 
 def run_allocate(cfg: RunConfig, out_dir: Path | None) -> int:
-    dr = build_dual_rotor(cfg.model)
-    params = cfg.params
-    nu_bar = _number(params, "nu_bar", "params", 0.0)
-    trim = TrimPoint(nu_bar=nu_bar, force_level=_number(params, "force_level", "params"))
-    sigma_des = _number(params, "sigma_des", "params")
+    values = cfg.values
+    trim = TrimPoint(nu_bar=values["nu_bar"], force_level=values["force_level"])
     # allocate's checks are on sigma_des: positive, and no underflow
-    with _config_fault("params"):
-        result = allocate(dr, trim, sigma_des)
+    with config_fault("params"):
+        result = allocate(cfg.system, trim, values["sigma_des"])
     common, differential = mode_decomposition(result.speeds)
     record = {
         "speeds": list(result.speeds),
@@ -165,18 +126,12 @@ def run_allocate(cfg: RunConfig, out_dir: Path | None) -> int:
 
 
 def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
-    dr = build_dual_rotor(cfg.model)
-    params = cfg.params
-    mass, nu0, t_end, dt = (_number(params, key, "params") for key in ("mass", "nu0", "t_end", "dt"))
-    if "schedule" not in params:
-        raise ConfigError("params.schedule required for simulate")
-    schedule = build_schedule(params["schedule"])
-    if dt > 0.0 and t_end / dt > MAX_SAMPLES:
-        raise ConfigError(f"params: t_end / dt must be at most {MAX_SAMPLES}, got {t_end / dt}")
+    mass, nu0, t_end, dt, schedule = (
+        cfg.values[key] for key in ("mass", "nu0", "t_end", "dt", "schedule"))
     # every check on this path is on a configured value: mass, t_end, dt, or
     # speeds against the speed box
-    with _config_fault("params"):
-        body = BodyConfig(mass=mass, dual_rotor=dr)
+    with config_fault("params"):
+        body = BodyConfig(mass=mass, dual_rotor=cfg.system)
         traj = simulate(body, schedule, nu0, t_end, dt)
     if not (np.isfinite(traj.nu).all() and np.isfinite(traj.force).all()):
         raise ConfigError("params: the configured values drive the trajectory out of the float range")
@@ -199,11 +154,8 @@ def run_simulate(cfg: RunConfig, out_dir: Path | None) -> int:
 
 
 def run_verify_scenario(cfg: RunConfig, out_dir: Path | None) -> int:
-    seed = _integer(cfg.params, "seed", 0, least=0)
-    inject = cfg.params.get("inject_constant_damping", False)
-    if not isinstance(inject, bool):
-        raise ConfigError(f"params.inject_constant_damping must be true or false, got {inject!r}")
-    report = run_verify(seed=seed, inject_constant_damping=inject)
+    report = run_verify(seed=cfg.values["seed"],
+                        inject_constant_damping=cfg.values["inject_constant_damping"])
     _emit(report, out_dir, "verification_report.json")
     return EXIT_OK if report["all_passed"] else EXIT_NEGATIVE
 
@@ -240,16 +192,16 @@ def main(argv=None) -> int:
         if args.out is not None:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-        cfg = RunConfig.load(args.config)
-        if cfg.scenario != args.scenario:
-            raise ConfigError(
-                f"config declares scenario {cfg.scenario!r} but {args.scenario!r} was requested"
-            )
-        if args.seed is not None and cfg.scenario == "verify":
-            cfg = replace(cfg, params={**cfg.params, "seed": args.seed})
         # a run checks its own outputs for non-finite numbers and reports
         # them in one line, so numpy's floating-point warnings only add noise
         with np.errstate(all="ignore"):
+            cfg = RunConfig.load(args.config)
+            if cfg.scenario != args.scenario:
+                raise ConfigError(
+                    f"config declares scenario {cfg.scenario!r} but {args.scenario!r} was requested"
+                )
+            if args.seed is not None and cfg.scenario == "verify":
+                cfg = replace(cfg, params={**cfg.params, "seed": args.seed})
             return RUNNERS[args.scenario](cfg, out_dir)
     except core.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

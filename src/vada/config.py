@@ -18,23 +18,28 @@ Model sections:
   vsa:            law {"kind": "quadratic"|"exponential"|"cubic", "k",
                   ["alpha"]}, pulley_radius, state [x1, x2]
 
-simulate params.schedule: speeds [[v1, v2], ...], forces [f, ...], optional
-breakpoints [t, ...] (strictly increasing, positive), one fewer than speeds;
-every entry a JSON number. verify params.seed is an integer of at least 0
-(default 0; the CLI's --seed replaces it) and params.inject_constant_damping
-a JSON boolean (default false).
+Params, per scenario: each key with its default (or "required") and bound.
+  derive-coeffs: sample_speed 100, positive; sample_inflow 1
+  fiber-sweep:   start [u1, u2], the VSA state (required for a dual rotor);
+                 steps 50, an integer from 2 to MAX_SAMPLES (1,000,000);
+                 u1_end start u1 + 1; nu_bar 0, read only for a dual rotor
+  allocate:      nu_bar 0; force_level required; sigma_des required
+  simulate:      mass, nu0, t_end required; dt required, t_end / dt at most
+                 MAX_SAMPLES; schedule required: speeds [[v1, v2], ...],
+                 forces [f, ...], optional breakpoints [t, ...] (strictly
+                 increasing, positive), one fewer than speeds
+  verify:        seed 0, an integer of at least 0 (the CLI's --seed replaces
+                 it); inject_constant_damping false, a JSON boolean
 
 Every JSON object the run reads (the top level, "model", each model section,
 "fwd"/"bwd", "law", params and params.schedule) refuses a key that the run
 does not read, such as a misspelled one: "<where>: unknown keys [...]".
-fiber-sweep reads params.nu_bar only for a dual rotor, and verify reads no
-model section.
+verify reads no model section.
 
 Every number must be finite: NaN, Infinity and literals that overflow a
 float are rejected when the file is read. Numeric fields must be JSON
 numbers, not strings or booleans. A pair (vsa.state, a speed_box or speeds
-entry, params.start) is a list of exactly two. fiber-sweep params.start
-defaults to the VSA state; params.steps is an integer of at least 2 (default 50).
+entry, params.start) is a list of exactly two.
 """
 
 from __future__ import annotations
@@ -51,25 +56,20 @@ from .vsa import TendonLaw, VsaConfig
 
 __all__ = [
     "ConfigError",
+    "MAX_SAMPLES",
     "RunConfig",
     "build_rotor_geometry",
     "build_dual_rotor",
     "build_schedule",
     "build_vsa",
+    "config_fault",
 ]
-
-SCENARIOS = ("derive-coeffs", "fiber-sweep", "allocate", "simulate", "verify")
 
 _MODEL_SECTIONS = ("rotor_geometry", "dual_rotor", "vsa")
 
-# the params keys each scenario reads (fiber-sweep reads nu_bar only for a dual rotor)
-_PARAMS = {
-    "derive-coeffs": ("sample_speed", "sample_inflow"),
-    "fiber-sweep": ("start", "steps", "u1_end", "nu_bar"),
-    "allocate": ("nu_bar", "force_level", "sigma_des"),
-    "simulate": ("mass", "nu0", "t_end", "dt", "schedule"),
-    "verify": ("seed", "inject_constant_damping"),
-}
+# The most samples one run may ask for (fiber-sweep steps, simulate t_end / dt),
+# so that a config cannot demand more memory than a sweep or a trajectory needs.
+MAX_SAMPLES = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -77,7 +77,7 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def _config_fault(key: str):
+def config_fault(key: str):
     """A ValueError raised on the configured value `key` as the ConfigError
     "key: reason" (an OverflowError as a float-range fault of `key`); a
     ConfigError, which names its own key, as it is."""
@@ -90,61 +90,6 @@ def _config_fault(key: str):
     except OverflowError as exc:
         reason = exc.args[-1] if exc.args else exc  # Python's own has args (errno, text)
         raise ConfigError(f"{key}: the configured values leave the float range ({reason})") from exc
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: str
-    model: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
-        sections = () if self.scenario == "verify" else _MODEL_SECTIONS  # verify reads no model
-        _known(self.model, sections, "model")
-        present = [k for k in sections if k in self.model]
-        if sections and len(present) != 1:
-            raise ConfigError(
-                f"exactly one model section of {_MODEL_SECTIONS} required, found {present}"
-            )
-        read = _PARAMS[self.scenario]
-        if self.scenario == "fiber-sweep" and "vsa" in self.model:
-            read = tuple(k for k in read if k != "nu_bar")
-        _known(self.params, read, "params")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"the config must be a JSON object, got {data!r}")
-        if "scenario" not in data:
-            raise ConfigError("missing required key 'scenario'")
-        _known(data, ("scenario", "model", "params"), "config")
-        model, params = data.get("model", {}), data.get("params", {})
-        if not (isinstance(model, dict) and isinstance(params, dict)
-                and all(isinstance(model[k], dict) for k in _MODEL_SECTIONS if k in model)):
-            raise ConfigError("'model', 'params' and each model section must be JSON objects")
-        return cls(scenario=data["scenario"], model=model, params=params)
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(
-                    fh,
-                    parse_constant=_reject_constant,
-                    parse_float=_finite_float,
-                    parse_int=_finite_int,
-                )
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        return cls.from_dict(data)
 
 
 def _reject_constant(literal: str):
@@ -178,40 +123,69 @@ def _require(section: dict, keys: tuple[str, ...], where: str) -> None:
         raise ConfigError(f"{where}: missing field(s) {missing}")
 
 
-def _number(section, key, where: str, default=None) -> float:
-    """section[key] as a float if it is a JSON number (not a boolean), else
-    ConfigError. A missing key gives `default` when one is set.
+def _json_number(value, where: str):
+    """value as parsed (an int or a float) if it is a JSON number and not a
+    boolean, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return value
+
+
+def _float(value, where: str) -> float:
+    """A JSON number as a float, else ConfigError.
 
     An integer literal is read as a float too: the formulas take floats, and
     an int beyond 64 bits that reaches numpy raises TypeError (np.exp of it).
     """
-    value = _json_number(section, key, where, default)
     try:
-        return float(value)
+        return float(_json_number(value, where))
     except OverflowError:
-        raise ConfigError(f"{where}.{key} overflows a float, got {value!r}") from None
+        raise ConfigError(f"{where} overflows a float, got {value!r}") from None
 
 
-def _json_number(section, key, where: str, default=None):
-    """section[key] as parsed (an int or a float) if it is a JSON number and
-    not a boolean, else ConfigError; a missing key gives `default`."""
-    if default is not None and key not in section:
-        return default
-    try:
-        value = section[key]
-    except (KeyError, IndexError, TypeError):
-        raise ConfigError(f"{where}: missing field {key!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+def _integer(least: int, most: float = math.inf):
+    """A reader of a whole JSON number from least to most, as an int; its
+    faults report the value as configured."""
+    def read(value, where: str) -> int:
+        number = _json_number(value, where)
+        if number < least or number != int(number):
+            raise ConfigError(f"{where} must be an integer of at least {least}, got {number!r}")
+        if number > most:
+            raise ConfigError(f"{where} must be at most {most}, got {number!r}")
+        return int(number)
+    return read
+
+
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
     return value
 
 
-def _integer(params: dict, key: str, default: int, least: int) -> int:
-    """params[key] (or default) as an int, if it is a whole number >= least."""
-    value = _json_number(params, key, "params", default)
-    if value < least or value != int(value):
-        raise ConfigError(f"params.{key} must be an integer of at least {least}, got {value!r}")
-    return int(value)
+class _Missing(str):
+    """The line that refuses a missing key ("{where}": its object, "{key!r}": the key)."""
+
+
+REQUIRED = _Missing("{where}: missing field {key!r}")
+
+
+def _read(section, table: dict, where: str, system=None) -> dict:
+    """{key: typed value} of each key of `table` in the JSON object `section`
+    (anything else reads as empty), in table order; `_PARAMS` describes the
+    table's entries."""
+    section = section if isinstance(section, dict) else {}
+    values = {}
+    for key, (read, default, *bound) in table.items():
+        name = f"{where}.{key}"
+        if key in section:
+            values[key] = read(section[key], name)
+        elif isinstance(default, _Missing):
+            raise ConfigError(default.format(where=where, key=key))
+        else:
+            values[key] = default(system, values) if callable(default) else default
+        for check in bound:
+            check(values[key], name, values)
+    return values
 
 
 def build_rotor_geometry(model: dict) -> RotorGeometry:
@@ -220,15 +194,16 @@ def build_rotor_geometry(model: dict) -> RotorGeometry:
         raise ConfigError("model section 'rotor_geometry' required for this scenario")
     keys = ("blade_count", "radius", "chord", "pitch_angle", "lift_slope", "air_density")
     _known(section, keys, "rotor_geometry")
-    with _config_fault("rotor_geometry"):
-        return RotorGeometry(**{k: _number(section, k, "rotor_geometry") for k in keys})
+    with config_fault("rotor_geometry"):
+        return RotorGeometry(**_read(section, dict.fromkeys(keys, (_float, REQUIRED)), "rotor_geometry"))
 
 
 def _thrust_model(section: dict, where: str, also: tuple = ()) -> AffineThrustModel:
     """The thrust model of `section`, which may hold the keys `also` besides."""
-    _known(section, ("k_thrust", "k_inflow", *also), where)
-    with _config_fault(where):
-        return AffineThrustModel(**{k: _number(section, k, where) for k in ("k_thrust", "k_inflow")})
+    keys = ("k_thrust", "k_inflow")
+    _known(section, (*keys, *also), where)
+    with config_fault(where):
+        return AffineThrustModel(**_read(section, dict.fromkeys(keys, (_float, REQUIRED)), where))
 
 
 def build_dual_rotor(model: dict) -> DualRotor:
@@ -237,7 +212,7 @@ def build_dual_rotor(model: dict) -> DualRotor:
         if "rotor_geometry" in model:
             # identical rotors derived from blade geometry
             geom = build_rotor_geometry(model)
-            with _config_fault("rotor_geometry"):
+            with config_fault("rotor_geometry"):
                 return DualRotor.identical(derive_coefficients(geom))
         raise ConfigError("model section 'dual_rotor' (or 'rotor_geometry') required")
     if "fwd" in section or "bwd" in section:
@@ -255,24 +230,24 @@ def build_dual_rotor(model: dict) -> DualRotor:
     speed_box = tuple(
         _pair(lo_hi, f"dual_rotor.speed_box.{i}", open_above=True) for i, lo_hi in enumerate(box)
     )
-    with _config_fault("dual_rotor"):
+    with config_fault("dual_rotor"):
         return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, speed_box=speed_box)
 
 
 def _numbers(values, where: str) -> list:
-    """A JSON list of numbers, each read as `_number` reads one."""
+    """A JSON list of numbers, each read by `_float`."""
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
-    return [_number(values, i, where) for i in range(len(values))]
+    return [_float(v, f"{where}.{i}") for i, v in enumerate(values)]
 
 
 def _pair(value, where: str, open_above: bool = False) -> tuple[float, float]:
-    """A JSON list of exactly two numbers, each read as `_number` reads one, as
-    floats, else ConfigError; with open_above, a null second entry reads as inf."""
+    """A JSON list of exactly two numbers, each read by `_float`, else
+    ConfigError; with open_above, a null second entry reads as inf."""
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(f"{where}: expected a pair [a, b] of numbers, got {value!r}")
-    first = _number(value, 0, where)
-    return first, (math.inf if open_above and value[1] is None else _number(value, 1, where))
+    first = _float(value[0], f"{where}.0")
+    return first, (math.inf if open_above and value[1] is None else _float(value[1], f"{where}.1"))
 
 
 def build_schedule(section: dict) -> InputSchedule:
@@ -284,7 +259,7 @@ def build_schedule(section: dict) -> InputSchedule:
     if not isinstance(speeds, list):
         raise ConfigError(f"params.schedule.speeds must be a list of pairs, got {speeds!r}")
     pairs = [_pair(v, f"params.schedule.speeds.{i}") for i, v in enumerate(speeds)]
-    with _config_fault("params.schedule"):
+    with config_fault("params.schedule"):
         return InputSchedule(
             speeds=pairs,
             forces=_numbers(section["forces"], "params.schedule.forces"),
@@ -312,8 +287,129 @@ def build_vsa(model: dict) -> VsaConfig:
         raise ConfigError(f"vsa.law.kind must be one of {sorted(_LAWS)}, got {kind!r}")
     make_law, keys = _LAWS[kind]
     _known(law, ("kind", *keys), "vsa.law")
-    law_params = [_number(law, key, "vsa.law") for key in keys]
-    pulley_radius = _number(section, "pulley_radius", "vsa")
+    law_params = _read(law, dict.fromkeys(keys, (_float, REQUIRED)), "vsa.law").values()
+    pulley_radius = _float(section["pulley_radius"], "vsa.pulley_radius")
     state = _pair(section["state"], "vsa.state")
-    with _config_fault("vsa"):
+    with config_fault("vsa"):
         return VsaConfig(law=make_law(*law_params), pulley_radius=pulley_radius, state=state)
+
+
+def _positive(value: float, where: str, values: dict) -> None:
+    if not value > 0.0:
+        raise ConfigError(f"{where} must be positive, got {value}")
+
+
+def _sample_cap(dt: float, where: str, values: dict) -> None:
+    # a dt of 0 or less is simulate's to refuse
+    if dt > 0.0 and values["t_end"] / dt > MAX_SAMPLES:
+        raise ConfigError(f"params: t_end / dt must be at most {MAX_SAMPLES}, got {values['t_end'] / dt}")
+
+
+# fiber-sweep's keys after start, the same for every model (start's are not)
+_SWEEP = {"steps": (_integer(2, MAX_SAMPLES), 50),
+          "u1_end": (_float, lambda system, values: values["start"][0] + 1.0)}
+
+# scenario -> model section (None: no model) -> (the builder of the system the
+# run works on, from the "model" object; {params key: (reader, default[, bound])},
+# read by `_read` in this order). A reader turns a configured value, named
+# "params.<key>", into its typed value, else ConfigError. A missing key takes
+# its default: a value, a function of (the system, the values read before) or
+# a _Missing line that refuses it. A bound checks the typed value, given its
+# name and the values read before. The module docstring lists the same keys.
+_PARAMS = {
+    "derive-coeffs": dict.fromkeys(_MODEL_SECTIONS, (build_rotor_geometry, {
+        # the quadrature oracle needs a spinning rotor
+        "sample_speed": (_float, 100.0, _positive),
+        "sample_inflow": (_float, 1.0),
+    })),
+    "fiber-sweep": {
+        **dict.fromkeys(("rotor_geometry", "dual_rotor"), (build_dual_rotor, {
+            "start": (_pair, _Missing("params.start required for a dual-rotor fiber sweep")),
+            **_SWEEP,
+            "nu_bar": (_float, 0.0),
+        })),
+        "vsa": (build_vsa, {"start": (_pair, lambda vsa, values: vsa.state), **_SWEEP}),
+    },
+    "allocate": dict.fromkeys(_MODEL_SECTIONS, (build_dual_rotor, {
+        "nu_bar": (_float, 0.0),
+        "force_level": (_float, REQUIRED),
+        "sigma_des": (_float, REQUIRED),
+    })),
+    "simulate": dict.fromkeys(_MODEL_SECTIONS, (build_dual_rotor, {
+        "mass": (_float, REQUIRED),
+        "nu0": (_float, REQUIRED),
+        "t_end": (_float, REQUIRED),
+        "dt": (_float, REQUIRED, _sample_cap),
+        "schedule": (lambda section, where: build_schedule(section),
+                     _Missing("params.schedule required for simulate")),
+    })),
+    "verify": {None: (lambda model: None, {
+        "seed": (_integer(0), 0),
+        "inject_constant_damping": (_boolean, False),
+    })},
+}
+SCENARIOS = tuple(_PARAMS)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A run's configuration as given, and what the run reads of it: `system`,
+    the scenario's system built from the model (a RotorGeometry, a VsaConfig
+    or a DualRotor; None for verify), and `values`, each params key of the
+    scenario's table as a typed value, its default filled in."""
+
+    scenario: str
+    model: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
+    system: object = field(init=False, repr=False)
+    values: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
+        tables = _PARAMS[self.scenario]
+        sections = [k for k in tables if k is not None]
+        _known(self.model, sections, "model")
+        present = [k for k in sections if k in self.model]
+        if sections and len(present) != 1:
+            raise ConfigError(
+                f"exactly one model section of {_MODEL_SECTIONS} required, found {present}"
+            )
+        build, table = tables[present[0] if present else None]
+        _known(self.params, table, "params")
+        system = build(self.model)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "values", _read(self.params, table, "params", system))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"the config must be a JSON object, got {data!r}")
+        if "scenario" not in data:
+            raise ConfigError("missing required key 'scenario'")
+        _known(data, ("scenario", "model", "params"), "config")
+        model, params = data.get("model", {}), data.get("params", {})
+        if not (isinstance(model, dict) and isinstance(params, dict)
+                and all(isinstance(model[k], dict) for k in _MODEL_SECTIONS if k in model)):
+            raise ConfigError("'model', 'params' and each model section must be JSON objects")
+        return cls(scenario=data["scenario"], model=model, params=params)
+
+    @classmethod
+    def load(cls, path) -> "RunConfig":
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(
+                    fh,
+                    parse_constant=_reject_constant,
+                    parse_float=_finite_float,
+                    parse_int=_finite_int,
+                )
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        return cls.from_dict(data)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vada
-from vada import verify
+from vada import cli, config, verify
 from vada.cli import main
 from vada.aero import derive_coefficients
 from vada.config import (ConfigError, RunConfig, build_dual_rotor, build_rotor_geometry,
@@ -654,6 +654,70 @@ GEOMETRY_FAULT_IDS = ["derive-coeffs-radius-overflows", "allocate-radius-overflo
                       "simulate-radius-underflows-k_thrust", "pitch-underflows-k_thrust"]
 
 
+def with_params(data, **params):
+    return dict(data, params=dict(data.get("params", {}), **params))
+
+
+DUAL_ROTOR_SWEEP = {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
+                    "params": {"start": [2.0, 1.0]}}
+# a valid config of each scenario and model kind, with the params keys it reads
+PARAMS_BASES = {
+    "derive-coeffs": (geometry_config("derive-coeffs"), ["sample_speed", "sample_inflow"]),
+    "vsa-sweep": (vsa_sweep_config(), ["start", "steps", "u1_end"]),
+    "dual-rotor-sweep": (DUAL_ROTOR_SWEEP, ["start", "steps", "u1_end", "nu_bar"]),
+    "allocate": (allocate_config(), ["nu_bar", "force_level", "sigma_des"]),
+    "simulate": (SIMULATE_CONFIG, ["mass", "nu0", "t_end", "dt", "schedule"]),
+    "verify": ({"scenario": "verify"}, ["seed", "inject_constant_damping"]),
+}
+# the line of a value of the wrong JSON type, where it is not "must be a number"
+TYPE_FAULT_LINES = {
+    "start": "error: params.start: expected a pair [a, b] of numbers, got {!r}",
+    "schedule": "error: params.schedule must be a JSON object, got {!r}",
+    "inject_constant_damping": "error: params.inject_constant_damping must be true or false, got {!r}",
+}
+
+
+def without_param(data, key):
+    return dict(data, params={k: v for k, v in data["params"].items() if k != key})
+
+
+# a string and a boolean for each params key (a boolean is inject_constant_damping's type)
+PARAMS_FAULTS = [
+    (with_params(data, **{key: value}),
+     TYPE_FAULT_LINES.get(key, f"error: params.{key} must be a number, got {{!r}}").format(value))
+    for data, keys in PARAMS_BASES.values() for key in keys
+    for value in ("x", True) if (key, value) != ("inject_constant_damping", True)
+] + [
+    *((without_param(allocate_config(), key), f"error: params: missing field {key!r}")
+      for key in ("force_level", "sigma_des")),
+    *((without_param(SIMULATE_CONFIG, key), f"error: params: missing field {key!r}")
+      for key in ("mass", "nu0", "t_end", "dt")),
+    (without_param(DUAL_ROTOR_SWEEP, "start"), "error: params.start required for a dual-rotor fiber sweep"),
+    (without_param(SIMULATE_CONFIG, "schedule"), "error: params.schedule required for simulate"),
+    (with_params(geometry_config("derive-coeffs"), sample_speed=0),
+     "error: params.sample_speed must be positive, got 0.0"),
+    (with_params(geometry_config("derive-coeffs"), sample_speed=-3),
+     "error: params.sample_speed must be positive, got -3.0"),
+    (with_params(vsa_sweep_config(), steps=1), "error: params.steps must be an integer of at least 2, got 1"),
+    (with_params(vsa_sweep_config(), steps=2.5),
+     "error: params.steps must be an integer of at least 2, got 2.5"),
+    (with_params(DUAL_ROTOR_SWEEP, steps=10**7), "error: params.steps must be at most 1000000, got 10000000"),
+    (with_params(SIMULATE_CONFIG, dt=1e-7), "error: params: t_end / dt must be at most 1000000, got 5000000.0"),
+    (with_params({"scenario": "verify"}, seed=-1), "error: params.seed must be an integer of at least 0, got -1"),
+    (with_params({"scenario": "verify"}, inject_constant_damping=1),
+     "error: params.inject_constant_damping must be true or false, got 1"),
+]
+PARAMS_FAULT_IDS = [
+    f"{name}-{key}-{'bool' if value is True else 'string'}"
+    for name, (_, keys) in PARAMS_BASES.items() for key in keys
+    for value in ("x", True) if (key, value) != ("inject_constant_damping", True)
+] + ["allocate-without-force_level", "allocate-without-sigma_des", "simulate-without-mass",
+     "simulate-without-nu0", "simulate-without-t_end", "simulate-without-dt",
+     "dual-rotor-sweep-without-start", "simulate-without-schedule", "sample_speed-zero",
+     "sample_speed-negative", "steps-one", "steps-fraction", "steps-above-the-cap",
+     "t_end-over-dt-above-the-cap", "seed-negative", "inject-number"]
+
+
 class TestConfigFaults:
     @pytest.mark.parametrize(
         "data",
@@ -766,14 +830,22 @@ class TestConfigFaults:
               "params": {"start": [0.0, 1.0]}},
              "error: params: command (0.0, 1.0) outside admissible box ((0.0, inf), (0.0, inf))"),
             *GEOMETRY_FAULTS,
+            *PARAMS_FAULTS,
         ],
         ids=["rotor_geometry-missing", "fwd-k_thrust-string", "schedule-force-string",
              "sweep-nu_bar-string", "speed_box-string", "speed_box-second-entry-string",
-             "dual-rotor-start-outside-box", *GEOMETRY_FAULT_IDS],
+             "dual-rotor-start-outside-box", *GEOMETRY_FAULT_IDS, *PARAMS_FAULT_IDS],
     )
     def test_a_fault_names_its_key_once(self, tmp_path, capsys, data, line):
         assert main([data["scenario"], "--config", write_config(tmp_path, data)]) == 2
         assert capsys.readouterr().err == line + "\n"
+
+    @pytest.mark.parametrize("steps, got", [(1e300, "1e+300"), (1e7, "10000000.0")])
+    def test_steps_above_the_cap_are_reported_as_configured(self, tmp_path, capsys, steps, got):
+        # the value was converted to int first: 1e300 printed as a 301-digit integer
+        data = with_params(vsa_sweep_config(), steps=steps)
+        assert main(["fiber-sweep", "--config", write_config(tmp_path, data)]) == 2
+        assert capsys.readouterr().err == f"error: params.steps must be at most 1000000, got {got}\n"
 
     def test_trajectory_out_of_the_float_range_writes_no_csv(self, tmp_path, capsys):
         config = write_config(tmp_path, OVERFLOWING_SIMULATE_CONFIG)
@@ -785,10 +857,6 @@ class TestConfigFaults:
     def test_config_must_be_an_object(self, tmp_path, capsys):
         assert main(["verify", "--config", write_config(tmp_path, 5)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-
-
-def with_params(data, **params):
-    return dict(data, params=dict(data.get("params", {}), **params))
 
 
 class TestUnknownKeys:
@@ -848,6 +916,53 @@ class TestUnknownKeys:
         config = write_config(tmp_path, allocate_config())
         assert main(["allocate", "--config", config, "--seed", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["feasible"] is True
+
+
+class ReadRecorder(dict):
+    """A mapping that adds each key looked up in it to `read`."""
+
+    def __init__(self, data, read):
+        super().__init__(data)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestParamsTable:
+    """config._PARAMS is the one place that defines a scenario's params."""
+
+    @pytest.mark.parametrize("name", PARAMS_BASES)
+    def test_a_runner_reads_exactly_its_table_keys(self, tmp_path, name):
+        data, keys = PARAMS_BASES[name]
+        cfg = RunConfig.from_dict(data)
+        (section,) = [k for k in ("rotor_geometry", "dual_rotor", "vsa") if k in cfg.model] or [None]
+        _, table = config._PARAMS[cfg.scenario][section]
+        read = set()
+        # what the runner reads, of the typed values or of the params as given
+        object.__setattr__(cfg, "params", ReadRecorder(cfg.params, read))
+        object.__setattr__(cfg, "values", ReadRecorder(cfg.values, read))
+        with np.errstate(all="ignore"):
+            cli.RUNNERS[cfg.scenario](cfg, tmp_path)
+        assert read == set(table)
+        assert list(table) == keys
+
+    def test_the_docstring_lists_every_key_under_its_scenario(self):
+        schema = config.__doc__.split("Params, per scenario")[1].split("\n\n")[0]
+        blocks = dict(re.findall(r"^  ([a-z-]+): +(.*(?:\n {4,}.*)*)", schema, re.M))
+        assert list(blocks) == list(config._PARAMS)
+        for scenario, tables in config._PARAMS.items():
+            named = set(re.findall(r"\w+", blocks[scenario]))
+            assert {key for _, table in tables.values() for key in table} <= named, scenario
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
 """numpy is vada's only runtime dependency: every import in src/vada is from
-the standard library, numpy or vada itself. And each module's __all__ names
-what it defines, including every name the package re-exports."""
+the standard library, numpy or vada itself. No module imports another's
+private (`_`-prefixed) name. And each module's __all__ names what it defines,
+including every name the package re-exports."""
 
 import ast
 import importlib
@@ -36,6 +37,26 @@ def test_a_foreign_import_is_found(tmp_path):
                     "from pandas import DataFrame\nimport numpy as np\n")
     assert [name for _, name in imported_modules(path) if name not in ALLOWED] == [
         "scipy", "pandas"]
+
+
+def private_imports(path):
+    """(line, name) of each `_`-prefixed name the file imports from a vada module."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "vada"):
+            yield from ((node.lineno, alias.name) for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    assert [f"line {line}: {name}" for line, name in private_imports(path)] == []
+
+
+def test_a_private_import_is_found(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("from __future__ import annotations\nfrom ._array import everywhere\n"
+                    "from .config import ConfigError, _number\nfrom vada.aero import _x\n"
+                    "from os import _exit\n")
+    assert list(private_imports(path)) == [(3, "_number"), (4, "_x")]
 
 
 def test_csv_is_imported_by_the_cli_alone():

@@ -9,14 +9,14 @@ Layout:
       "params": { scenario-specific keys }
     }
 
-Model sections:
-  rotor_geometry: blade_count, radius, chord, pitch_angle, lift_slope,
-                  air_density
+Model sections (each key required unless optional):
+  rotor_geometry: "blade_count", "radius", "chord", "pitch_angle",
+                  "lift_slope", "air_density"
   dual_rotor:     either {"k_thrust", "k_inflow"} for identical rotors or
                   {"fwd": {...}, "bwd": {...}}; optional "speed_box"
                   [[lo, hi], [lo, hi]] (null upper bound = unbounded)
-  vsa:            law {"kind": "quadratic"|"exponential"|"cubic", "k",
-                  ["alpha"]}, pulley_radius, state [x1, x2]
+  vsa:            "law" {"kind": "quadratic"|"exponential"|"cubic", "k",
+                  "alpha" (exponential only)}, "pulley_radius", "state" [x1, x2]
 
 Params, per scenario: each key with its default (or "required") and bound.
   derive-coeffs: sample_speed 100, positive; sample_inflow 1
@@ -33,8 +33,9 @@ Params, per scenario: each key with its default (or "required") and bound.
 
 Every JSON object the run reads (the top level, "model", each model section,
 "fwd"/"bwd", "law", params and params.schedule) refuses a key that the run
-does not read, such as a misspelled one: "<where>: unknown keys [...]".
-verify reads no model section.
+does not read, such as a misspelled one: "<where>: unknown keys [...]". Below
+"model", one reader refuses first a value that is not an object, then such a
+key, then the first missing key. verify reads no model section.
 
 Every number must be finite: NaN, Infinity and literals that overflow a
 float are rejected when the file is read. Numeric fields must be JSON
@@ -48,6 +49,8 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .aero import AffineThrustModel, RotorGeometry, derive_coefficients
 from .dual_rotor import DualRotor
@@ -110,17 +113,16 @@ def _finite_int(literal: str) -> int:
 
 def _known(section, keys, where: str) -> None:
     """Refuse the keys of a JSON object that the run does not read, so that a
-    misspelled key is not silently ignored; a value that is not an object is
-    left to the field readers."""
-    unknown = set(section) - set(keys) if isinstance(section, dict) else ()
+    misspelled key is not silently ignored."""
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _require(section: dict, keys: tuple[str, ...], where: str) -> None:
-    missing = [k for k in keys if k not in section]
-    if missing:
-        raise ConfigError(f"{where}: missing field(s) {missing}")
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
 
 
 def _json_number(value, where: str):
@@ -170,10 +172,10 @@ REQUIRED = _Missing("{where}: missing field {key!r}")
 
 
 def _read(section, table: dict, where: str, system=None) -> dict:
-    """{key: typed value} of each key of `table` in the JSON object `section`
-    (anything else reads as empty), in table order; `_PARAMS` describes the
-    table's entries."""
-    section = section if isinstance(section, dict) else {}
+    """{key: typed value} of each key of `table` in the JSON object `section`, in
+    table order (`_PARAMS` describes the entries). It refuses a section that is
+    not an object, then a key not in the table, then a missing required key."""
+    _known(_object(section, where), table, where)
     values = {}
     for key, (read, default, *bound) in table.items():
         name = f"{where}.{key}"
@@ -188,57 +190,26 @@ def _read(section, table: dict, where: str, system=None) -> dict:
     return values
 
 
-def build_rotor_geometry(model: dict) -> RotorGeometry:
-    section = model.get("rotor_geometry")
-    if section is None:
-        raise ConfigError("model section 'rotor_geometry' required for this scenario")
-    keys = ("blade_count", "radius", "chord", "pitch_angle", "lift_slope", "air_density")
-    _known(section, keys, "rotor_geometry")
-    with config_fault("rotor_geometry"):
-        return RotorGeometry(**_read(section, dict.fromkeys(keys, (_float, REQUIRED)), "rotor_geometry"))
+class _Object(NamedTuple):
+    """The reader of a JSON object: `table`, read by `_read`, gives `make` its
+    keyword arguments, and `make` runs under config_fault of the object's name."""
+
+    table: dict
+    make: Callable
+
+    def __call__(self, section, where: str):
+        values = _read(section, self.table, where)
+        with config_fault(where):
+            return self.make(**values)
 
 
-def _thrust_model(section: dict, where: str, also: tuple = ()) -> AffineThrustModel:
-    """The thrust model of `section`, which may hold the keys `also` besides."""
-    keys = ("k_thrust", "k_inflow")
-    _known(section, (*keys, *also), where)
-    with config_fault(where):
-        return AffineThrustModel(**_read(section, dict.fromkeys(keys, (_float, REQUIRED)), where))
-
-
-def build_dual_rotor(model: dict) -> DualRotor:
-    section = model.get("dual_rotor")
-    if section is None:
-        if "rotor_geometry" in model:
-            # identical rotors derived from blade geometry
-            geom = build_rotor_geometry(model)
-            with config_fault("rotor_geometry"):
-                return DualRotor.identical(derive_coefficients(geom))
-        raise ConfigError("model section 'dual_rotor' (or 'rotor_geometry') required")
-    if "fwd" in section or "bwd" in section:
-        _require(section, ("fwd", "bwd"), "dual_rotor")
-        _known(section, ("fwd", "bwd", "speed_box"), "dual_rotor")
-        fwd = _thrust_model(section["fwd"], "dual_rotor.fwd")
-        bwd = _thrust_model(section["bwd"], "dual_rotor.bwd")
-    else:
-        fwd = bwd = _thrust_model(section, "dual_rotor", also=("speed_box",))
-    box = section.get("speed_box")
-    if box is None:
-        return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd)
-    if not (isinstance(box, list) and len(box) == 2):
-        raise ConfigError(f"dual_rotor.speed_box must be [[lo, hi], [lo, hi]], got {box!r}")
-    speed_box = tuple(
-        _pair(lo_hi, f"dual_rotor.speed_box.{i}", open_above=True) for i, lo_hi in enumerate(box)
-    )
-    with config_fault("dual_rotor"):
-        return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, speed_box=speed_box)
-
-
-def _numbers(values, where: str) -> list:
-    """A JSON list of numbers, each read by `_float`."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
-    return [_float(v, f"{where}.{i}") for i, v in enumerate(values)]
+def _list(read, what: str):
+    """A reader of a JSON list of `what`, each entry read by `read`."""
+    def read_list(values, where: str) -> list:
+        if not isinstance(values, list):
+            raise ConfigError(f"{where} must be a list of {what}, got {values!r}")
+        return [read(v, f"{where}.{i}") for i, v in enumerate(values)]
+    return read_list
 
 
 def _pair(value, where: str, open_above: bool = False) -> tuple[float, float]:
@@ -250,48 +221,76 @@ def _pair(value, where: str, open_above: bool = False) -> tuple[float, float]:
     return first, (math.inf if open_above and value[1] is None else _float(value[1], f"{where}.1"))
 
 
+def _speed_box(box, where: str):
+    """[[lo, hi], [lo, hi]], a null hi as inf; null as DualRotor's default box."""
+    if box is None:
+        return DualRotor.speed_box
+    if not (isinstance(box, list) and len(box) == 2):
+        raise ConfigError(f"{where} must be [[lo, hi], [lo, hi]], got {box!r}")
+    return tuple(_pair(lo_hi, f"{where}.{i}", open_above=True) for i, lo_hi in enumerate(box))
+
+
+_NUMBER = (_float, REQUIRED)
+_ROTOR_GEOMETRY = _Object(dict.fromkeys(
+    ("blade_count", "radius", "chord", "pitch_angle", "lift_slope", "air_density"), _NUMBER), RotorGeometry)
+_THRUST_MODEL = _Object(dict.fromkeys(("k_thrust", "k_inflow"), _NUMBER), AffineThrustModel)
+_SPEED_BOX = {"speed_box": (_speed_box, DualRotor.speed_box)}
+# dual_rotor's two forms: identical rotors, or one thrust model per rotor
+_DUAL_ROTOR = _Object({**_THRUST_MODEL.table, **_SPEED_BOX},
+                      lambda speed_box, **model: DualRotor.identical(AffineThrustModel(**model), speed_box))
+_DUAL_ROTOR_PAIR = _Object({"fwd": (_THRUST_MODEL, REQUIRED), "bwd": (_THRUST_MODEL, REQUIRED), **_SPEED_BOX},
+                           lambda fwd, bwd, speed_box: DualRotor(fwd, bwd, speed_box))
+
+# kind -> (its TendonLaw constructor, the table of the constructor's parameters)
+_LAWS = {"quadratic": (TendonLaw.quadratic, {"k": _NUMBER}), "cubic": (TendonLaw.cubic, {"k": _NUMBER}),
+         "exponential": (TendonLaw.exponential, {"k": _NUMBER, "alpha": _NUMBER})}
+
+
+def _tendon_law(law, where: str):
+    """The TendonLaw constructor that the law's "kind" names, given its read
+    parameters; the vsa reader calls it, so that its faults are the vsa's."""
+    kind = _object(law, where).get("kind")
+    if not isinstance(kind, str) or kind not in _LAWS:
+        raise ConfigError(f"{where}.kind must be one of {sorted(_LAWS)}, got {kind!r}")
+    make, table = _LAWS[kind]
+    return partial(make, **_read({k: v for k, v in law.items() if k != "kind"}, table, where))
+
+
+_VSA = _Object({"law": (_tendon_law, REQUIRED), "pulley_radius": _NUMBER, "state": (_pair, REQUIRED)},
+               lambda law, **vsa: VsaConfig(law=law(), **vsa))
+_SCHEDULE = _Object({"speeds": (_list(_pair, "pairs"), REQUIRED), "forces": (_list(_float, "numbers"), REQUIRED),
+                     "breakpoints": (_list(_float, "numbers"), lambda system, values: [])}, InputSchedule)
+
+
+def build_rotor_geometry(model: dict) -> RotorGeometry:
+    section = model.get("rotor_geometry")
+    if section is None:
+        raise ConfigError("model section 'rotor_geometry' required for this scenario")
+    return _ROTOR_GEOMETRY(section, "rotor_geometry")
+
+
+def build_dual_rotor(model: dict) -> DualRotor:
+    section = model.get("dual_rotor")
+    if section is None:
+        if "rotor_geometry" in model:
+            # identical rotors derived from blade geometry
+            geom = build_rotor_geometry(model)
+            with config_fault("rotor_geometry"):
+                return DualRotor.identical(derive_coefficients(geom))
+        raise ConfigError("model section 'dual_rotor' (or 'rotor_geometry') required")
+    pair = isinstance(section, dict) and ("fwd" in section or "bwd" in section)
+    return (_DUAL_ROTOR_PAIR if pair else _DUAL_ROTOR)(section, "dual_rotor")
+
+
 def build_schedule(section: dict) -> InputSchedule:
-    if not isinstance(section, dict):
-        raise ConfigError(f"params.schedule must be a JSON object, got {section!r}")
-    _require(section, ("speeds", "forces"), "params.schedule")
-    _known(section, ("speeds", "forces", "breakpoints"), "params.schedule")
-    speeds = section["speeds"]
-    if not isinstance(speeds, list):
-        raise ConfigError(f"params.schedule.speeds must be a list of pairs, got {speeds!r}")
-    pairs = [_pair(v, f"params.schedule.speeds.{i}") for i, v in enumerate(speeds)]
-    with config_fault("params.schedule"):
-        return InputSchedule(
-            speeds=pairs,
-            forces=_numbers(section["forces"], "params.schedule.forces"),
-            breakpoints=_numbers(section.get("breakpoints", []), "params.schedule.breakpoints"),
-        )
-
-
-# kind -> (constructor, its parameters in call order)
-_LAWS = {
-    "quadratic": (TendonLaw.quadratic, ("k",)),
-    "exponential": (TendonLaw.exponential, ("k", "alpha")),
-    "cubic": (TendonLaw.cubic, ("k",)),
-}
+    return _SCHEDULE(section, "params.schedule")
 
 
 def build_vsa(model: dict) -> VsaConfig:
     section = model.get("vsa")
     if section is None:
         raise ConfigError("model section 'vsa' required for this scenario")
-    _require(section, ("law", "pulley_radius", "state"), "vsa")
-    _known(section, ("law", "pulley_radius", "state"), "vsa")
-    law = section["law"]
-    kind = law.get("kind") if isinstance(law, dict) else None
-    if not isinstance(kind, str) or kind not in _LAWS:
-        raise ConfigError(f"vsa.law.kind must be one of {sorted(_LAWS)}, got {kind!r}")
-    make_law, keys = _LAWS[kind]
-    _known(law, ("kind", *keys), "vsa.law")
-    law_params = _read(law, dict.fromkeys(keys, (_float, REQUIRED)), "vsa.law").values()
-    pulley_radius = _float(section["pulley_radius"], "vsa.pulley_radius")
-    state = _pair(section["state"], "vsa.state")
-    with config_fault("vsa"):
-        return VsaConfig(law=make_law(*law_params), pulley_radius=pulley_radius, state=state)
+    return _VSA(section, "vsa")
 
 
 def _positive(value: float, where: str, values: dict) -> None:
@@ -340,8 +339,7 @@ _PARAMS = {
         "nu0": (_float, REQUIRED),
         "t_end": (_float, REQUIRED),
         "dt": (_float, REQUIRED, _sample_cap),
-        "schedule": (lambda section, where: build_schedule(section),
-                     _Missing("params.schedule required for simulate")),
+        "schedule": (_SCHEDULE, _Missing("params.schedule required for simulate")),
     })),
     "verify": {None: (lambda model: None, {
         "seed": (_integer(0), 0),
@@ -369,14 +367,13 @@ class RunConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
         tables = _PARAMS[self.scenario]
         sections = [k for k in tables if k is not None]
-        _known(self.model, sections, "model")
+        _known(_object(self.model, "model"), sections, "model")
         present = [k for k in sections if k in self.model]
         if sections and len(present) != 1:
             raise ConfigError(
                 f"exactly one model section of {_MODEL_SECTIONS} required, found {present}"
             )
         build, table = tables[present[0] if present else None]
-        _known(self.params, table, "params")
         system = build(self.model)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "values", _read(self.params, table, "params", system))

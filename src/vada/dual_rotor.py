@@ -202,13 +202,12 @@ def _require_monotone_trim(dr: DualRotor, nu) -> None:
     raise ValueError(f"trim inflow {nu} violates the monotone regime on the {side} rotor box")
 
 
-def _first_refused(allowed: np.ndarray, dr: DualRotor, *values):
-    """Where the mask allowed is first False in C order, as floats: the dual
-    rotor of that entry's coefficients, then each of values at that entry."""
-    fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
-    _, kt1, kd1, kt2, kd2, *rest = first_refused(
-        allowed, fwd.k_thrust, fwd.k_inflow, bwd.k_thrust, bwd.k_inflow, *values)
-    return (DualRotor(AffineThrustModel(kt1, kd1), AffineThrustModel(kt2, kd2), dr.speed_box), *rest)
+def _refuse_request(sigma_des) -> None:
+    """The ValueError of a request that allocate refuses: a requested damping
+    that is not positive, or else one that underflows the quadratic."""
+    if not sigma_des > 0.0:
+        raise ValueError(f"requested damping must be positive, got {sigma_des}")
+    raise ValueError(f"requested damping {sigma_des} underflows the allocation quadratic")
 
 
 def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResult:
@@ -231,7 +230,7 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
     at sigma_des 1e160 on unit rotors) is solved as it stands, infeasible.
     """
     if not sigma_des > 0.0:
-        raise ValueError(f"requested damping must be positive, got {sigma_des}")
+        _refuse_request(sigma_des)
     fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
     g = trim.force_level + trim.nu_bar * sigma_des
     # rx drives the solved speed x, ry the speed y read off the damping line
@@ -254,7 +253,7 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
         q = -0.5 * (b + math.sqrt(disc))
         if q == 0.0:
             # b > 0 makes q < 0 in exact arithmetic: only an underflow gives 0
-            raise ValueError(f"requested damping {sigma_des} underflows the allocation quadratic")
+            _refuse_request(sigma_des)
         xs = (c / q,) if a == 0.0 else (q / a, c / q)
 
     for x in xs:
@@ -304,8 +303,8 @@ def allocate_arrays(dr: DualRotor, nu_bar, force_level, sigma_des) -> Allocation
     are arrays of that shape (speeds a pair of them), and each entry is what
     allocate returns for that request: the same quadratic, and the root
     picked with np.where as allocate's loop picks it. A batch with requests
-    that allocate refuses runs allocate on the first of them in C order, as
-    floats, which raises that request's error. `==` and `hash` raise on the
+    that allocate refuses raises allocate's error for the first of them in C
+    order, read off the batch's own arrays. `==` and `hash` raise on the
     result's arrays: compare batches field by field with np.array_equal.
     """
     sigma_des = np.asarray(sigma_des, dtype=float)
@@ -332,9 +331,7 @@ def allocate_arrays(dr: DualRotor, nu_bar, force_level, sigma_des) -> Allocation
         # q is 0 only where disc >= 0 and b underflows; NaN elsewhere passes
         allowed = (sigma_des > 0.0) & (q != 0.0)
         if not allowed.all():
-            # allocate refuses the first such entry by the same arithmetic
-            one, nu, force, sigma = _first_refused(allowed, dr, nu_bar, force_level, sigma_des)
-            allocate(one, TrimPoint(nu_bar=nu, force_level=force), sigma)
+            _refuse_request(first_refused(allowed, sigma_des)[1])
 
         def speeds(x):
             y = (sigma_des - rx.k_inflow * x) / ry.k_inflow

@@ -212,9 +212,12 @@ def simulate(
     straddles an input discontinuity; inputs are held at their
     left-breakpoint values inside a step. The k-th step of a segment
     starting from nu_a is nu_inf + (nu_a - nu_inf) R(z)^k, evaluated for
-    all k at once. A step with R(z) >= 1 would make the recurrence diverge,
-    so it is a ValueError naming the largest stable dt, as is a dt that is
-    not positive and finite, or a non-finite nu0 or t_end. Each output sample
+    all k at once. A step beyond the stability limit, where R(z) >= 1 would
+    make the recurrence diverge, is a ValueError naming the largest stable
+    dt; near z = 0, R(z) may round to 1, which holds nu (a segment too short
+    to decay). A z that underflows to 0, whose time constant -h / ln R(z)
+    is 0 / 0, is a ValueError too, as is a dt that is not positive and
+    finite, or a non-finite nu0 or t_end. Each output sample
     reports the inputs in force at its time and F(v, nu) = F_act(v) - c_app(v) nu;
     a breakpoint at the last sample's time puts it in the next segment, whose
     speeds are checked against the box too.
@@ -247,8 +250,11 @@ def simulate(
         n = max(1, math.ceil((b - a) / dt - 1e-12))
         h = (b - a) / n
         z = -h * c_app / body.mass
+        if z == 0.0:
+            raise ValueError(f"the step {h:.6g} from t = {a:.6g} is too short to integrate at speeds "
+                             f"{tuple(v)}: z = -h c_app / m underflows to 0")
         r = 1.0 + _stability_increment(z)
-        if not r < 1.0:
+        if not (r < 1.0 or z > -RK4_STABILITY_LIMIT):
             raise ValueError(
                 f"dt {dt} is outside the RK4 stability region at speeds {tuple(v)}: "
                 f"R(z) = {r:.6g} >= 1 with z = {z:.6g}; the largest stable dt there is "

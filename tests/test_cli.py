@@ -48,6 +48,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(scenario="allocate", model={})
 
+    def test_a_model_that_is_not_an_object_is_a_config_error(self):
+        # it raised TypeError from `"dual_rotor" in 5`
+        with pytest.raises(ConfigError, match="^model must be a JSON object, got 5$"):
+            RunConfig(scenario="allocate", model=5)
+
     def test_asymmetric_dual_rotor(self):
         dr = build_dual_rotor(
             {
@@ -487,6 +492,25 @@ class TestSimulate:
         assert "largest stable dt there is 0.001114" in captured.err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_a_segment_too_short_to_decay_is_summarised(self, tmp_path, capsys):
+        # R(z) rounds to 1 on the one-ulp segment: it exited 2 with "R(z) = 1 >= 1"
+        schedule = {"speeds": [[1.5, 1.5]] * 3, "forces": [0.0] * 3,
+                    "breakpoints": [0.1, math.nextafter(0.1, 1.0)]}
+        config = write_config(tmp_path, self.base_config(schedule, t_end=0.2))
+        assert main(["simulate", "--config", config]) == 0
+        short = json.loads(capsys.readouterr().out)["segments"][1]
+        assert (short["steps"], short["r"]) == (1, 1.0)
+        assert short["rk4_relative_deviation"] < 1e-12
+
+    def test_a_step_whose_z_underflows_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = self.base_config({"speeds": [[1.5, 1.5]], "forces": [0.0]}, t_end=5e-324)
+        cfg["params"]["mass"] = 10.0
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: params: the step 4.94066e-324 from t = 0 is too short to integrate "
+                                "at speeds (1.5, 1.5): z = -h c_app / m underflows to 0\n")
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -642,16 +666,19 @@ RADIUS_OVERFLOWS = ("error: rotor_geometry: the configured values leave the floa
                     "(Numerical result out of range)")
 K_THRUST_ZERO = "error: rotor_geometry: k_thrust must be strictly positive, got 0.0"
 GEOMETRY_FAULTS = [
-    (geometry_config("derive-coeffs", radius=1e120), RADIUS_OVERFLOWS),
-    (geometry_config("allocate", radius=1e120), RADIUS_OVERFLOWS),
-    (geometry_config("simulate", radius=1e120), RADIUS_OVERFLOWS),
-    (geometry_config("derive-coeffs", radius=1e-160), K_THRUST_ZERO),
-    (geometry_config("simulate", radius=1e-120), K_THRUST_ZERO),
-    (geometry_config("allocate", pitch_angle=5e-324), K_THRUST_ZERO),
+    pytest.param(geometry_config("derive-coeffs", radius=1e120), RADIUS_OVERFLOWS,
+                 id="derive-coeffs-radius-overflows"),
+    pytest.param(geometry_config("allocate", radius=1e120), RADIUS_OVERFLOWS,
+                 id="allocate-radius-overflows"),
+    pytest.param(geometry_config("simulate", radius=1e120), RADIUS_OVERFLOWS,
+                 id="simulate-radius-overflows"),
+    pytest.param(geometry_config("derive-coeffs", radius=1e-160), K_THRUST_ZERO,
+                 id="radius-underflows-k_thrust"),
+    pytest.param(geometry_config("simulate", radius=1e-120), K_THRUST_ZERO,
+                 id="simulate-radius-underflows-k_thrust"),
+    pytest.param(geometry_config("allocate", pitch_angle=5e-324), K_THRUST_ZERO,
+                 id="pitch-underflows-k_thrust"),
 ]
-GEOMETRY_FAULT_IDS = ["derive-coeffs-radius-overflows", "allocate-radius-overflows",
-                      "simulate-radius-overflows", "radius-underflows-k_thrust",
-                      "simulate-radius-underflows-k_thrust", "pitch-underflows-k_thrust"]
 
 
 def with_params(data, **params):
@@ -683,162 +710,216 @@ def without_param(data, key):
 
 # a string and a boolean for each params key (a boolean is inject_constant_damping's type)
 PARAMS_FAULTS = [
-    (with_params(data, **{key: value}),
-     TYPE_FAULT_LINES.get(key, f"error: params.{key} must be a number, got {{!r}}").format(value))
-    for data, keys in PARAMS_BASES.values() for key in keys
+    pytest.param(
+        with_params(data, **{key: value}),
+        TYPE_FAULT_LINES.get(key, f"error: params.{key} must be a number, got {{!r}}").format(value),
+        id=f"{name}-{key}-{'bool' if value is True else 'string'}")
+    for name, (data, keys) in PARAMS_BASES.items() for key in keys
     for value in ("x", True) if (key, value) != ("inject_constant_damping", True)
 ] + [
-    *((without_param(allocate_config(), key), f"error: params: missing field {key!r}")
+    *(pytest.param(without_param(allocate_config(), key), f"error: params: missing field {key!r}",
+                   id=f"allocate-without-{key}")
       for key in ("force_level", "sigma_des")),
-    *((without_param(SIMULATE_CONFIG, key), f"error: params: missing field {key!r}")
+    *(pytest.param(without_param(SIMULATE_CONFIG, key), f"error: params: missing field {key!r}",
+                   id=f"simulate-without-{key}")
       for key in ("mass", "nu0", "t_end", "dt")),
-    (without_param(DUAL_ROTOR_SWEEP, "start"), "error: params.start required for a dual-rotor fiber sweep"),
-    (without_param(SIMULATE_CONFIG, "schedule"), "error: params.schedule required for simulate"),
-    (with_params(geometry_config("derive-coeffs"), sample_speed=0),
-     "error: params.sample_speed must be positive, got 0.0"),
-    (with_params(geometry_config("derive-coeffs"), sample_speed=-3),
-     "error: params.sample_speed must be positive, got -3.0"),
-    (with_params(vsa_sweep_config(), steps=1), "error: params.steps must be an integer of at least 2, got 1"),
-    (with_params(vsa_sweep_config(), steps=2.5),
-     "error: params.steps must be an integer of at least 2, got 2.5"),
-    (with_params(DUAL_ROTOR_SWEEP, steps=10**7), "error: params.steps must be at most 1000000, got 10000000"),
-    (with_params(SIMULATE_CONFIG, dt=1e-7), "error: params: t_end / dt must be at most 1000000, got 5000000.0"),
-    (with_params({"scenario": "verify"}, seed=-1), "error: params.seed must be an integer of at least 0, got -1"),
-    (with_params({"scenario": "verify"}, inject_constant_damping=1),
-     "error: params.inject_constant_damping must be true or false, got 1"),
+    pytest.param(without_param(DUAL_ROTOR_SWEEP, "start"),
+                 "error: params.start required for a dual-rotor fiber sweep",
+                 id="dual-rotor-sweep-without-start"),
+    pytest.param(without_param(SIMULATE_CONFIG, "schedule"), "error: params.schedule required for simulate",
+                 id="simulate-without-schedule"),
+    pytest.param(with_params(geometry_config("derive-coeffs"), sample_speed=0),
+                 "error: params.sample_speed must be positive, got 0.0", id="sample_speed-zero"),
+    pytest.param(with_params(geometry_config("derive-coeffs"), sample_speed=-3),
+                 "error: params.sample_speed must be positive, got -3.0", id="sample_speed-negative"),
+    pytest.param(with_params(vsa_sweep_config(), steps=1),
+                 "error: params.steps must be an integer of at least 2, got 1", id="steps-one"),
+    pytest.param(with_params(vsa_sweep_config(), steps=2.5),
+                 "error: params.steps must be an integer of at least 2, got 2.5", id="steps-fraction"),
+    pytest.param(with_params(DUAL_ROTOR_SWEEP, steps=10**7),
+                 "error: params.steps must be at most 1000000, got 10000000", id="steps-above-the-cap"),
+    pytest.param(with_params(SIMULATE_CONFIG, dt=1e-7),
+                 "error: params: t_end / dt must be at most 1000000, got 5000000.0",
+                 id="t_end-over-dt-above-the-cap"),
+    pytest.param(with_params({"scenario": "verify"}, seed=-1),
+                 "error: params.seed must be an integer of at least 0, got -1", id="seed-negative"),
+    pytest.param(with_params({"scenario": "verify"}, inject_constant_damping=1),
+                 "error: params.inject_constant_damping must be true or false, got 1", id="inject-number"),
 ]
-PARAMS_FAULT_IDS = [
-    f"{name}-{key}-{'bool' if value is True else 'string'}"
-    for name, (_, keys) in PARAMS_BASES.items() for key in keys
-    for value in ("x", True) if (key, value) != ("inject_constant_damping", True)
-] + ["allocate-without-force_level", "allocate-without-sigma_des", "simulate-without-mass",
-     "simulate-without-nu0", "simulate-without-t_end", "simulate-without-dt",
-     "dual-rotor-sweep-without-start", "simulate-without-schedule", "sample_speed-zero",
-     "sample_speed-negative", "steps-one", "steps-fraction", "steps-above-the-cap",
-     "t_end-over-dt-above-the-cap", "seed-negative", "inject-number"]
+
+
+LAW_KINDS = "['cubic', 'exponential', 'quadratic']"
+NO_FLOAT = "the configured values leave the float range (Out of range float values are not JSON compliant: nan)"
 
 
 class TestConfigFaults:
     @pytest.mark.parametrize(
-        "data",
-        [
-            allocate_config({"k_thrust": "1", "k_inflow": 1.0}),
-            allocate_config({"k_thrust": 1.0, "k_inflow": True}),
-            allocate_config(force_level="1"),
-            allocate_config(sigma_des=None),
-            allocate_config(sigma_des=0.0),
-            allocate_config(nu_bar="0"),
-            allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, "a"], [0.0, None]])),
-            allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, None]])),
-            allocate_config(dict(UNIT_ROTOR, speed_box=[[2.0, 1.0], [0.0, None]])),
-            {"scenario": "fiber-sweep", "model": {"vsa": 5}},
-            dict(vsa_sweep_config(), params=[50]),
-            {"scenario": "derive-coeffs", "model": {"rotor_geometry": dict(GEOMETRY, blade_count="2")}},
-            {"scenario": "derive-coeffs", "model": {"rotor_geometry": GEOMETRY},
-             "params": {"sample_speed": "fast"}},
-            {"scenario": "derive-coeffs", "model": {"rotor_geometry": GEOMETRY},
-             "params": {"sample_speed": -3.0}},
-            {"scenario": "derive-coeffs", "model": {"rotor_geometry": GEOMETRY},
-             "params": {"sample_speed": 0.0}},
-            vsa_sweep_config(law={"kind": "quadratic", "k": "1"}),
-            vsa_sweep_config(law={"kind": "exponential", "k": 1.0, "alpha": [0.5]}),
-            vsa_sweep_config(law="quadratic"),
-            vsa_sweep_config(pulley_radius="1"),
-            vsa_sweep_config(state=["a", 1.0]),
-            vsa_sweep_config(state=[1.0]),
-            vsa_sweep_config(state=[1.0, 1.0, 99.0]),
-            dict(vsa_sweep_config(), params={"u1_end": "x"}),
-            {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
-             "params": {"start": ["a", 1.0]}},
-            {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
-             "params": {"start": [2.0, 2.0, "junk"]}},
-            {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
-             "params": {"start": [2.0, 1.0], "nu_bar": "x"}},
-            {"scenario": "verify", "params": {"seed": "x"}},
-            {"scenario": "verify", "params": {"seed": 1.5}},
-            {"scenario": "verify", "params": {"inject_constant_damping": "no"}},
-            {"scenario": "verify", "params": {"inject_constant_damping": 0}},
-            {"scenario": "fiber-sweep",
-             "model": {"dual_rotor": dict(UNIT_ROTOR, speed_box=[[1.0, None], [1.0, None]])},
-             "params": {"start": [2.0, 2.0], "nu_bar": 5.0}},
-            dict(vsa_sweep_config(), params={"start": [-1.0, 1.0]}),
-            {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
-             "params": {"start": [0.0, 1.0]}},
-            dict(vsa_sweep_config(), params={"u1_end": 0.5}),
-            dict(vsa_sweep_config(), params={"u1_end": 1.0}),
-            dict(vsa_sweep_config(), params={"steps": 10**7}),
-            vsa_sweep_config(law={"kind": [], "k": 1.0}),
-            dict(vsa_sweep_config(pulley_radius=1e200, state=[2.0, 1.0]), params={"steps": 5}),
-            allocate_config(sigma_des=5e-324),
-            allocate_config(force_level=1e300, sigma_des=1e300),
-            {"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR}},
-            dict(SIMULATE_CONFIG, params={k: v for k, v in SIMULATE_CONFIG["params"].items()
-                                          if k != "schedule"}),
-            {"model": {"dual_rotor": UNIT_ROTOR}, "params": {"force_level": 3.0, "sigma_des": 4.0}},
-            {"scenario": "verify", "parameters": {"seed": 3}},
-            dict(SIMULATE_CONFIG, params=dict(SIMULATE_CONFIG["params"], mass=0.0)),
-            vsa_sweep_config(law={"kind": "exponential", "k": 1.0, "alpha": 0.0}),
-            vsa_sweep_config(law={"kind": "cubic", "k": 0.0}),
-            OVERFLOWING_SIMULATE_CONFIG,
-            dict(allocate_config(), model=vsa_sweep_config()["model"]),
-            {"scenario": "derive-coeffs", "model": {"dual_rotor": UNIT_ROTOR}},
-            *(data for data, _ in GEOMETRY_FAULTS),
-        ],
-        ids=["k_thrust-string", "k_inflow-bool", "force_level-string", "sigma_des-null",
-             "sigma_des-zero", "nu_bar-string", "speed_box-string", "speed_box-one-pair",
-             "speed_box-inverted", "vsa-number", "params-list", "blade_count-string",
-             "sample_speed-string", "sample_speed-negative", "sample_speed-zero", "k-string", "alpha-list", "law-string",
-             "pulley_radius-string", "state-string", "state-short", "state-long", "u1_end-string",
-             "start-string", "start-long", "sweep-nu_bar-string", "seed-string", "seed-fraction",
-             "inject-string", "inject-number", "sweep-nu_bar-outside-monotone-regime",
-             "start-outside-box", "dual-rotor-start-outside-box", "u1_end-below-start",
-             "u1_end-at-start", "steps-too-many", "law-kind-list", "sweep-overflows",
-             "sigma_des-underflows", "allocation-overflows", "dual-rotor-sweep-without-start",
-             "simulate-without-schedule", "no-scenario-key", "unknown-top-level-key",
-             "mass-zero", "alpha-zero", "cubic-k-zero", "trajectory-overflows",
-             "allocate-with-a-vsa-model", "derive-coeffs-with-a-dual-rotor-model",
-             *GEOMETRY_FAULT_IDS],
-    )
-    def test_exit_2_with_one_line(self, tmp_path, capsys, data):
-        config = write_config(tmp_path, data)
-        assert main([data.get("scenario", "allocate"), "--config", config]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-    @pytest.mark.parametrize(
         "data, line",
         [
-            ({"scenario": "derive-coeffs",
-              "model": {"rotor_geometry": {k: v for k, v in GEOMETRY.items() if k != "chord"}}},
-             "error: rotor_geometry: missing field 'chord'"),
-            (allocate_config({"fwd": {"k_thrust": "1", "k_inflow": 1.0}, "bwd": UNIT_ROTOR}),
-             "error: dual_rotor.fwd.k_thrust must be a number, got '1'"),
-            (dict(SIMULATE_CONFIG, params=dict(SIMULATE_CONFIG["params"], schedule=dict(
-                SIMULATE_CONFIG["params"]["schedule"], forces=["x", 0.2]))),
-             "error: params.schedule.forces.0 must be a number, got 'x'"),
-            ({"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
-              "params": {"start": [2.0, 1.0], "nu_bar": "x"}},
-             "error: params.nu_bar must be a number, got 'x'"),
-            # a speed_box entry is named by its index, as schedule speeds are
-            (allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, "a"], [0.0, None]])),
-             "error: dual_rotor.speed_box.0.1 must be a number, got 'a'"),
-            (allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, None], [0.0, "b"]])),
-             "error: dual_rotor.speed_box.1.1 must be a number, got 'b'"),
-            # trace_fiber's own check of the start, under the params key
-            ({"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
-              "params": {"start": [0.0, 1.0]}},
-             "error: params: command (0.0, 1.0) outside admissible box ((0.0, inf), (0.0, inf))"),
+            # the model sections
+            pytest.param({"scenario": "derive-coeffs", "model": {"rotor_geometry": {
+                k: v for k, v in GEOMETRY.items() if k != "chord"}}},
+                "error: rotor_geometry: missing field 'chord'", id="rotor_geometry-missing"),
+            pytest.param({"scenario": "derive-coeffs", "model": {"rotor_geometry": dict(GEOMETRY, blade_count="2")}},
+                         "error: rotor_geometry.blade_count must be a number, got '2'", id="blade_count-string"),
             *GEOMETRY_FAULTS,
+            pytest.param(allocate_config({"k_thrust": "1", "k_inflow": 1.0}),
+                         "error: dual_rotor.k_thrust must be a number, got '1'", id="k_thrust-string"),
+            pytest.param(allocate_config({"k_thrust": 1.0, "k_inflow": True}),
+                         "error: dual_rotor.k_inflow must be a number, got True", id="k_inflow-bool"),
+            pytest.param(allocate_config({"fwd": {"k_thrust": "1", "k_inflow": 1.0}, "bwd": UNIT_ROTOR}),
+                         "error: dual_rotor.fwd.k_thrust must be a number, got '1'", id="fwd-k_thrust-string"),
+            # a speed_box entry is named by its index, as schedule speeds are
+            pytest.param(allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, "a"], [0.0, None]])),
+                         "error: dual_rotor.speed_box.0.1 must be a number, got 'a'", id="speed_box-string"),
+            pytest.param(allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, None], [0.0, "b"]])),
+                         "error: dual_rotor.speed_box.1.1 must be a number, got 'b'",
+                         id="speed_box-second-entry-string"),
+            pytest.param(allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, None]])),
+                         "error: dual_rotor.speed_box must be [[lo, hi], [lo, hi]], got [[0.0, None]]",
+                         id="speed_box-one-pair"),
+            pytest.param(allocate_config(dict(UNIT_ROTOR, speed_box=[[2.0, 1.0], [0.0, None]])),
+                         "error: dual_rotor: invalid speed box ((2.0, 1.0), (0.0, inf))", id="speed_box-inverted"),
+            pytest.param({"scenario": "fiber-sweep", "model": {"vsa": 5}},
+                         "error: 'model', 'params' and each model section must be JSON objects", id="vsa-number"),
+            pytest.param(vsa_sweep_config(law={"kind": "quadratic", "k": "1"}),
+                         "error: vsa.law.k must be a number, got '1'", id="k-string"),
+            pytest.param(vsa_sweep_config(law={"kind": "exponential", "k": 1.0, "alpha": [0.5]}),
+                         "error: vsa.law.alpha must be a number, got [0.5]", id="alpha-list"),
+            pytest.param(vsa_sweep_config(law={"k": 1.0}),
+                         f"error: vsa.law.kind must be one of {LAW_KINDS}, got None", id="law-without-kind"),
+            pytest.param(vsa_sweep_config(law={"kind": [], "k": 1.0}),
+                         f"error: vsa.law.kind must be one of {LAW_KINDS}, got []", id="law-kind-list"),
+            pytest.param(vsa_sweep_config(pulley_radius="1"),
+                         "error: vsa.pulley_radius must be a number, got '1'", id="pulley_radius-string"),
+            pytest.param(vsa_sweep_config(state=["a", 1.0]),
+                         "error: vsa.state.0 must be a number, got 'a'", id="state-string"),
+            pytest.param(vsa_sweep_config(state=[1.0]),
+                         "error: vsa.state: expected a pair [a, b] of numbers, got [1.0]", id="state-short"),
+            pytest.param(vsa_sweep_config(state=[1.0, 1.0, 99.0]),
+                         "error: vsa.state: expected a pair [a, b] of numbers, got [1.0, 1.0, 99.0]",
+                         id="state-long"),
+            pytest.param(vsa_sweep_config(law={"kind": "exponential", "k": 1.0, "alpha": 0.0}),
+                         "error: vsa: k and alpha must be positive, got k=1.0, alpha=0.0", id="alpha-zero"),
+            pytest.param(vsa_sweep_config(law={"kind": "cubic", "k": 0.0}),
+                         "error: vsa: k must be positive, got 0.0", id="cubic-k-zero"),
+            pytest.param(dict(allocate_config(), model=vsa_sweep_config()["model"]),
+                         "error: model section 'dual_rotor' (or 'rotor_geometry') required",
+                         id="allocate-with-a-vsa-model"),
+            pytest.param({"scenario": "derive-coeffs", "model": {"dual_rotor": UNIT_ROTOR}},
+                         "error: model section 'rotor_geometry' required for this scenario",
+                         id="derive-coeffs-with-a-dual-rotor-model"),
+            # every object below "model" is read alike: not an object, then an
+            # unknown key, then the first missing key in table order
+            pytest.param(vsa_sweep_config(law="quadratic"),
+                         "error: vsa.law must be a JSON object, got 'quadratic'", id="law-string"),
+            pytest.param(vsa_sweep_config(law=None), "error: vsa.law must be a JSON object, got None",
+                         id="law-null"),
+            pytest.param(allocate_config({"fwd": 5, "bwd": UNIT_ROTOR}),
+                         "error: dual_rotor.fwd must be a JSON object, got 5", id="fwd-number"),
+            pytest.param(allocate_config({"fwd": UNIT_ROTOR, "bwd": [1.0, 1.0]}),
+                         "error: dual_rotor.bwd must be a JSON object, got [1.0, 1.0]", id="bwd-list"),
+            pytest.param(allocate_config({"fwd": UNIT_ROTOR}), "error: dual_rotor: missing field 'bwd'",
+                         id="dual_rotor-without-bwd"),
+            pytest.param(allocate_config({"bwd": UNIT_ROTOR, "speed_box": None}),
+                         "error: dual_rotor: missing field 'fwd'", id="dual_rotor-without-fwd"),
+            pytest.param({"scenario": "fiber-sweep", "model": {"vsa": {"pulley_radius": 1.0}}},
+                         "error: vsa: missing field 'law'", id="vsa-without-law-and-state"),
+            pytest.param({"scenario": "fiber-sweep", "model": {"vsa": {
+                k: v for k, v in vsa_sweep_config()["model"]["vsa"].items() if k != "state"}}},
+                "error: vsa: missing field 'state'", id="vsa-without-state"),
+            pytest.param(with_params(SIMULATE_CONFIG, schedule={"speeds": [[1.5, 0.5]]}),
+                         "error: params.schedule: missing field 'forces'", id="schedule-without-forces"),
+            pytest.param(with_params(SIMULATE_CONFIG, schedule={}),
+                         "error: params.schedule: missing field 'speeds'", id="schedule-empty"),
+            # the top level
+            pytest.param(dict(vsa_sweep_config(), params=[50]),
+                         "error: 'model', 'params' and each model section must be JSON objects", id="params-list"),
+            pytest.param({"model": {"dual_rotor": UNIT_ROTOR}, "params": {"force_level": 3.0, "sigma_des": 4.0}},
+                         "error: missing required key 'scenario'", id="no-scenario-key"),
+            pytest.param({"scenario": "verify", "parameters": {"seed": 3}},
+                         "error: config: unknown keys ['parameters']", id="unknown-top-level-key"),
+            # params, as configured
             *PARAMS_FAULTS,
+            pytest.param(allocate_config(force_level="1"),
+                         "error: params.force_level must be a number, got '1'", id="force_level-string"),
+            pytest.param(allocate_config(sigma_des=None),
+                         "error: params.sigma_des must be a number, got None", id="sigma_des-null"),
+            pytest.param(allocate_config(nu_bar="0"),
+                         "error: params.nu_bar must be a number, got '0'", id="nu_bar-string"),
+            pytest.param({"scenario": "derive-coeffs", "model": {"rotor_geometry": GEOMETRY},
+                          "params": {"sample_speed": "fast"}},
+                         "error: params.sample_speed must be a number, got 'fast'", id="sample_speed-string"),
+            pytest.param({"scenario": "derive-coeffs", "model": {"rotor_geometry": GEOMETRY},
+                          "params": {"sample_speed": -3.0}},
+                         "error: params.sample_speed must be positive, got -3.0", id="sample_speed-float-negative"),
+            pytest.param({"scenario": "derive-coeffs", "model": {"rotor_geometry": GEOMETRY},
+                          "params": {"sample_speed": 0.0}},
+                         "error: params.sample_speed must be positive, got 0.0", id="sample_speed-float-zero"),
+            pytest.param({"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
+                          "params": {"start": ["a", 1.0]}},
+                         "error: params.start.0 must be a number, got 'a'", id="start-string"),
+            pytest.param({"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
+                          "params": {"start": [2.0, 2.0, "junk"]}},
+                         "error: params.start: expected a pair [a, b] of numbers, got [2.0, 2.0, 'junk']",
+                         id="start-long"),
+            pytest.param({"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR}},
+                         "error: params.start required for a dual-rotor fiber sweep",
+                         id="dual-rotor-sweep-without-params"),
+            pytest.param(dict(vsa_sweep_config(), params={"steps": 10**7}),
+                         "error: params.steps must be at most 1000000, got 10000000", id="steps-too-many"),
+            pytest.param({"scenario": "verify", "params": {"seed": 1.5}},
+                         "error: params.seed must be an integer of at least 0, got 1.5", id="seed-fraction"),
+            pytest.param({"scenario": "verify", "params": {"inject_constant_damping": "no"}},
+                         "error: params.inject_constant_damping must be true or false, got 'no'",
+                         id="inject-string"),
+            pytest.param({"scenario": "verify", "params": {"inject_constant_damping": 0}},
+                         "error: params.inject_constant_damping must be true or false, got 0", id="inject-zero"),
+            pytest.param(dict(SIMULATE_CONFIG, params=dict(SIMULATE_CONFIG["params"], schedule=dict(
+                SIMULATE_CONFIG["params"]["schedule"], forces=["x", 0.2]))),
+                "error: params.schedule.forces.0 must be a number, got 'x'", id="schedule-force-string"),
+            # params, as the run's own checks refuse them
+            pytest.param(allocate_config(sigma_des=0.0),
+                         "error: params: requested damping must be positive, got 0.0", id="sigma_des-zero"),
+            pytest.param({"scenario": "fiber-sweep",
+                          "model": {"dual_rotor": dict(UNIT_ROTOR, speed_box=[[1.0, None], [1.0, None]])},
+                          "params": {"start": [2.0, 2.0], "nu_bar": 5.0}},
+                         "error: params.nu_bar: trim inflow 5.0 violates the monotone regime on the forward rotor box",
+                         id="sweep-nu_bar-outside-monotone-regime"),
+            pytest.param(dict(vsa_sweep_config(), params={"start": [-1.0, 1.0]}),
+                         "error: params: command (-1.0, 1.0) outside admissible box ((0.0, inf), (0.0, inf))",
+                         id="start-outside-box"),
+            # trace_fiber's own check of the start, under the params key
+            pytest.param({"scenario": "fiber-sweep", "model": {"dual_rotor": UNIT_ROTOR},
+                          "params": {"start": [0.0, 1.0]}},
+                         "error: params: command (0.0, 1.0) outside admissible box ((0.0, inf), (0.0, inf))",
+                         id="dual-rotor-start-outside-box"),
+            pytest.param(dict(vsa_sweep_config(), params={"u1_end": 0.5}),
+                         "error: params: u1_end (0.5) must exceed start u1 (1.0) by enough to give 50 distinct "
+                         "u1 values", id="u1_end-below-start"),
+            pytest.param(dict(vsa_sweep_config(), params={"u1_end": 1.0}),
+                         "error: params: u1_end (1.0) must exceed start u1 (1.0) by enough to give 50 distinct "
+                         "u1 values", id="u1_end-at-start"),
+            pytest.param(dict(SIMULATE_CONFIG, params=dict(SIMULATE_CONFIG["params"], mass=0.0)),
+                         "error: params: mass must be positive, got 0.0", id="mass-zero"),
+            # outputs that leave the float range
+            pytest.param(dict(vsa_sweep_config(pulley_radius=1e200, state=[2.0, 1.0]), params={"steps": 5}),
+                         "error: the configured values drive the sweep out of the float range",
+                         id="sweep-overflows"),
+            pytest.param(allocate_config(sigma_des=5e-324), f"error: allocation.json: {NO_FLOAT}",
+                         id="sigma_des-underflows"),
+            pytest.param(allocate_config(force_level=1e300, sigma_des=1e300), f"error: allocation.json: {NO_FLOAT}",
+                         id="allocation-overflows"),
+            pytest.param(OVERFLOWING_SIMULATE_CONFIG,
+                         "error: params: the configured values drive the trajectory out of the float range",
+                         id="trajectory-overflows"),
         ],
-        ids=["rotor_geometry-missing", "fwd-k_thrust-string", "schedule-force-string",
-             "sweep-nu_bar-string", "speed_box-string", "speed_box-second-entry-string",
-             "dual-rotor-start-outside-box", *GEOMETRY_FAULT_IDS, *PARAMS_FAULT_IDS],
     )
     def test_a_fault_names_its_key_once(self, tmp_path, capsys, data, line):
-        assert main([data["scenario"], "--config", write_config(tmp_path, data)]) == 2
-        assert capsys.readouterr().err == line + "\n"
+        assert main([data.get("scenario", "allocate"), "--config", write_config(tmp_path, data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
 
     @pytest.mark.parametrize("steps, got", [(1e300, "1e+300"), (1e7, "10000000.0")])
     def test_steps_above_the_cap_are_reported_as_configured(self, tmp_path, capsys, steps, got):
@@ -865,12 +946,17 @@ class TestUnknownKeys:
     def test_misspelled_keys_are_not_ignored(self, tmp_path, capsys):
         # spelled right, this request is infeasible and exits 1; misspelled,
         # it used to print speeds (2.375, 1.625), feasible, and exit 0
-        data = allocate_config(dict(UNIT_ROTOR, speedbox=[[1.0, 2.0], [1.0, 2.0]]), nubar=5.0)
-        assert main(["allocate", "--config", write_config(tmp_path, data)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: params: unknown keys ['nubar']\n"
-        fixed = allocate_config(dict(UNIT_ROTOR, speed_box=[[1.0, 2.0], [1.0, 2.0]]), nu_bar=5.0)
+        box = [[1.0, 2.0], [1.0, 2.0]]
+        # the model is read before params, so each misspelling is refused in turn
+        for data, line in [
+            (allocate_config(dict(UNIT_ROTOR, speedbox=box), nubar=5.0), "dual_rotor: unknown keys ['speedbox']"),
+            (allocate_config(dict(UNIT_ROTOR, speed_box=box), nubar=5.0), "params: unknown keys ['nubar']"),
+        ]:
+            assert main(["allocate", "--config", write_config(tmp_path, data)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {line}\n"
+        fixed = allocate_config(dict(UNIT_ROTOR, speed_box=box), nu_bar=5.0)
         assert main(["allocate", "--config", write_config(tmp_path, fixed)]) == 1
 
     @pytest.mark.parametrize(
@@ -963,6 +1049,40 @@ class TestParamsTable:
         for scenario, tables in config._PARAMS.items():
             named = set(re.findall(r"\w+", blocks[scenario]))
             assert {key for _, table in tables.values() for key in table} <= named, scenario
+
+
+MODEL_OBJECTS = {"rotor_geometry": config._ROTOR_GEOMETRY, "thrust_model": config._THRUST_MODEL,
+                 "dual_rotor": config._DUAL_ROTOR, "dual_rotor-pair": config._DUAL_ROTOR_PAIR,
+                 "vsa": config._VSA, "schedule": config._SCHEDULE}
+
+
+class TestModelTables:
+    """Every JSON object below "model" is one table, read by config._read."""
+
+    @pytest.mark.parametrize("name", MODEL_OBJECTS)
+    def test_an_object_is_refused_as_a_value_then_by_key(self, name):
+        read = MODEL_OBJECTS[name]
+        first = next(iter(read.table))
+        for section, line in [([1.0], "where must be a JSON object, got [1.0]"),
+                              ({"zz": 1.0}, "where: unknown keys ['zz']"),
+                              ({}, f"where: missing field {first!r}")]:
+            with pytest.raises(ConfigError) as info:
+                read(section, "where")
+            assert str(info.value) == line
+
+    def test_the_docstring_lists_every_key_under_its_section(self):
+        schema = config.__doc__.split("Model sections")[1].split("\n\n")[0]
+        blocks = dict(re.findall(r"^  ([a-z_]+): +(.*(?:\n {4,}.*)*)", schema, re.M))
+        assert list(blocks) == list(config._MODEL_SECTIONS)
+        law = {"kind", *config._LAWS, *(key for _, table in config._LAWS.values() for key in table)}
+        keys = {
+            "rotor_geometry": set(config._ROTOR_GEOMETRY.table),
+            "dual_rotor": {*config._DUAL_ROTOR.table, *config._DUAL_ROTOR_PAIR.table},
+            "vsa": {*config._VSA.table, *law},
+        }
+        for section, block in blocks.items():
+            # each key is quoted, so that a stale one fails too
+            assert set(re.findall(r'"(\w+)"', block)) == keys[section], section
 
 
 class TestUsageErrors:

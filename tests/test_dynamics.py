@@ -328,6 +328,27 @@ class TestSimulate:
         traj = simulate(body, schedule, 0.0, largest, largest)
         assert len(traj.nu) == 2 and abs(traj.nu[-1] - 0.5) < 0.5
 
+    @pytest.mark.parametrize(
+        "breakpoints, t_end",
+        [([0.1, math.nextafter(0.1, 1.0)], 0.2), ([], 5e-324)],
+        ids=["breakpoints-one-ulp-apart", "t_end-subnormal"],
+    )
+    def test_a_segment_too_short_to_decay_holds_nu(self, breakpoints, t_end):
+        # |z| ~ 1e-17 rounds R(z) to 1: a step that holds nu, which was
+        # refused as outside the stability region (with R(z) = 1 >= 1)
+        speeds = [(1.5, 1.5), (2.5, 0.5), (1.5, 1.5)][: len(breakpoints) + 1]
+        schedule = InputSchedule(speeds=speeds, forces=[0.0] * len(speeds), breakpoints=breakpoints)
+        traj = simulate(unit_body(), schedule, 0.25, t_end, 1e-3)
+        short = traj.segments[len(breakpoints) // 2]
+        assert (short.steps, short.r) == (1, 1.0)
+        assert math.isclose(short.time_constant, 1.0 / short.c_app, rel_tol=1e-12)
+        assert np.isfinite(traj.nu).all()
+
+    def test_a_step_whose_z_underflows_to_zero_is_an_error(self):
+        # h c_app / m = 5e-324 * 3 / 10 rounds to 0: -h / ln R(z) is 0 / 0
+        with pytest.raises(ValueError, match="z = -h c_app / m underflows to 0"):
+            simulate(unit_body(mass=10.0), InputSchedule.constant((1.5, 1.5)), 0.0, 5e-324, 1e-3)
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             InputSchedule(speeds=[(1.0, 1.0)], forces=[0.0], breakpoints=[0.5])

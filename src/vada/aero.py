@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._array import everywhere
+from ._array import everywhere, first_refused
 
 __all__ = [
     "RotorGeometry",
@@ -107,25 +107,61 @@ def bet_numeric_thrust(geom: RotorGeometry, v: float, nu_in: float, panels: int 
     the independent oracle for the closed form. The 2 panels + 1 nodes are
     evaluated in one array along a trailing axis, so array speeds, inflows
     and geometry fields give one quadrature per entry.
+
+    `panels` is a whole number of at least 2, or an array of them with one
+    count per entry, broadcast with the speeds, inflows and geometry fields.
+    An array call computes h = B / (2 panels), the prefactor and
+    theta_0 v^2 once over all entries, sorts the entries stably by panel
+    count and runs one Simpson pass on each run of equal counts, each row a
+    contiguous sum over its nodes; so every entry equals, bit for bit, the
+    int-`panels` call at that entry's count. An array holding a refused
+    count raises the line the int call raises for its first one.
     """
     if not everywhere(v > 0.0):
         raise ValueError(f"rotor speed must be strictly positive, got {v}")
-    if panels < 2:
-        raise ValueError(f"need at least 2 Simpson panels, got {panels}")
+    allowed = (2 <= panels) & (panels < math.inf) & (np.floor(panels) == panels)
+    if not everywhere(allowed):
+        count = first_refused(allowed, panels)[1] if isinstance(allowed, np.ndarray) else panels
+        raise ValueError(f"need a whole number of at least 2 Simpson panels, got {count}")
+    h = geom.radius / (2 * panels)
+    prefactor = 0.5 * geom.blade_count * geom.air_density * geom.chord * geom.lift_slope
+    pitch_vv = geom.pitch_angle * v * v
+    entries = np.broadcast_arrays(panels, h, prefactor, pitch_vv, v, nu_in)
+    if not isinstance(panels, np.ndarray):
+        return _simpson(int(panels), *entries[1:])
+    order = np.argsort(entries[0], axis=None, kind="stable")
+    panels, h, prefactor, pitch_vv, v, nu_in = (x.ravel()[order] for x in entries)
+    starts = np.flatnonzero(np.diff(panels, prepend=-1)).tolist()
+    result = np.empty(order.size)
+    for lo, hi in zip(starts, starts[1:] + [order.size]):
+        group = slice(lo, hi)
+        result[order[group]] = _simpson(int(panels[lo]), h[group], prefactor[group],
+                                        pitch_vv[group], v[group], nu_in[group])
+    return result.reshape(entries[0].shape)
+
+
+def _simpson(panels: int, h, prefactor, pitch_vv, v, nu_in):
+    """The Simpson sum at one panel count over equal-shape arrays, nodes
+    b = k h on a trailing axis: 0.5 N rho c a (theta_0 v^2 b b - v b nu_in)
+    times the weights, summed, times h / 3. The products keep one order,
+    which fixes every entry's bits; in place, a pass allocates two grids."""
 
     def column(x):
-        return np.asarray(x)[..., None]
+        return x[..., None]
 
     n = 2 * panels  # subintervals, always even
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    h = geom.radius / n
     b = column(h) * np.arange(n + 1)
-    prefactor = 0.5 * geom.blade_count * geom.air_density * geom.chord * geom.lift_slope
-    v, nu_in = column(v), column(nu_in)
-    elemental = column(prefactor) * (column(geom.pitch_angle) * v * v * b * b - v * b * nu_in)
-    return (elemental * weights).sum(axis=-1) * h / 3.0
+    elemental = column(pitch_vv) * b
+    elemental *= b
+    b *= column(v)
+    b *= column(nu_in)
+    elemental -= b
+    elemental *= column(prefactor)
+    elemental *= weights
+    return elemental.sum(axis=-1) * h / 3.0
 
 
 def inflow_sensitivity(model: AffineThrustModel, v: float, nu_in: float = 0.0) -> float:

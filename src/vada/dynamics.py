@@ -16,6 +16,7 @@ Differential Equations II, IV.2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -195,7 +196,8 @@ def analytic_response(
     nu_inf + (nu0 - nu_inf) exp(-c_app t / m); t may be an array of times.
     apparent_damping checks v against the speed box."""
     c_app = apparent_damping(body, v)
-    nu_inf = equilibrium_velocity(body, v) + f_ext / c_app
+    # equilibrium_velocity(body, v) + f_ext / c_app, with c_app computed once
+    nu_inf = active_force(body, v) / c_app + f_ext / c_app
     return nu_inf + (nu0 - nu_inf) * np.exp(-c_app * np.asarray(t) / body.mass)
 
 
@@ -216,7 +218,8 @@ def simulate(
     make the recurrence diverge, is a ValueError naming the largest stable
     dt; near z = 0, R(z) may round to 1, which holds nu (a segment too short
     to decay). A z that underflows to 0, whose time constant -h / ln R(z)
-    is 0 / 0, is a ValueError too, as is a dt that is not positive and
+    is 0 / 0, or to a subnormal, whose rounding would misreport that time
+    constant, is a ValueError too, as is a dt that is not positive and
     finite, or a non-finite nu0 or t_end. Each output sample
     reports the inputs in force at its time and F(v, nu) = F_act(v) - c_app(v) nu;
     a breakpoint at the last sample's time puts it in the next segment, whose
@@ -250,9 +253,11 @@ def simulate(
         n = max(1, math.ceil((b - a) / dt - 1e-12))
         h = (b - a) / n
         z = -h * c_app / body.mass
-        if z == 0.0:
+        if abs(z) < sys.float_info.min:
+            # a subnormal z carries its rounding (up to 5e-324) into -h / ln R(z)
+            underflow = "underflows to 0" if z == 0.0 else f"= {z:.6g} is subnormal"
             raise ValueError(f"the step {h:.6g} from t = {a:.6g} is too short to integrate at speeds "
-                             f"{tuple(v)}: z = -h c_app / m underflows to 0")
+                             f"{tuple(v)}: z = -h c_app / m {underflow}")
         r = 1.0 + _stability_increment(z)
         if not (r < 1.0 or z > -RK4_STABILITY_LIMIT):
             raise ValueError(

@@ -6,10 +6,11 @@ from the seeded generator. A check draws its parameters, evaluates its
 claim at its stated tolerance and returns its outcome (draws, passed,
 worst) through `_outcome`; it names no property. Failures are report
 content, never exceptions. Parameters are drawn as arrays, one entry per
-draw, and each claim is evaluated in numpy passes over all draws: the VSA
-fibers as one batch per tendon family, each VADA fiber check and the
-constant-damping injection as one batch, and the allocation round trip as
-one array allocation. Only the simulations run once per draw.
+draw, and each claim is evaluated in numpy passes over all draws: the
+quadrature as one call with a panel count per draw, the VSA fibers as one
+batch per tendon family, each VADA fiber check and the constant-damping
+injection as one batch, and the allocation round trip as one array
+allocation. Only the simulations run once per draw.
 """
 
 from __future__ import annotations
@@ -120,17 +121,7 @@ def check_bet_quadrature(rng) -> dict:
     nu_in = rng.uniform(-5.0, 5.0, draws)
     panels = rng.integers(2, 20, draws)
     closed = thrust(derive_coefficients(geom), v, nu_in)
-    # one quadrature call per panel count, over the contiguous run of draws
-    # that uses it once the draws are sorted by panel count (stably, so each
-    # run keeps the draw order); the worst gap does not depend on the order
-    order = np.argsort(panels, kind="stable")
-    fields = {name: value[order] for name, value in vars(geom).items()}
-    v, nu_in, panels, closed = v[order], nu_in[order], panels[order], closed[order]
-    starts = np.flatnonzero(np.diff(panels, prepend=-1)).tolist()
-    numeric = np.empty(draws)
-    for lo, hi in zip(starts, starts[1:] + [draws]):
-        part = RotorGeometry(**{name: value[lo:hi] for name, value in fields.items()})
-        numeric[lo:hi] = bet_numeric_thrust(part, v[lo:hi], nu_in[lo:hi], panels=int(panels[lo]))
+    numeric = bet_numeric_thrust(geom, v, nu_in, panels=panels)
     worst = _relative_gap(numeric, closed, 1.0).max()
     return _outcome(draws, worst <= 1e-12, worst)
 

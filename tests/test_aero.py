@@ -264,6 +264,44 @@ class TestArrayInputs:
         # the Simpson sum may run in another order for a batch
         np.testing.assert_allclose(batch, scalar, rtol=1e-14)
 
+    def test_bet_numeric_thrust_panels_per_entry(self):
+        # every count from 2 to 19, ten entries each, in shuffled order
+        geoms, v, nu = self.draws(180)
+        panels = np.random.default_rng(3).permutation(np.repeat(np.arange(2, 20), 10))
+        speeds = v.reshape(3, 60)[:, None, :]  # a (3, 1, 60) grid against 60 panel counts
+        cases = [
+            (self.stacked(geoms), v, nu, panels),
+            (sample_geometry(), v, nu, panels),
+            (sample_geometry(), speeds, 1.5, panels[:60]),
+        ]
+        for geom, speed, inflow, counts in cases:
+            batch = bet_numeric_thrust(geom, speed, inflow, panels=counts)
+            shape = np.broadcast_shapes(np.shape(speed), np.shape(counts))
+            assert batch.shape == shape
+            for count in range(2, 20):
+                at = np.broadcast_to(counts, shape) == count
+                single = np.broadcast_to(bet_numeric_thrust(geom, speed, inflow, panels=count), shape)
+                assert batch[at].tobytes() == single[at].tobytes()
+
+    def test_bet_numeric_thrust_one_entry_of_panels_is_the_float_call(self):
+        for count in (2, 8, 19):
+            batch = bet_numeric_thrust(sample_geometry(), 100.0, 1.0, panels=np.array([count]))
+            assert batch.shape == (1,)
+            assert batch[0] == bet_numeric_thrust(sample_geometry(), 100.0, 1.0, panels=count)
+
+    @pytest.mark.parametrize(
+        "panels, refused",
+        [([5, 1, 2.5], 1.0), ([3, 2.5, 1], 2.5), ([[4, 0], [-3, 6]], 0), ([2, 9, math.nan], math.nan),
+         ([4, math.inf], math.inf)],
+    )
+    def test_bet_numeric_thrust_refuses_the_first_bad_count(self, panels, refused):
+        # the array call raises the line of the int call at its first refused entry
+        line = f"need a whole number of at least 2 Simpson panels, got {refused}"
+        for counts in (np.array(panels), refused):
+            with pytest.raises(ValueError) as error:
+                bet_numeric_thrust(sample_geometry(), 100.0, 1.0, panels=counts)
+            assert str(error.value) == line
+
     def test_bet_numeric_thrust_scalar_is_one_value(self):
         assert np.ndim(bet_numeric_thrust(sample_geometry(), 100.0, 1.0)) == 0
 

@@ -511,6 +511,16 @@ class TestSimulate:
         assert captured.err == ("error: params: the step 4.94066e-324 from t = 0 is too short to integrate "
                                 "at speeds (1.5, 1.5): z = -h c_app / m underflows to 0\n")
 
+    def test_a_step_whose_z_is_subnormal_exits_2_with_one_line(self, tmp_path, capsys):
+        # it exited 0 with time_constant_rk4 1.0 against time_constant_model 1.4286
+        cfg = self.base_config({"speeds": [[1.5, 1.5]], "forces": [0.0]}, t_end=5e-324)
+        cfg["params"]["mass"] = 3.0 / 0.7
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: params: the step 4.94066e-324 from t = 0 is too short to integrate "
+                                "at speeds (1.5, 1.5): z = -h c_app / m = -4.94066e-324 is subnormal\n")
+
     @pytest.mark.parametrize(
         "edit",
         [

@@ -6,6 +6,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from vada import dynamics
 from vada.aero import AffineThrustModel
 from vada.dual_rotor import DualRotor, damping_at_trim, net_force
 from vada.dynamics import (
@@ -180,6 +181,32 @@ class TestAnalyticResponse:
         pointwise = [analytic_response(body, u, 0.4, -0.2, 0.7) for u in v.T.tolist()]
         np.testing.assert_allclose(batch, pointwise, rtol=1e-15, atol=1e-16)
 
+    def test_damping_is_computed_once_with_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return damping_at_trim(*args)
+
+        t = np.linspace(0.0, 3.0, 31)
+        for identical in [True, False] * 100:
+            k_thrust, k_inflow = rng.uniform(0.1, 2.0, (2, 2))
+            fwd = AffineThrustModel(k_thrust=k_thrust[0], k_inflow=k_inflow[0])
+            bwd = fwd if identical else AffineThrustModel(k_thrust=k_thrust[1], k_inflow=k_inflow[1])
+            body = BodyConfig(mass=rng.uniform(0.5, 2.0), dual_rotor=DualRotor(fwd, bwd))
+            v = tuple(rng.uniform(0.5, 20.0, 2).tolist())
+            nu0, f_ext = rng.uniform(-3.0, 3.0, 2).tolist()
+            c_app = apparent_damping(body, v)
+            nu_inf = equilibrium_velocity(body, v) + f_ext / apparent_damping(body, v)
+            expected = nu_inf + (nu0 - nu_inf) * np.exp(-c_app * t / body.mass)
+            monkeypatch.setattr(dynamics, "damping_at_trim", counted)
+            calls.clear()
+            result = analytic_response(body, v, nu0, f_ext, t)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert result.tobytes() == expected.tobytes()
+
 
 class TestSimulate:
     def test_equilibrium_is_fixed_point(self):
@@ -330,8 +357,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "breakpoints, t_end",
-        [([0.1, math.nextafter(0.1, 1.0)], 0.2), ([], 5e-324)],
-        ids=["breakpoints-one-ulp-apart", "t_end-subnormal"],
+        [([0.1, math.nextafter(0.1, 1.0)], 0.2), ([], 1e-300)],
+        ids=["breakpoints-one-ulp-apart", "t_end-tiny"],
     )
     def test_a_segment_too_short_to_decay_holds_nu(self, breakpoints, t_end):
         # |z| ~ 1e-17 rounds R(z) to 1: a step that holds nu, which was
@@ -348,6 +375,13 @@ class TestSimulate:
         # h c_app / m = 5e-324 * 3 / 10 rounds to 0: -h / ln R(z) is 0 / 0
         with pytest.raises(ValueError, match="z = -h c_app / m underflows to 0"):
             simulate(unit_body(mass=10.0), InputSchedule.constant((1.5, 1.5)), 0.0, 5e-324, 1e-3)
+
+    @pytest.mark.parametrize("mass", [1.0, 3.0 / 0.7], ids=["unit-mass", "mass-3/0.7"])
+    def test_a_step_whose_z_is_subnormal_is_an_error(self, mass):
+        # z = -h c_app / m rounds to a multiple of 5e-324: at mass 3/0.7 the
+        # time constant -h / ln R(z) read 1.0 where m / c_app is 1.4286
+        with pytest.raises(ValueError, match=r"z = -h c_app / m = -\d.*e-32\d is subnormal$"):
+            simulate(unit_body(mass=mass), InputSchedule.constant((1.5, 1.5)), 0.0, 5e-324, 1e-3)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

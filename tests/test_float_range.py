@@ -118,6 +118,9 @@ FORMULAS = {
     "monotone_regime_bound": lambda w, k, k_d, v: monotone_regime_bound(rotor(w, k, k_d), w(v)),
     "bet_numeric_thrust": lambda w, radius, v, nu: bet_numeric_thrust(
         RotorGeometry(2, w(radius), w(0.1), w(0.2), w(5.7), w(1.2)), w(v), w(nu)),
+    # the array call takes its panel count per entry, and groups the entries by it
+    "bet_numeric_thrust_panel_array": lambda w, radius, v, nu: bet_numeric_thrust(
+        RotorGeometry(2, w(radius), w(0.1), w(0.2), w(5.7), w(1.2)), w(v), w(nu), panels=w(8)),
     "net_force": lambda w, k, v, nu: net_force(
         DualRotor.identical(rotor(w, k, 1.0)), (w(v), w(1.0)), w(nu)),
     "damping_at_trim": lambda w, k, v, nu: damping_at_trim(

@@ -44,7 +44,8 @@ def test_injected_constant_damping_sees_exactly_zero_increments():
     "name, owners, least, most, inject",
     [
         pytest.param("thrust", [verify], 1, 3, False, id="thrust-3"),
-        pytest.param("bet_numeric_thrust", [verify], 1, 18, False, id="bet_numeric_thrust-18"),
+        # the quadrature is one call, with a panel count per draw
+        pytest.param("bet_numeric_thrust", [verify], 1, 1, False, id="bet_numeric_thrust-1"),
         pytest.param("analytic_response", [verify], 1, 20, False, id="analytic_response-20"),
         # the allocation round trip is one allocate_arrays call, not 1,000 allocates
         pytest.param("allocate", [verify], 0, 0, False, id="allocate-0"),

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 
@@ -326,7 +327,8 @@ class TestAllocate:
 
 
 class TestAllocationResult:
-    """A frozen dataclass built positionally: value semantics, each field in its place."""
+    """A frozen dataclass built positionally by a hand-written __init__ that fills
+    the instance with one dict update: value semantics, each field in its place."""
 
     def result(self, force=3.0):
         return allocate(DualRotor.identical(UNIT), TrimPoint(nu_bar=0.0, force_level=force), 4.0)
@@ -379,6 +381,41 @@ class TestAllocationResult:
         assert [x.tolist() for x in batch.speeds] == [[v] for v in result.speeds]
         for name in ("achieved_force", "achieved_damping", "feasible", "reason"):
             assert getattr(batch, name).tolist() == [getattr(result, name)]
+
+    def test_init_matches_the_fields(self):
+        # the hand-written __init__ must take every field, by its name and in its order
+        params = inspect.signature(AllocationResult).parameters
+        assert list(params) == [f.name for f in dataclasses.fields(AllocationResult)]
+        assert [p.default for p in params.values()] == [inspect.Parameter.empty] * 4 + [""]
+
+    def test_keyword_and_positional_construction_agree(self):
+        result = self.result()
+        names = [f.name for f in dataclasses.fields(AllocationResult)]
+        assert list(vars(result)) == names
+        values = [getattr(result, name) for name in names]
+        by_keyword = AllocationResult(**dict(zip(names, values)))
+        assert AllocationResult(*values) == by_keyword == result
+        assert list(vars(by_keyword)) == names
+
+    def test_a_missing_argument_raises(self):
+        with pytest.raises(TypeError):
+            AllocationResult((1.0, 2.0), 3.0, 4.0)
+        with pytest.raises(TypeError):
+            AllocationResult(speeds=(1.0, 2.0), achieved_force=3.0, feasible=True)
+
+    def test_a_batch_result_compares_field_by_field(self):
+        ones = DualRotor.identical(AffineThrustModel(np.ones(3), np.ones(3)))
+
+        def batch():
+            return allocate_arrays(ones, np.zeros(3), np.array([1.0, 3.0, 5.0]), np.full(3, 2.0))
+
+        result, again = batch(), batch()
+        with pytest.raises(ValueError):
+            result == again
+        with pytest.raises(TypeError):
+            hash(result)
+        for f in dataclasses.fields(AllocationResult):
+            assert np.array_equal(getattr(result, f.name), getattr(again, f.name))
 
 
 class TestArraySpeeds:

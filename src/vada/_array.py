@@ -51,4 +51,4 @@ def first_refused(allowed, *values) -> tuple:
     values broadcast together, so a float is every entry's."""
     shape = np.broadcast_shapes(np.shape(allowed), *map(np.shape, values))
     k = np.unravel_index(np.argmin(np.broadcast_to(allowed, shape)), shape)
-    return (k, *(np.broadcast_to(x, shape)[k].item() for x in values))
+    return (k, *(np.broadcast_to(x, shape).item(*k) for x in values))

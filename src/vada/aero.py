@@ -121,7 +121,7 @@ def bet_numeric_thrust(geom: RotorGeometry, v: float, nu_in: float, panels: int 
         raise ValueError(f"rotor speed must be strictly positive, got {v}")
     allowed = (2 <= panels) & (panels < math.inf) & (np.floor(panels) == panels)
     if not everywhere(allowed):
-        count = first_refused(allowed, panels)[1] if isinstance(allowed, np.ndarray) else panels
+        count = first_refused(allowed, panels)[1]
         raise ValueError(f"need a whole number of at least 2 Simpson panels, got {count}")
     h = geom.radius / (2 * panels)
     prefactor = 0.5 * geom.blade_count * geom.air_density * geom.chord * geom.lift_slope

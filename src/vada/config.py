@@ -33,9 +33,10 @@ Params, per scenario: each key with its default (or "required") and bound.
 
 Every JSON object the run reads (the top level, "model", each model section,
 "fwd"/"bwd", "law", params and params.schedule) refuses a key that the run
-does not read, such as a misspelled one: "<where>: unknown keys [...]". Below
-"model", one reader refuses first a value that is not an object, then such a
-key, then the first missing key. verify reads no model section.
+does not read, such as a misspelled one: "<where>: unknown keys [...]". One
+reader reads each of them but "model": it refuses first a value that is not
+an object, then such a key, then the first missing key. "model" holds exactly
+one section, one that the scenario reads; verify reads no model section.
 
 Every number must be finite: NaN, Infinity and literals that overflow a
 float are rejected when the file is read. Numeric fields must be JSON
@@ -61,10 +62,6 @@ __all__ = [
     "ConfigError",
     "MAX_SAMPLES",
     "RunConfig",
-    "build_rotor_geometry",
-    "build_dual_rotor",
-    "build_schedule",
-    "build_vsa",
     "config_fault",
 ]
 
@@ -240,6 +237,16 @@ _DUAL_ROTOR = _Object({**_THRUST_MODEL.table, **_SPEED_BOX},
                       lambda speed_box, **model: DualRotor.identical(AffineThrustModel(**model), speed_box))
 _DUAL_ROTOR_PAIR = _Object({"fwd": (_THRUST_MODEL, REQUIRED), "bwd": (_THRUST_MODEL, REQUIRED), **_SPEED_BOX},
                            lambda fwd, bwd, speed_box: DualRotor(fwd, bwd, speed_box))
+# identical rotors derived from blade geometry
+_DERIVED_PAIR = _Object(_ROTOR_GEOMETRY.table,
+                        lambda **geom: DualRotor.identical(derive_coefficients(RotorGeometry(**geom))))
+
+
+def _dual_rotor(section, where: str) -> DualRotor:
+    """dual_rotor in the form its keys name: "fwd"/"bwd", else identical rotors."""
+    pair = isinstance(section, dict) and ("fwd" in section or "bwd" in section)
+    return (_DUAL_ROTOR_PAIR if pair else _DUAL_ROTOR)(section, where)
+
 
 # kind -> (its TendonLaw constructor, the table of the constructor's parameters)
 _LAWS = {"quadratic": (TendonLaw.quadratic, {"k": _NUMBER}), "cubic": (TendonLaw.cubic, {"k": _NUMBER}),
@@ -262,37 +269,6 @@ _SCHEDULE = _Object({"speeds": (_list(_pair, "pairs"), REQUIRED), "forces": (_li
                      "breakpoints": (_list(_float, "numbers"), lambda system, values: [])}, InputSchedule)
 
 
-def build_rotor_geometry(model: dict) -> RotorGeometry:
-    section = model.get("rotor_geometry")
-    if section is None:
-        raise ConfigError("model section 'rotor_geometry' required for this scenario")
-    return _ROTOR_GEOMETRY(section, "rotor_geometry")
-
-
-def build_dual_rotor(model: dict) -> DualRotor:
-    section = model.get("dual_rotor")
-    if section is None:
-        if "rotor_geometry" in model:
-            # identical rotors derived from blade geometry
-            geom = build_rotor_geometry(model)
-            with config_fault("rotor_geometry"):
-                return DualRotor.identical(derive_coefficients(geom))
-        raise ConfigError("model section 'dual_rotor' (or 'rotor_geometry') required")
-    pair = isinstance(section, dict) and ("fwd" in section or "bwd" in section)
-    return (_DUAL_ROTOR_PAIR if pair else _DUAL_ROTOR)(section, "dual_rotor")
-
-
-def build_schedule(section: dict) -> InputSchedule:
-    return _SCHEDULE(section, "params.schedule")
-
-
-def build_vsa(model: dict) -> VsaConfig:
-    section = model.get("vsa")
-    if section is None:
-        raise ConfigError("model section 'vsa' required for this scenario")
-    return _VSA(section, "vsa")
-
-
 def _positive(value: float, where: str, values: dict) -> None:
     if not value > 0.0:
         raise ConfigError(f"{where} must be positive, got {value}")
@@ -308,45 +284,62 @@ def _sample_cap(dt: float, where: str, values: dict) -> None:
 _SWEEP = {"steps": (_integer(2, MAX_SAMPLES), 50),
           "u1_end": (_float, lambda system, values: values["start"][0] + 1.0)}
 
-# scenario -> model section (None: no model) -> (the builder of the system the
-# run works on, from the "model" object; {params key: (reader, default[, bound])},
-# read by `_read` in this order). A reader turns a configured value, named
-# "params.<key>", into its typed value, else ConfigError. A missing key takes
-# its default: a value, a function of (the system, the values read before) or
-# a _Missing line that refuses it. A bound checks the typed value, given its
-# name and the values read before. The module docstring lists the same keys.
+
+def _dual_rotor_sections(table: dict) -> dict:
+    """{model section: (its reader, table)} for each section that reads as a
+    DualRotor, "dual_rotor" first."""
+    return {"dual_rotor": (_dual_rotor, table), "rotor_geometry": (_DERIVED_PAIR, table)}
+
+
+# scenario -> each model section it reads (None: verify, which reads none) ->
+# (the reader of that section's object, which gives the system the run works
+# on; {params key: (reader, default[, bound])}, read by `_read` in this order).
+# A reader turns a configured value, named "params.<key>", into its typed
+# value, else ConfigError. A missing key takes its default: a value, a
+# function of (the system, the values read before) or a _Missing line that
+# refuses it. A bound checks the typed value, given its name and the values
+# read before. The module docstring lists the same keys.
 _PARAMS = {
-    "derive-coeffs": dict.fromkeys(_MODEL_SECTIONS, (build_rotor_geometry, {
+    "derive-coeffs": {"rotor_geometry": (_ROTOR_GEOMETRY, {
         # the quadrature oracle needs a spinning rotor
         "sample_speed": (_float, 100.0, _positive),
         "sample_inflow": (_float, 1.0),
-    })),
+    })},
     "fiber-sweep": {
-        **dict.fromkeys(("rotor_geometry", "dual_rotor"), (build_dual_rotor, {
+        **_dual_rotor_sections({
             "start": (_pair, _Missing("params.start required for a dual-rotor fiber sweep")),
             **_SWEEP,
             "nu_bar": (_float, 0.0),
-        })),
-        "vsa": (build_vsa, {"start": (_pair, lambda vsa, values: vsa.state), **_SWEEP}),
+        }),
+        "vsa": (_VSA, {"start": (_pair, lambda vsa, values: vsa.state), **_SWEEP}),
     },
-    "allocate": dict.fromkeys(_MODEL_SECTIONS, (build_dual_rotor, {
+    "allocate": _dual_rotor_sections({
         "nu_bar": (_float, 0.0),
         "force_level": (_float, REQUIRED),
         "sigma_des": (_float, REQUIRED),
-    })),
-    "simulate": dict.fromkeys(_MODEL_SECTIONS, (build_dual_rotor, {
+    }),
+    "simulate": _dual_rotor_sections({
         "mass": (_float, REQUIRED),
         "nu0": (_float, REQUIRED),
         "t_end": (_float, REQUIRED),
         "dt": (_float, REQUIRED, _sample_cap),
         "schedule": (_SCHEDULE, _Missing("params.schedule required for simulate")),
-    })),
-    "verify": {None: (lambda model: None, {
+    }),
+    "verify": {None: (None, {
         "seed": (_integer(0), 0),
         "inject_constant_damping": (_boolean, False),
     })},
 }
 SCENARIOS = tuple(_PARAMS)
+
+
+def _as_given(value, where: str):
+    return value
+
+
+# the top level, each value as given, for RunConfig to read
+_CONFIG = {"scenario": (_as_given, REQUIRED),
+           **dict.fromkeys(("model", "params"), (_as_given, lambda system, values: {}))}
 
 
 @dataclass(frozen=True)
@@ -366,30 +359,24 @@ class RunConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
         tables = _PARAMS[self.scenario]
-        sections = [k for k in tables if k is not None]
+        sections = () if None in tables else _MODEL_SECTIONS
         _known(_object(self.model, "model"), sections, "model")
         present = [k for k in sections if k in self.model]
         if sections and len(present) != 1:
             raise ConfigError(
                 f"exactly one model section of {_MODEL_SECTIONS} required, found {present}"
             )
-        build, table = tables[present[0] if present else None]
-        system = build(self.model)
+        (section,) = present or [None]
+        if section not in tables:
+            raise ConfigError(f"model section {' or '.join(map(repr, tables))} required for this scenario")
+        read, table = tables[section]
+        system = None if read is None else read(self.model[section], section)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "values", _read(self.params, table, "params", system))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"the config must be a JSON object, got {data!r}")
-        if "scenario" not in data:
-            raise ConfigError("missing required key 'scenario'")
-        _known(data, ("scenario", "model", "params"), "config")
-        model, params = data.get("model", {}), data.get("params", {})
-        if not (isinstance(model, dict) and isinstance(params, dict)
-                and all(isinstance(model[k], dict) for k in _MODEL_SECTIONS if k in model)):
-            raise ConfigError("'model', 'params' and each model section must be JSON objects")
-        return cls(scenario=data["scenario"], model=model, params=params)
+        return cls(**_read(data, _CONFIG, "config"))
 
     @classmethod
     def load(cls, path) -> "RunConfig":

@@ -202,8 +202,7 @@ def _require_monotone_trim(dr: DualRotor, nu) -> None:
     allowed = (nu == nu) & ((nu <= 0.0) | (nu < fwd_bound)) & ((nu >= 0.0) | (-nu < bwd_bound))
     if everywhere(allowed):
         return
-    if isinstance(allowed, np.ndarray):
-        nu = first_refused(allowed, nu)[1]
+    nu = first_refused(allowed, nu)[1]
     if nu != nu:
         raise ValueError(f"trim inflow must be a number, got {nu}")
     side = "forward" if nu > 0.0 else "backward"

@@ -14,8 +14,7 @@ import vada
 from vada import cli, config, verify
 from vada.cli import main
 from vada.aero import derive_coefficients
-from vada.config import (ConfigError, RunConfig, build_dual_rotor, build_rotor_geometry,
-                         build_schedule, build_vsa)
+from vada.config import ConfigError, RunConfig
 from vada.dynamics import BodyConfig, simulate
 
 
@@ -38,7 +37,8 @@ GEOMETRY = {
 class TestConfig:
     def test_missing_field_names_field(self):
         with pytest.raises(ConfigError, match="radius"):
-            build_dual_rotor({"rotor_geometry": {k: v for k, v in GEOMETRY.items() if k != "radius"}})
+            RunConfig.from_dict(dict(allocate_config(), model={"rotor_geometry": {
+                k: v for k, v in GEOMETRY.items() if k != "radius"}}))
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
@@ -53,16 +53,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^model must be a JSON object, got 5$"):
             RunConfig(scenario="allocate", model=5)
 
+    def test_a_null_model_section_is_refused_as_a_value(self):
+        # it was refused as absent: "model section 'dual_rotor' (or 'rotor_geometry') required"
+        with pytest.raises(ConfigError, match=r"^dual_rotor must be a JSON object, got None$"):
+            RunConfig(scenario="allocate", model={"dual_rotor": None}, params=allocate_config()["params"])
+
     def test_asymmetric_dual_rotor(self):
-        dr = build_dual_rotor(
-            {
-                "dual_rotor": {
-                    "fwd": {"k_thrust": 1.0, "k_inflow": 0.5},
-                    "bwd": {"k_thrust": 0.8, "k_inflow": 0.6},
-                    "speed_box": [[1.0, None], [1.0, 20.0]],
-                }
-            }
-        )
+        dr = RunConfig.from_dict(allocate_config({
+            "fwd": {"k_thrust": 1.0, "k_inflow": 0.5},
+            "bwd": {"k_thrust": 0.8, "k_inflow": 0.6},
+            "speed_box": [[1.0, None], [1.0, 20.0]],
+        })).system
         assert dr.rotor_fwd.k_inflow == 0.5
         assert dr.speed_box == ((1.0, math.inf), (1.0, 20.0))
 
@@ -72,7 +73,7 @@ class TestConfig:
             {"kind": "exponential", "k": 1.0, "alpha": 0.5},
             {"kind": "cubic", "k": 2.0},
         ):
-            cfg = build_vsa({"vsa": {"law": law, "pulley_radius": 1.0, "state": [1.0, 1.0]}})
+            cfg = RunConfig.from_dict(vsa_sweep_config(law=law)).system
             assert cfg.law.r_prime(1.0) > 0.0
 
     def test_non_finite_literals_rejected(self, tmp_path):
@@ -84,7 +85,7 @@ class TestConfig:
 
     def test_bad_law_kind(self):
         with pytest.raises(ConfigError, match="kind"):
-            build_vsa({"vsa": {"law": {"kind": "linear", "k": 1.0}, "pulley_radius": 1.0, "state": [1, 1]}})
+            RunConfig.from_dict(vsa_sweep_config(law={"kind": "linear", "k": 1.0}))
 
 
 class TestDeriveCoeffs:
@@ -276,7 +277,8 @@ class TestFiberSweep:
         from vada.antagonistic import passive_coefficient, promptness
         from vada.dual_rotor import as_antagonistic_at_trim
 
-        act = as_antagonistic_at_trim(build_dual_rotor({"dual_rotor": {"k_thrust": 1.3, "k_inflow": 0.7}}))
+        dr = RunConfig.from_dict(allocate_config({"k_thrust": 1.3, "k_inflow": 0.7})).system
+        act = as_antagonistic_at_trim(dr)
         with open(tmp_path / "fiber_sweep.csv") as fh:
             for row in csv.DictReader(fh):
                 u = (float(row["u1"]), float(row["u2"]))
@@ -350,7 +352,7 @@ class TestAllocate:
         assert record["speeds"] == pytest.approx([-1.0 / 3.0, 2.0 / 3.0], rel=1e-12)
 
     def test_rotor_geometry_allocates_as_its_derived_dual_rotor(self, tmp_path, capsys):
-        model = derive_coefficients(build_rotor_geometry({"rotor_geometry": GEOMETRY}))
+        model = derive_coefficients(RunConfig.from_dict(geometry_config("derive-coeffs")).system)
         explicit = {"dual_rotor": {"k_thrust": model.k_thrust, "k_inflow": model.k_inflow}}
         outputs = []
         for name, section in (("geometry", {"rotor_geometry": GEOMETRY}), ("explicit", explicit)):
@@ -381,10 +383,10 @@ class TestSimulate:
     def test_trajectory_csv_parses_back_to_the_simulated_columns(self, tmp_path):
         config = write_config(tmp_path, SIMULATE_CONFIG)
         assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
-        model, params = SIMULATE_CONFIG["model"], SIMULATE_CONFIG["params"]
-        body = BodyConfig(mass=params["mass"], dual_rotor=build_dual_rotor(model))
-        traj = simulate(body, build_schedule(params["schedule"]), params["nu0"],
-                        params["t_end"], params["dt"])
+        cfg = RunConfig.from_dict(SIMULATE_CONFIG)
+        params = cfg.values
+        body = BodyConfig(mass=params["mass"], dual_rotor=cfg.system)
+        traj = simulate(body, params["schedule"], params["nu0"], params["t_end"], params["dt"])
         with open(tmp_path / "trajectory.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["t", "nu", "v1", "v2", "F", "F_ext"]
@@ -469,9 +471,9 @@ class TestSimulate:
         z = -middle["h"] * middle["c_app"] / cfg["params"]["mass"]
         assert middle["r"] == pytest.approx(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, rel=1e-15)
         # the fields are the trajectory's own segment table
+        read = RunConfig.from_dict(cfg)
         traj = simulate(
-            BodyConfig(mass=1.0, dual_rotor=build_dual_rotor(cfg["model"])),
-            build_schedule(schedule), 0.0, 1.0, 1e-3,
+            BodyConfig(mass=1.0, dual_rotor=read.system), read.values["schedule"], 0.0, 1.0, 1e-3,
         )
         for entry, record in zip(segments, traj.segments):
             assert (entry["steps"], entry["h"], entry["r"], entry["shortened"]) == (
@@ -791,7 +793,7 @@ class TestConfigFaults:
             pytest.param(allocate_config(dict(UNIT_ROTOR, speed_box=[[2.0, 1.0], [0.0, None]])),
                          "error: dual_rotor: invalid speed box ((2.0, 1.0), (0.0, inf))", id="speed_box-inverted"),
             pytest.param({"scenario": "fiber-sweep", "model": {"vsa": 5}},
-                         "error: 'model', 'params' and each model section must be JSON objects", id="vsa-number"),
+                         "error: vsa must be a JSON object, got 5", id="vsa-number"),
             pytest.param(vsa_sweep_config(law={"kind": "quadratic", "k": "1"}),
                          "error: vsa.law.k must be a number, got '1'", id="k-string"),
             pytest.param(vsa_sweep_config(law={"kind": "exponential", "k": 1.0, "alpha": [0.5]}),
@@ -814,8 +816,11 @@ class TestConfigFaults:
             pytest.param(vsa_sweep_config(law={"kind": "cubic", "k": 0.0}),
                          "error: vsa: k must be positive, got 0.0", id="cubic-k-zero"),
             pytest.param(dict(allocate_config(), model=vsa_sweep_config()["model"]),
-                         "error: model section 'dual_rotor' (or 'rotor_geometry') required",
+                         "error: model section 'dual_rotor' or 'rotor_geometry' required for this scenario",
                          id="allocate-with-a-vsa-model"),
+            pytest.param(dict(SIMULATE_CONFIG, model=vsa_sweep_config()["model"]),
+                         "error: model section 'dual_rotor' or 'rotor_geometry' required for this scenario",
+                         id="simulate-with-a-vsa-model"),
             pytest.param({"scenario": "derive-coeffs", "model": {"dual_rotor": UNIT_ROTOR}},
                          "error: model section 'rotor_geometry' required for this scenario",
                          id="derive-coeffs-with-a-dual-rotor-model"),
@@ -844,9 +849,9 @@ class TestConfigFaults:
                          "error: params.schedule: missing field 'speeds'", id="schedule-empty"),
             # the top level
             pytest.param(dict(vsa_sweep_config(), params=[50]),
-                         "error: 'model', 'params' and each model section must be JSON objects", id="params-list"),
+                         "error: params must be a JSON object, got [50]", id="params-list"),
             pytest.param({"model": {"dual_rotor": UNIT_ROTOR}, "params": {"force_level": 3.0, "sigma_des": 4.0}},
-                         "error: missing required key 'scenario'", id="no-scenario-key"),
+                         "error: config: missing field 'scenario'", id="no-scenario-key"),
             pytest.param({"scenario": "verify", "parameters": {"seed": 3}},
                          "error: config: unknown keys ['parameters']", id="unknown-top-level-key"),
             # params, as configured
@@ -948,6 +953,11 @@ class TestConfigFaults:
     def test_config_must_be_an_object(self, tmp_path, capsys):
         assert main(["verify", "--config", write_config(tmp_path, 5)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_a_top_level_list_is_refused_as_a_value(self, tmp_path, capsys):
+        # it read "error: the config must be a JSON object, got [1]"
+        assert main(["verify", "--config", write_config(tmp_path, [1])]) == 2
+        assert capsys.readouterr().err == "error: config must be a JSON object, got [1]\n"
 
 
 class TestUnknownKeys:
@@ -1063,22 +1073,31 @@ class TestParamsTable:
 
 MODEL_OBJECTS = {"rotor_geometry": config._ROTOR_GEOMETRY, "thrust_model": config._THRUST_MODEL,
                  "dual_rotor": config._DUAL_ROTOR, "dual_rotor-pair": config._DUAL_ROTOR_PAIR,
-                 "vsa": config._VSA, "schedule": config._SCHEDULE}
+                 "derived-pair": config._DERIVED_PAIR, "vsa": config._VSA, "schedule": config._SCHEDULE}
+
+
+def assert_refused_as_a_value_then_by_key(read, where, first):
+    """read(section) refuses a value that is not an object, then an unknown
+    key, then the missing key `first`, each as the object `where`."""
+    for section, line in [([1.0], f"{where} must be a JSON object, got [1.0]"),
+                          ({"zz": 1.0}, f"{where}: unknown keys ['zz']"),
+                          ({}, f"{where}: missing field {first!r}")]:
+        with pytest.raises(ConfigError) as info:
+            read(section)
+        assert str(info.value) == line
 
 
 class TestModelTables:
-    """Every JSON object below "model" is one table, read by config._read."""
+    """Every JSON object but "model" is one table, read by config._read."""
 
     @pytest.mark.parametrize("name", MODEL_OBJECTS)
     def test_an_object_is_refused_as_a_value_then_by_key(self, name):
         read = MODEL_OBJECTS[name]
-        first = next(iter(read.table))
-        for section, line in [([1.0], "where must be a JSON object, got [1.0]"),
-                              ({"zz": 1.0}, "where: unknown keys ['zz']"),
-                              ({}, f"where: missing field {first!r}")]:
-            with pytest.raises(ConfigError) as info:
-                read(section, "where")
-            assert str(info.value) == line
+        assert_refused_as_a_value_then_by_key(lambda section: read(section, "where"), "where",
+                                              next(iter(read.table)))
+
+    def test_the_top_level_is_refused_as_a_value_then_by_key(self):
+        assert_refused_as_a_value_then_by_key(RunConfig.from_dict, "config", "scenario")
 
     def test_the_docstring_lists_every_key_under_its_section(self):
         schema = config.__doc__.split("Model sections")[1].split("\n\n")[0]

@@ -281,6 +281,22 @@ class TestAllocate:
         assert result.speeds == pytest.approx((-1.0 / 3.0, 2.0 / 3.0), rel=1e-12)
         assert result.achieved_force == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
+    def test_a_request_at_the_box_floor_takes_the_root_q_over_a(self):
+        # k_T1 is 1e-17 and v2 is 4e-10 of v1: c/q, the root where F rises
+        # along the damping line, rounds to a negative speed, and q/a is in the box
+        fwd, bwd = (1.369084675764101e-17, 0.6453154246899666), (1.1172961613108712, 0.8758553222625347)
+        nu_bar, force, sigma_des = -0.00028240462166544497, 0.0005021210295731119, 1.7780198730878225
+        dr = DualRotor(AffineThrustModel(*fwd), AffineThrustModel(*bwd))
+        made_from = (2.7552725445327653, 1.0002293166833027e-09)
+        assert (net_force(dr, made_from, nu_bar), damping_at_trim(dr, made_from, nu_bar)) == (force, sigma_des)
+        speeds = (2.7552725458903278, 2.5351744663883446e-16)
+        result = allocate(dr, TrimPoint(nu_bar=nu_bar, force_level=force), sigma_des)
+        assert (result.feasible, result.speeds) == (True, speeds)
+        one = DualRotor(*(AffineThrustModel(np.array([k_t]), np.array([k_d])) for k_t, k_d in (fwd, bwd)))
+        batch = allocate_arrays(one, np.array([nu_bar]), np.array([force]), np.array([sigma_des]))
+        assert batch.feasible.tolist() == [True]
+        assert (batch.speeds[0].tolist(), batch.speeds[1].tolist()) == ([speeds[0]], [speeds[1]])
+
     def test_nonpositive_damping_request_rejected(self):
         dr = DualRotor.identical(UNIT)
         with pytest.raises(ValueError):
@@ -683,6 +699,14 @@ class TestTrimBridgeBatches:
         worst = int(np.argmin(bound))
         assert raised(lambda: as_antagonistic_at_trim(dr, nu)) == raised(
             lambda: as_antagonistic_at_trim(singles[worst], nu))
+
+    def test_an_int_trim_beyond_64_bits_raises_its_scalar_message(self, symmetric):
+        # numpy holds 10**30 as a Python int in an object array: reading the
+        # refused entry with .item() raised AttributeError
+        dr, _, singles = trim_batch(symmetric)
+        got = raised(lambda: as_antagonistic_at_trim(dr, 10**30))
+        assert got == raised(lambda: as_antagonistic_at_trim(singles[0], 10**30))
+        assert got == (ValueError, f"trim inflow {10**30} violates the monotone regime on the forward rotor box")
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
     def test_a_float_trim_names_the_side_it_loads(self, symmetric, sign):

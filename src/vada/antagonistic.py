@@ -22,15 +22,16 @@ one per fiber. One body of trace_fiber traces a batch and a single fiber:
 a start of two floats keeps its level, verdicts and min_increment plain
 floats and bools.
 
-Trace once, sweep from the trace: trace_fiber checks every point of a fiber
+Sweeps take traced fibers: trace_fiber checks every point of a fiber
 against the box, so the path it returns holds its actuator and read-only
-points, and the sweeps and the relation on that same actuator check no point
-again. The path keeps the trace's own contiguous u1 and u2 arrays, which the
-sweeps and the relation evaluate on, and each of its passive and promptness
-values is computed once, on first use, and kept read-only for the other
-sweep and the relation. Any other path (a sequence of pairs, one built by
-hand or by dataclasses.replace, a path swept with another actuator) is
-checked once per sweep or relation call.
+points, and the sweeps and the relation take only a path that trace_fiber
+traced on the same actuator; they check no point again. The path keeps the
+trace's own contiguous u1 and u2 arrays, which the sweeps and the relation
+evaluate on, and each of its passive and promptness values is computed
+once, on first use, and kept read-only for the other sweep and the
+relation. Any other path (a sequence of pairs, one built by hand or by
+dataclasses.replace, a path swept with another actuator) is refused with a
+ValueError: nothing checks that it is a fiber.
 """
 
 from __future__ import annotations
@@ -105,11 +106,10 @@ class AntagonisticActuator:
 class FiberPath:
     """Discrete constant-output fiber, parameterized by increasing u1.
 
-    trace_fiber returns `points` as an (n, 2) float array of (u1, u2) rows and
-    `residuals` as a 1-D array of |f(u) - level|; the sweeps also accept a
-    sequence of (u1, u2) pairs. A batch of fibers of leading shape S has a
-    level array of shape S, points of shape S + (n, 2) and residuals of
-    shape S + (n,).
+    trace_fiber returns `points` as an (n, 2) float array of (u1, u2) rows,
+    n >= 2, and `residuals` as a 1-D array of |f(u) - level|. A batch of
+    fibers of leading shape S has a level array of shape S, points of shape
+    S + (n, 2) and residuals of shape S + (n,).
 
     A path from trace_fiber has read-only points, all already checked
     against the box of `traced_on`, the actuator it was traced on. Its
@@ -118,14 +118,13 @@ class FiberPath:
     sweeps and the relation evaluate, and each "passive" and "promptness"
     value array (read-only) that a sweep or the relation on that actuator
     computed, so each is computed once. Neither field is an argument: a path
-    made by FiberPath(...) or by dataclasses.replace has `traced_on` None
-    and an empty memo, so its points are checked whenever it is swept and
-    its grid is read from `points`.
+    made by FiberPath(...) or by dataclasses.replace has `traced_on` None,
+    and the sweeps and the relation refuse it.
     """
 
     level: float | np.ndarray
     points: np.ndarray
-    residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    residuals: np.ndarray
     traced_on: AntagonisticActuator | None = field(default=None, init=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -134,7 +133,7 @@ class FiberPath:
 class SweepReport:
     values: np.ndarray  # read-only S + (n,) float array, one entry per path point
     is_strictly_increasing: bool | np.ndarray  # per fiber
-    min_increment: float | np.ndarray | None  # per fiber; None for one-point paths
+    min_increment: float | np.ndarray  # per fiber
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,13 +202,14 @@ def trace_fiber(
     against its row of the grid, so every row is computed as that fiber's
     own trace computes it. A single fiber's start, end and level stay
     floats. A trace that fails raises the errors of its first failing fiber
-    in this order: a start outside the box, too few steps, a grid that does
-    not increase, a level out of the float range, its first failing point.
+    in this order: a start outside the box, a `steps` that is not a whole
+    number of at least 2, a grid that does not increase, a level out of the
+    float range, its first failing point.
     """
     box = act.admissible_box
-    if steps < 1:
+    if not (2 <= steps < math.inf and math.floor(steps) == steps):
         require_inside(box, first_refused(False, start[0], start[1])[1:], "command")
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise ValueError(f"steps must be a whole number of at least 2, got {steps}")
     plus, minus = act.channel_plus, act.channel_minus
     s1, s2, end = _column(start[0]), _column(start[1]), _column(u1_end)
     # a level out of the float range gives the start's own residual NaN or
@@ -218,7 +218,7 @@ def trace_fiber(
     # (the root of a negative), by contract.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         level = _on_grid(plus.output_fn(s1) - minus.output_fn(s2), _shape(s1))
-        u1 = s1 + np.arange(steps) * ((end - s1) / (steps - 1) if steps > 1 else 0.0)
+        u1 = s1 + np.arange(steps) * ((end - s1) / (steps - 1))
         h1 = _on_grid(plus.output_fn(u1), u1.shape)
         target = h1 - level
         u2 = np.empty_like(u1)
@@ -300,33 +300,18 @@ def _shape(x) -> tuple:
     return getattr(x, "shape", ())
 
 
-def _grid(path: FiberPath):
-    """The path's u1 values, then its u2 values, each of shape S + (n,) for
-    the S fibers (S = () for one): the trace's own contiguous arrays where the
-    path keeps them, else views of its points, on which the sweeps' ufuncs
-    ran 25-40 % slower (numpy 2.4, x86-64)."""
-    if "grid" in path._memo:
-        return path._memo["grid"]
-    points = np.asarray(path.points, dtype=float)
-    return points.reshape(-1, 2).T if points.ndim < 3 else np.moveaxis(points, -1, 0)
-
-
 _QUANTITIES = {"passive": _passive, "promptness": _promptness}
 
 
-def _values(act: AntagonisticActuator, path: FiberPath, names: tuple, u: np.ndarray) -> list:
+def _values(act: AntagonisticActuator, path: FiberPath, names: tuple) -> list:
     """The values of each quantity in `names` ("passive", "promptness") at
-    the path's points u (its _grid), each of shape S + (n,).
-
-    A path that trace_fiber traced on this same act had every point checked
-    there, and keeps each quantity in its memo once computed. Any other
-    path's points are checked against the box here, once for all of
-    `names`, and its values computed afresh. The values are read-only."""
-    if path.traced_on is act:
-        memo = path._memo
-    else:
-        require_inside(act.admissible_box, u, "command")
-        memo = {}
+    the points of a path that trace_fiber traced on this same act, each of
+    shape S + (n,), computed on the trace's own grid once and kept read-only
+    in the path's memo. Any other path is a ValueError."""
+    if getattr(path, "traced_on", None) is not act:
+        raise ValueError("sweep a path that trace_fiber traced on this actuator")
+    memo = path._memo
+    u = memo["grid"]
     for name in names:
         if name not in memo:
             memo[name] = _on_grid(_QUANTITIES[name](act, u), u[0].shape)
@@ -350,10 +335,8 @@ def monotonicity_sweep(act: AntagonisticActuator, path: FiberPath, which: str) -
     False verdict, since min propagates the NaN."""
     if which not in _QUANTITIES:
         raise ValueError(f"which must be 'passive' or 'promptness', got {which!r}")
-    (values,) = _values(act, path, (which,), _grid(path))
+    (values,) = _values(act, path, (which,))
     increments = values[..., 1:] - values[..., :-1]
-    if not increments.shape[-1]:
-        return SweepReport(values, _per_fiber((increments > 0.0).all(axis=-1), bool), None)
     # min propagates NaN, so least > 0 is (increments > 0).all(axis=-1)
     least = increments.min(axis=-1)
     return SweepReport(values, _per_fiber(least > 0.0, bool), _per_fiber(least, float))
@@ -370,10 +353,7 @@ def passive_promptness_relation(act: AntagonisticActuator, path: FiberPath) -> R
     increments are formed as the sweeps form theirs, inf - inf warning
     included.
     """
-    u = _grid(path)
-    if u[0].shape[-1] < 2:
-        raise ValueError("relation needs a path with at least 2 points")
-    passive, prompt = _values(act, path, ("passive", "promptness"), u)
+    passive, prompt = _values(act, path, ("passive", "promptness"))
     ds, dr = passive[..., 1:] - passive[..., :-1], prompt[..., 1:] - prompt[..., :-1]
     agree = np.sign(ds)
     agree *= dr  # in place: one temporary, as ds * dr was, on a batch of fibers

@@ -219,9 +219,7 @@ def _pair(value, where: str, open_above: bool = False) -> tuple[float, float]:
 
 
 def _speed_box(box, where: str):
-    """[[lo, hi], [lo, hi]], a null hi as inf; null as DualRotor's default box."""
-    if box is None:
-        return DualRotor.speed_box
+    """[[lo, hi], [lo, hi]], a null hi as inf."""
     if not (isinstance(box, list) and len(box) == 2):
         raise ConfigError(f"{where} must be [[lo, hi], [lo, hi]], got {box!r}")
     return tuple(_pair(lo_hi, f"{where}.{i}", open_above=True) for i, lo_hi in enumerate(box))

@@ -12,6 +12,8 @@ from vada.antagonistic import (
     ChannelLaw,
     ConvergenceError,
     FiberPath,
+    RelationReport,
+    SweepReport,
     fiber_tangent,
     monotonicity_sweep,
     passive_coefficient,
@@ -24,6 +26,8 @@ from vada.dual_rotor import DualRotor, as_antagonistic_at_trim
 from vada.vsa import TendonLaw, VsaConfig, as_antagonistic
 
 FD_H = 1e-5
+# what the sweeps and the relation say to a path trace_fiber did not trace on their actuator
+UNTRACED = "sweep a path that trace_fiber traced on this actuator"
 
 
 def quadratic_channel(k=1.0):
@@ -262,6 +266,18 @@ class TestTraceFiber:
         with pytest.raises(OverflowError, match="u1=710.0"), np.errstate(over="ignore"):
             trace_fiber(act, (702.0, 702.0), 712.0, 11)
 
+    @pytest.mark.parametrize("steps", [2.5, True, 1, 1.0, 0, -3, math.nan, math.inf], ids=repr)
+    def test_steps_that_is_not_a_whole_number_of_at_least_2_is_refused(self, steps):
+        # 2.5 traced three points past u1_end, True a single point
+        with pytest.raises(ValueError) as info:
+            trace_fiber(symmetric_actuator(), (1.0, 1.0), 2.0, steps)
+        assert str(info.value) == f"steps must be a whole number of at least 2, got {steps}"
+
+    def test_a_whole_float_steps_traces_as_its_int(self):
+        act = symmetric_actuator(exponential_channel)
+        assert np.array_equal(trace_fiber(act, (1.0, 0.5), 2.0, 7.0).points,
+                              trace_fiber(act, (1.0, 0.5), 2.0, 7).points)
+
     def test_start_is_kept_exactly(self):
         for make in CHANNEL_FAMILIES:
             path = trace_fiber(symmetric_actuator(make), (2.0, 0.7), 4.5, 50)
@@ -287,20 +303,13 @@ class TestMonotonicitySweep:
         assert not report.is_strictly_increasing
         assert report.min_increment == 0.0
 
-    def test_single_point_vacuous(self):
-        act = symmetric_actuator()
-        path = trace_fiber(act, (1.0, 1.0), 1.0, 1)
-        report = monotonicity_sweep(act, path, "passive")
-        assert report.is_strictly_increasing
-        assert report.min_increment is None
-
     def test_unknown_quantity_rejected(self):
         act = symmetric_actuator()
         path = trace_fiber(act, (1.0, 1.0), 2.0, 5)
         with pytest.raises(ValueError):
             monotonicity_sweep(act, path, "stiffness")
 
-    # passive values along hand-built paths: NaN anywhere, ties of 0.0 and -0.0
+    # passive values along traced fibers: NaN anywhere, ties of 0.0 and -0.0
     VALUE_ROWS = [
         [1.0, 2.0, 3.0, 4.0],
         [1.0, 2.0, math.nan, 4.0],
@@ -312,25 +321,10 @@ class TestMonotonicitySweep:
         [4.0, 3.0, 2.0, 1.0],
     ]
 
-    @staticmethod
-    def valued_path(values):
-        """An actuator whose passive coefficient at the point (k, 0) is the
-        k-th entry of values (flattened), and the FiberPath of those points
-        in the shape of values."""
-        values = np.asarray(values, dtype=float)
-        table = values.ravel()
-        plus = dataclasses.replace(quadratic_channel(), passive_coeff_fn=lambda u: table[u.astype(int)])
-        # adding -0.0 keeps every value, -0.0 included
-        minus = dataclasses.replace(quadratic_channel(), passive_coeff_fn=lambda u: -0.0)
-        act = AntagonisticActuator(plus, minus, ((-1.0, math.inf), (-1.0, math.inf)))
-        u1 = np.arange(values.size, dtype=float).reshape(values.shape)
-        points = np.stack([u1, np.zeros_like(u1)], axis=-1)
-        return act, FiberPath(level=0.0, points=points)
-
     @pytest.mark.parametrize("values", VALUE_ROWS + [VALUE_ROWS, [VALUE_ROWS[:4], VALUE_ROWS[4:]]],
                              ids=[f"row-{i}" for i in range(len(VALUE_ROWS))] + ["batch", "(2, 4) batch"])
     def test_verdict_is_every_increment_positive(self, values):
-        act, path = self.valued_path(values)
+        act, path = valued_fibers(values)
         report = monotonicity_sweep(act, path, "passive")
         values = np.asarray(values)
         assert report.values.tobytes() == values.tobytes()
@@ -342,17 +336,49 @@ class TestMonotonicitySweep:
         assert np.array_equal(report.is_strictly_increasing, expected)
         assert np.array_equal(report.min_increment, increments.min(axis=-1), equal_nan=True)
 
-    @pytest.mark.parametrize("shape", [(1,), (3, 1), (2, 3, 1)])
-    def test_one_point_path_is_vacuously_increasing(self, shape):
-        act, path = self.valued_path(np.ones(shape))
-        report = monotonicity_sweep(act, path, "passive")
-        assert report.min_increment is None
-        if len(shape) == 1:
-            assert report.is_strictly_increasing is True
-        else:
-            assert report.is_strictly_increasing.dtype == bool
-            assert report.is_strictly_increasing.shape == shape[:-1]
-            assert report.is_strictly_increasing.all()
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_two_infinities_in_a_row_give_a_nan_increment(self, sign):
+        act, path = valued_fibers([1.0, sign * math.inf, sign * math.inf, 2.0])
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            report = monotonicity_sweep(act, path, "passive")
+        assert report.is_strictly_increasing is False
+        assert math.isnan(report.min_increment)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_one_point_fiber_cannot_be_traced(self, shape):
+        # a sweep needs an increment, so every fiber has two points at least
+        start = (np.ones(shape), np.ones(shape)) if shape else (1.0, 1.0)
+        with pytest.raises(ValueError) as info:
+            trace_fiber(symmetric_actuator(), start, 2.0, 1)
+        assert str(info.value) == "steps must be a whole number of at least 2, got 1"
+
+
+def valued_fibers(passive, prompt=None):
+    """A linear actuator (h(u) = u, the identity as its inverse, box
+    (-1, inf)) and the fibers trace_fiber traces on it, one per row of
+    `passive` (shape S + (n,)): fiber j runs from (j n, j n) in steps of 1,
+    so its points are (j n + i, j n + i) and the passive coefficient there is
+    passive[j, i], the promptness |prompt[j, i]| (both tables flattened; a
+    single row is a single fiber). Without `prompt`, the actuator's own
+    promptness, sqrt(2)."""
+    passive = np.asarray(passive, dtype=float)
+    shape, n = passive.shape[:-1], passive.shape[-1]
+    table = passive.ravel()
+    ones = dict(output_fn=lambda u: u, output_sensitivity_fn=lambda u: 1.0, inverse_fn=lambda y: y)
+    plus = ChannelLaw(**ones, passive_coeff_fn=lambda u: table[u.astype(int)])
+    # adding -0.0 keeps every value, -0.0 included
+    minus = ChannelLaw(**ones, passive_coeff_fn=lambda u: -0.0)
+    if prompt is not None:
+        prompts = np.asarray(prompt, dtype=float).ravel()
+        plus = dataclasses.replace(plus, output_sensitivity_fn=lambda u: prompts[u.astype(int)])
+        # hypot(g, 0.0) is |g| exactly
+        minus = dataclasses.replace(minus, output_sensitivity_fn=lambda u: 0.0)
+    act = AntagonisticActuator(plus, minus, ((-1.0, math.inf), (-1.0, math.inf)))
+    starts = (n * np.arange(table.size // n, dtype=float)).reshape(shape)
+    start = (starts, starts.copy()) if shape else (0.0, 0.0)
+    path = trace_fiber(act, start, start[0] + (n - 1), n)
+    assert np.array_equal(path.points[..., 0], np.arange(table.size, dtype=float).reshape(passive.shape))
+    return act, path
 
 
 class TestPassivePromptnessRelation:
@@ -364,86 +390,72 @@ class TestPassivePromptnessRelation:
         assert len(report.pairs) == 30
 
     def test_order_free(self):
-        from vada.antagonistic import FiberPath
-
+        # the same pairs in reverse order, on a fiber of their own
         act = symmetric_actuator()
         path = trace_fiber(act, (2.0, 1.0), 5.0, 30)
-        reversed_path = FiberPath(
-            level=path.level,
-            points=list(reversed(path.points)),
-            residuals=list(reversed(path.residuals)),
-        )
-        assert passive_promptness_relation(act, reversed_path).is_monotone
+        pairs = passive_promptness_relation(act, path).pairs[::-1]
+        reverse = passive_promptness_relation(*valued_fibers(pairs[:, 0], pairs[:, 1]))
+        assert np.array_equal(reverse.pairs, pairs)
+        assert reverse.is_monotone is True
 
     def test_degenerate_path_rejected(self):
-        from vada.antagonistic import FiberPath
-
-        act = symmetric_actuator()
-        path = FiberPath(level=0.0, points=[(1.0, 1.0), (1.0, 1.0)], residuals=[0.0, 0.0])
+        act, path = valued_fibers([1.0, 1.0], [2.0, 2.0])
         with pytest.raises(ValueError, match="degenerate"):
             passive_promptness_relation(act, path)
 
     @pytest.mark.parametrize("degenerate", [0, 1, 2])
     def test_one_degenerate_fiber_in_a_batch_raises(self, degenerate):
-        # fibers along the diagonal, each monotone; one repeats a point
-        act = symmetric_actuator()
-        u = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (3, 1))
-        points = np.stack([u, u], axis=-1)
-        assert passive_promptness_relation(act, FiberPath(0.0, points)).is_monotone.all()
-        points[degenerate, 2] = points[degenerate, 1]
+        # three fibers, each monotone; one repeats a pair
+        values = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (3, 1))
+        assert passive_promptness_relation(*valued_fibers(values, values)).is_monotone.all()
+        values[degenerate, 2] = values[degenerate, 1]
         with pytest.raises(ValueError, match="degenerate path"):
-            passive_promptness_relation(act, FiberPath(0.0, points))
+            passive_promptness_relation(*valued_fibers(values, values))
 
     def test_a_step_with_one_zero_increment_is_not_degenerate(self):
-        # fiber 1 steps from (2, 2) to (3, 1): passive u1 + u2 ties, promptness rises
-        act = symmetric_actuator()
-        u = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
-        v = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1.0, 2.5]])
-        report = passive_promptness_relation(act, FiberPath(0.0, np.stack([u, v], axis=-1)))
+        # fiber 1's passive ties at one step while its promptness rises
+        passive = np.array([[2.0, 4.0, 6.0, 8.0], [2.0, 4.0, 4.0, 6.5]])
+        prompt = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
+        report = passive_promptness_relation(*valued_fibers(passive, prompt))
         assert report.is_monotone.tolist() == [True, False]
 
     def test_huge_increments_give_a_verdict_under_warnings_as_errors(self):
         # increments near 1e300 on both quantities: their product overflows
         act = as_antagonistic(VsaConfig(law=TendonLaw.quadratic(1e300), pulley_radius=1.0,
                                         state=(1.0, 1.0)))
-        path = FiberPath(level=0.0, points=[(1.0, 1.0), (3.0, 3.0), (5.0, 5.0)])
+        path = trace_fiber(act, (1.0, 1.0), 5.0, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = passive_promptness_relation(act, path)
         assert report.is_monotone is True
-        assert report.pairs[:, 0].tolist() == [2e300, 6e300, 1e301]
+        np.testing.assert_allclose(report.pairs[:, 0], [2e300, 6e300, 1e301], rtol=1e-15, atol=0.0)
 
     def test_tiny_increments_are_monotone(self):
         # increments near 1e-200 on both quantities: their product underflows to 0
         act = symmetric_actuator(k=1e-200)
-        path = FiberPath(level=0.0, points=[(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+        path = trace_fiber(act, (1.0, 1.0), 3.0, 3)
         report = passive_promptness_relation(act, path)
         increments = np.diff(report.pairs, axis=0)
         assert np.all((increments > 1e-200) & (increments < 3e-200))
         assert np.all(increments[:, 0] * increments[:, 1] == 0.0)
         assert report.is_monotone is True
-        reverse = FiberPath(level=0.0, points=path.points[::-1])
-        assert passive_promptness_relation(act, reverse).is_monotone is True
+        pairs = report.pairs[::-1]
+        assert passive_promptness_relation(*valued_fibers(pairs[:, 0], pairs[:, 1])).is_monotone is True
 
-    def test_too_short_path_rejected(self):
-        from vada.antagonistic import FiberPath
-
-        act = symmetric_actuator()
-        with pytest.raises(ValueError):
-            passive_promptness_relation(
-                act, FiberPath(level=0.0, points=[(1.0, 1.0)], residuals=[0.0])
-            )
-
+    def test_two_infinities_in_a_row_are_not_monotone(self):
+        act, path = valued_fibers([1.0, math.inf, math.inf, 2.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert passive_promptness_relation(act, path).is_monotone is False
 
     def test_one_box_check_and_the_checked_values(self, monkeypatch):
         # trace_fiber checked every point of its path against the box: both
         # sweeps and the relation on it check none again; a path of pairs is
-        # checked once by the relation, for both of its quantities
+        # refused without a box check
         from vada import antagonistic
 
         act = symmetric_actuator(exponential_channel)
         path = trace_fiber(act, (1.0, 0.5), 2.0, 20)
-        pairs = FiberPath(level=path.level, points=path.points.tolist())
+        pairs = FiberPath(level=path.level, points=path.points.tolist(), residuals=path.residuals)
         u = path.points.T
         expected = (passive_coefficient(act, u).tolist(), promptness(act, u).tolist())
         calls = []
@@ -456,15 +468,23 @@ class TestPassivePromptnessRelation:
         report = passive_promptness_relation(act, path)
         assert calls == []
         assert (report.pairs[:, 0].tolist(), report.pairs[:, 1].tolist()) == expected
-        report = passive_promptness_relation(act, pairs)
-        assert len(calls) == 1
-        assert (report.pairs[:, 0].tolist(), report.pairs[:, 1].tolist()) == expected
+        with pytest.raises(ValueError, match=UNTRACED):
+            passive_promptness_relation(act, pairs)
+        assert calls == []
+
+    def test_too_short_path_rejected(self):
+        act = symmetric_actuator()
+        with pytest.raises(ValueError, match=UNTRACED):
+            passive_promptness_relation(act, FiberPath(level=0.0, points=[(1.0, 1.0)], residuals=[0.0]))
 
     def test_path_outside_the_box_rejected(self):
+        # only trace_fiber checks a fiber against the box
         act = AntagonisticActuator(quadratic_channel(), quadratic_channel(), ((0.5, 3.0), (0.5, 3.0)))
-        path = FiberPath(level=0.0, points=[(1.0, 1.0), (4.0, 1.0)])
-        with pytest.raises(ValueError, match="outside admissible box"):
+        path = FiberPath(level=0.0, points=[(1.0, 1.0), (4.0, 1.0)], residuals=[0.0, 0.0])
+        with pytest.raises(ValueError, match=UNTRACED):
             passive_promptness_relation(act, path)
+        with pytest.raises(ConvergenceError, match="left the admissible box"):
+            trace_fiber(act, (1.0, 1.0), 4.0, 2)
 
 
 class TestGradientConsistency:
@@ -659,13 +679,12 @@ class TestBatchedFiberAgainstSequential:
         assert path.residuals.shape == (30,)
         assert type(path.level) is float
 
-    def test_list_of_pairs_path_sweeps_like_the_array_path(self):
-        from vada.antagonistic import FiberPath
-
+    def test_list_of_pairs_path_is_refused(self):
         act = symmetric_actuator(exponential_channel)
         path = trace_fiber(act, (0.5, 0.9), 2.5, 30)
-        pairs = FiberPath(level=path.level, points=[tuple(u) for u in path.points.tolist()])
-        assert sweeps_and_relation(act, pairs) == sweeps_and_relation(act, path)
+        pairs = [tuple(u) for u in path.points.tolist()]
+        for untraced in (pairs, FiberPath(level=path.level, points=pairs, residuals=path.residuals)):
+            assert_refused(act, untraced)
 
     def test_box_violation_reported_at_the_first_step_outside(self):
         act = AntagonisticActuator(
@@ -717,14 +736,14 @@ class TestArrayCommands:
         with pytest.raises(ValueError):
             passive_coefficient(act, u)
 
-    def test_sweep_of_a_hand_made_path_checks_the_box(self):
+    def test_sweep_of_a_hand_made_path_is_refused(self):
         act = AntagonisticActuator(
             channel_plus=quadratic_channel(),
             channel_minus=quadratic_channel(),
             admissible_box=((1.0, 5.0), (1.0, 5.0)),
         )
         path = FiberPath(level=0.0, points=[(2.0, 2.0), (6.0, 6.0)], residuals=[0.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=UNTRACED):
             monotonicity_sweep(act, path, "passive")
 
 
@@ -858,19 +877,21 @@ class TestBatchedFibers:
         assert grid.level.shape == (2, 3)
         assert grid.points.shape == (2, 3, 30, 2)
         assert np.array_equal(grid.points.reshape(6, 30, 2), flat.points)
-        report = monotonicity_sweep(act((2, 3, 1)), grid, "promptness")
+        traced_on = grid.traced_on
+        report = monotonicity_sweep(traced_on, grid, "promptness")
         assert report.values.shape == (2, 3, 30)
         assert report.is_strictly_increasing.shape == report.min_increment.shape == (2, 3)
-        assert passive_promptness_relation(act((2, 3, 1)), grid).pairs.shape == (2, 3, 30, 2)
+        assert passive_promptness_relation(traced_on, grid).pairs.shape == (2, 3, 30, 2)
 
     def test_single_fiber_keeps_plain_types(self):
-        path = trace_fiber(symmetric_actuator(), (1.0, 0.8), 3.0, 20)
+        act = symmetric_actuator()
+        path = trace_fiber(act, (1.0, 0.8), 3.0, 20)
         assert type(path.level) is float
         for which in WHICH:
-            report = monotonicity_sweep(symmetric_actuator(), path, which)
+            report = monotonicity_sweep(act, path, which)
             assert type(report.is_strictly_increasing) is bool
             assert type(report.min_increment) is float
-        assert type(passive_promptness_relation(symmetric_actuator(), path).is_monotone) is bool
+        assert type(passive_promptness_relation(act, path).is_monotone) is bool
 
     def test_constant_channels_give_a_level_per_fiber(self):
         # both outputs are constants, so the level is one float for every
@@ -984,6 +1005,21 @@ def sweeps_and_relation(act, path, relation_first=False):
     return [report_fields(r) for r in (*sweeps, relation)]
 
 
+def expected_sweeps_and_relation(act, points):
+    """sweeps_and_relation's fields, computed with the public formulas on the
+    columns of points and numpy reductions along them."""
+    u = np.moveaxis(points, -1, 0)
+    values = [np.broadcast_to(fn(act, u), u[0].shape) for fn in (passive_coefficient, promptness)]
+    per_fiber = np.generic.item if points.ndim == 2 else np.asarray
+    reports = []
+    for v in values:
+        least = (v[..., 1:] - v[..., :-1]).min(axis=-1)
+        reports.append(SweepReport(v, per_fiber(least > 0.0), per_fiber(least)))
+    ds, dr = (v[..., 1:] - v[..., :-1] for v in values)
+    reports.append(RelationReport(np.stack(values, axis=-1), per_fiber((np.sign(ds) * dr > 0.0).all(axis=-1))))
+    return [report_fields(r) for r in reports]
+
+
 def counting(channel, counts, side):
     """channel with each of its functions counting its calls in counts."""
     def counted(name):
@@ -996,33 +1032,39 @@ def counting(channel, counts, side):
     return ChannelLaw(**{f.name: counted(f.name) for f in dataclasses.fields(ChannelLaw)})
 
 
+def assert_refused(act, path):
+    """Both sweeps and the relation refuse path on act with one line."""
+    for which in WHICH:
+        with pytest.raises(ValueError, match=f"^{UNTRACED}$"):
+            monotonicity_sweep(act, path, which)
+    with pytest.raises(ValueError, match=f"^{UNTRACED}$"):
+        passive_promptness_relation(act, path)
+
+
 class TestTracedPath:
     """A path from trace_fiber keeps its actuator, read-only points and the
-    values its sweeps compute; no other path or actuator may use them."""
+    values its sweeps compute; the sweeps and the relation take no other
+    path, and no other actuator."""
 
-    def test_another_actuator_checks_its_own_box(self):
-        act = symmetric_actuator(exponential_channel)
-        path = trace_fiber(act, (1.0, 0.5), 2.0, 20)
-        narrow = dataclasses.replace(act, admissible_box=((0.0, 1.5), (0.0, math.inf)))
-        for which in WHICH:
-            monotonicity_sweep(act, path, which)
-            with pytest.raises(ValueError, match="outside admissible box"):
-                monotonicity_sweep(narrow, path, which)
-        passive_promptness_relation(act, path)
-        with pytest.raises(ValueError, match="outside admissible box"):
-            passive_promptness_relation(narrow, path)
-
-    def test_replaced_points_are_checked(self):
+    @pytest.mark.parametrize("other", [
+        lambda act: dataclasses.replace(act),
+        lambda act: dataclasses.replace(act, admissible_box=((0.0, 1.5), (0.0, math.inf))),
+        lambda act: symmetric_actuator(quadratic_channel),
+    ], ids=["equal-copy", "narrower-box", "other-channels"])
+    def test_another_actuator_is_refused(self, other):
         act = symmetric_actuator(exponential_channel)
         path = trace_fiber(act, (1.0, 0.5), 2.0, 20)
         sweeps_and_relation(act, path)
-        outside = dataclasses.replace(path, points=path.points - 1.0)
-        assert outside.traced_on is None
-        for which in WHICH:
-            with pytest.raises(ValueError, match="outside admissible box"):
-                monotonicity_sweep(act, outside, which)
-        with pytest.raises(ValueError, match="outside admissible box"):
-            passive_promptness_relation(act, outside)
+        assert_refused(other(act), path)
+        sweeps_and_relation(act, path)
+
+    def test_a_replaced_path_is_refused(self):
+        act = symmetric_actuator(exponential_channel)
+        path = trace_fiber(act, (1.0, 0.5), 2.0, 20)
+        sweeps_and_relation(act, path)
+        for copy in (dataclasses.replace(path), dataclasses.replace(path, points=path.points - 1.0)):
+            assert copy.traced_on is None
+            assert_refused(act, copy)
 
     def test_points_and_kept_values_are_read_only(self):
         act = symmetric_actuator(exponential_channel)
@@ -1036,8 +1078,10 @@ class TestTracedPath:
             assert monotonicity_sweep(act, path, which).values is report.values
 
     @pytest.mark.parametrize("relation_first", [False, True])
-    def test_traced_path_sweeps_like_its_untraced_copy(self, relation_first):
-        # the five fiber-workload families, a constant channel and a (2, 3) batch
+    def test_traced_path_sweeps_like_its_points(self, relation_first):
+        # the five fiber-workload families, a constant channel and a (2, 3)
+        # batch: the values are the public formulas' on the columns of the
+        # points, bit for bit, and the verdicts are read off them
         cases = {name: (act, start, end) for name, act, start, end in fiber_workload_cases(3, 1)}
         assert len(cases) == 5
         batch, start, ends, _ = fiber_batch("constant", 4, seed=9)
@@ -1049,22 +1093,18 @@ class TestTracedPath:
                                  start, start[0] + 2.0)
         for name, (act, start, end) in cases.items():
             path = trace_fiber(act, start, end, 50)
-            copy = FiberPath(path.level, path.points.copy(), path.residuals)
-            assert copy.traced_on is None
             assert (sweeps_and_relation(act, path, relation_first)
-                    == sweeps_and_relation(act, copy, relation_first)), name
+                    == expected_sweeps_and_relation(act, path.points)), name
 
-    def test_traced_path_sweeps_like_its_replaced_copy(self):
-        # the traced path reads the trace's own u1 and u2 arrays, its replaced
-        # copy the columns of its points: the same values bit for bit
+    def test_a_built_copy_is_refused(self):
         cases = [(name, act, start, end) for name, act, start, end in fiber_workload_cases(4, 4)]
         cases.append(("exp channel", symmetric_actuator(exponential_channel), (1.0, 0.5), 3.0))
         assert len({name.split("(")[0] for name, *_ in cases}) == 6
         for name, act, start, end in cases:
             path = trace_fiber(act, start, end, 200)
-            copy = dataclasses.replace(path)
+            copy = FiberPath(path.level, path.points.copy(), path.residuals)
             assert copy.traced_on is None
-            assert sweeps_and_relation(act, path) == sweeps_and_relation(act, copy), name
+            assert_refused(act, copy)
 
     def test_each_channel_quantity_is_evaluated_once(self):
         from collections import Counter

@@ -790,6 +790,10 @@ class TestConfigFaults:
             pytest.param(allocate_config(dict(UNIT_ROTOR, speed_box=[[0.0, None]])),
                          "error: dual_rotor.speed_box must be [[lo, hi], [lo, hi]], got [[0.0, None]]",
                          id="speed_box-one-pair"),
+            # null is refused here as for every other key; it read as the default box
+            pytest.param(allocate_config(dict(UNIT_ROTOR, speed_box=None)),
+                         "error: dual_rotor.speed_box must be [[lo, hi], [lo, hi]], got None",
+                         id="speed_box-null"),
             pytest.param(allocate_config(dict(UNIT_ROTOR, speed_box=[[2.0, 1.0], [0.0, None]])),
                          "error: dual_rotor: invalid speed box ((2.0, 1.0), (0.0, inf))", id="speed_box-inverted"),
             pytest.param({"scenario": "fiber-sweep", "model": {"vsa": 5}},

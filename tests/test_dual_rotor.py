@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -340,6 +341,73 @@ class TestAllocate:
         result = allocate(DualRotor.identical(UNIT), TrimPoint(nu_bar=0.0, force_level=1.0), 1e160)
         assert not result.feasible
         assert all(math.isnan(x) for x in result.speeds)
+
+
+def exactly_feasible(fwd, bwd, nu_bar, force_level, sigma_des) -> bool:
+    """Whether a request on the default box is feasible in exact arithmetic
+    of its floats: F rises strictly along the damping line, from v1 = 0 to
+    v2 = 0, so -k_T2 (sigma/k_D2)^2 < F_bar + nu_bar sigma < k_T1 (sigma/k_D1)^2."""
+    sigma = Fraction(sigma_des)
+    g = Fraction(force_level) + Fraction(nu_bar) * sigma
+    return (-Fraction(bwd.k_thrust) * (sigma / Fraction(bwd.k_inflow)) ** 2 < g
+            < Fraction(fwd.k_thrust) * (sigma / Fraction(fwd.k_inflow)) ** 2)
+
+
+def oracle_corpus(seed, ratios, n=2000):
+    """n requests on the default box, each as (fwd, bwd, nu_bar, force_level,
+    sigma_des) floats: k_T and k_D in [0.1, 2], every third pair identical,
+    nu_bar 0 or within +-0.05, made from speeds whose large one is in
+    [0.5, 10] and whose other one is that times a ratio log-uniform in
+    `ratios`, negative for half of them (outside the box)."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    while len(corpus) < n:
+        fwd = AffineThrustModel(*rng.uniform(0.1, 2.0, 2))
+        bwd = fwd if len(corpus) % 3 == 0 else AffineThrustModel(*rng.uniform(0.1, 2.0, 2))
+        nu_bar = rng.choice([0.0, rng.uniform(-0.05, 0.05)])
+        large = rng.uniform(0.5, 10.0)
+        small = large * 10.0 ** rng.uniform(*np.log10(ratios)) * rng.choice([1.0, -1.0])
+        v1, v2 = (large, small) if rng.integers(2) else (small, large)
+        force = (fwd.k_thrust * v1 * v1 - fwd.k_inflow * nu_bar * v1
+                 - (bwd.k_thrust * v2 * v2 + bwd.k_inflow * nu_bar * v2))
+        sigma_des = fwd.k_inflow * v1 + bwd.k_inflow * v2
+        if sigma_des > 0.0:
+            corpus.append((fwd, bwd, float(nu_bar), float(force), float(sigma_des)))
+    return corpus
+
+
+def assert_allocates_as_the_oracle(corpus):
+    expected = [exactly_feasible(*request) for request in corpus]
+    # the corpus holds both verdicts, so neither a constant nor the generating speeds pass it
+    assert 0 < sum(expected) < len(expected)
+    singles = [allocate(DualRotor(fwd, bwd), TrimPoint(nu_bar, force), sigma_des).feasible
+               for fwd, bwd, nu_bar, force, sigma_des in corpus]
+    assert singles == expected
+    fwd, bwd, nu_bar, force, sigma_des = zip(*corpus)
+    rotors = [AffineThrustModel(np.array([m.k_thrust for m in ms]), np.array([m.k_inflow for m in ms]))
+              for ms in (fwd, bwd)]
+    batch = allocate_arrays(DualRotor(*rotors), *map(np.array, (nu_bar, force, sigma_des)))
+    assert batch.feasible.tolist() == expected
+
+
+class TestAllocateFeasibilityOracle:
+    """allocate's feasibility against exact rational arithmetic on the float
+    request, entry by entry, for allocate and allocate_arrays."""
+
+    def test_the_oracle_on_hand_derived_requests(self):
+        # unit rotors at sigma 2: F within (-4, 4), the ends excluded
+        for force, feasible in [(3.999, True), (4.0, False), (-4.0, False), (-3.999, True), (0.0, True)]:
+            assert exactly_feasible(UNIT, UNIT, 0.0, force, 2.0) is feasible
+        # nu_bar sigma moves the request: 4.5 - 0.25 * 2 = 4 is at the end
+        assert not exactly_feasible(UNIT, UNIT, -0.25, 4.5, 2.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_speed_ratios_down_to_1e_6(self, seed):
+        assert_allocates_as_the_oracle(oracle_corpus(seed, (1e-6, 1.0)))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+    def test_speed_ratios_from_1e_18_to_1e_14(self):
+        assert_allocates_as_the_oracle(oracle_corpus(2, (1e-18, 1e-14)))
 
 
 class TestAllocationResult:

@@ -351,7 +351,9 @@ def passive_promptness_relation(act: AntagonisticActuator, path: FiberPath) -> R
     The signs agree where sign(ds) dr > 0: |sign(ds) dr| = |dr|, so unlike
     ds dr it neither overflows nor underflows to 0 on finite increments. The
     increments are formed as the sweeps form theirs, inf - inf warning
-    included.
+    included. A fiber that is not monotone and holds one pair at two adjacent
+    steps is a ValueError naming the steps and the pair (of a batch, the first
+    such step in C order).
     """
     passive, prompt = _values(act, path, ("passive", "promptness"))
     ds, dr = passive[..., 1:] - passive[..., :-1], prompt[..., 1:] - prompt[..., :-1]
@@ -361,5 +363,7 @@ def passive_promptness_relation(act: AntagonisticActuator, path: FiberPath) -> R
     is_monotone = agree.min(axis=-1) > 0.0
     # sign(ds) dr is 0 at a degenerate step, so only a fiber that is not monotone holds one
     if not everywhere(is_monotone) and ((ds == 0.0) & (dr == 0.0)).any():
-        raise ValueError("degenerate path: adjacent points coincide")
+        k, s, r = first_refused((ds != 0.0) | (dr != 0.0), passive[..., :-1], prompt[..., :-1])
+        raise ValueError(f"degenerate relation: steps {k[-1]} and {k[-1] + 1} share the "
+                         f"(passive, promptness) pair ({s}, {r})")
     return RelationReport(pairs=_columns(passive, prompt), is_monotone=_per_fiber(is_monotone, bool))

@@ -79,10 +79,10 @@ _DIFFERENTIAL = "differential mode exceeds common mode"
 _BOX = "speed box violation"
 
 
-# built positionally, and filled by one dict update: the frozen __init__ that
-# dataclass generates sets each field through object.__setattr__, about 0.5 us
-# of a 2.4 us scalar allocate. The parameters keep the field names, which
-# dataclasses.replace passes by keyword.
+# built positionally, and filled by item stores into __dict__: faster than the
+# generated frozen __init__ (object.__setattr__ per field) or one dict.update
+# of keywords. The parameters keep the field names, which dataclasses.replace
+# passes by keyword.
 @dataclass(frozen=True, init=False)
 class AllocationResult:
     """allocate's floats or allocate_arrays' arrays. A scalar result has value
@@ -96,9 +96,12 @@ class AllocationResult:
     reason: str = ""
 
     def __init__(self, speeds, achieved_force, achieved_damping, feasible, reason=""):
-        self.__dict__.update(speeds=speeds, achieved_force=achieved_force,
-                             achieved_damping=achieved_damping, feasible=feasible,
-                             reason=reason)
+        fields = self.__dict__
+        fields["speeds"] = speeds
+        fields["achieved_force"] = achieved_force
+        fields["achieved_damping"] = achieved_damping
+        fields["feasible"] = feasible
+        fields["reason"] = reason
 
 
 def net_force(dr: DualRotor, v: Sequence[float], nu: float) -> float:
@@ -227,11 +230,13 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
     other speed y comes off the line, dividing by the larger k_D). Its
     roots are c/q and q/a with q = -(b + sqrt(b^2 - 4ac))/2, which is free
     of cancellation since b > 0 (Higham, Accuracy and Stability of
-    Numerical Algorithms, 1.8); identical rotors give a = 0 and the single
-    root c/q. F rises strictly along the line inside the positive
-    quadrant, so at most one root lies in the box. An infeasible request
-    is reported with the unconstrained candidate, never clamped: the root
-    c/q, or the vertex -b/(2a) when no real root exists.
+    Numerical Algorithms, 1.8). q is negative, -inf or NaN, so unless a < 0
+    q/a is at most 0, infinite or NaN, never in the open box, whose floors
+    are at least 0: q/a is tried, before c/q, only where a < 0 (identical
+    rotors give a = 0). F rises strictly along the line inside the positive
+    quadrant, so at most one root lies in the box. An infeasible request is
+    reported with the unconstrained candidate, never clamped: the root c/q,
+    or the vertex -b/(2a) when no real root exists.
     A finite quadratic whose b^2 - 4ac overflows is scaled by a power of two
     first, which keeps its roots; one whose coefficients overflow (c = -inf
     at sigma_des 1e160 on unit rotors) is solved as it stands, infeasible.
@@ -253,7 +258,8 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
         a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
         disc = b * b - 4.0 * a * c
     # candidates in the order tried; c/q comes last, so it is what is left
-    # when neither root is in the box
+    # when neither root is in the box; q/a only where a < 0, as it is never
+    # in the box elsewhere
     if disc < 0.0:
         xs = (-b / (2.0 * a),)
     else:
@@ -261,7 +267,7 @@ def allocate(dr: DualRotor, trim: TrimPoint, sigma_des: float) -> AllocationResu
         if q == 0.0:
             # b > 0 makes q < 0 in exact arithmetic: only an underflow gives 0
             _refuse_request(sigma_des)
-        xs = (c / q,) if a == 0.0 else (q / a, c / q)
+        xs = (q / a, c / q) if a < 0.0 else (c / q,)
 
     for x in xs:
         y = (sigma_des - rx.k_inflow * x) / ry.k_inflow
@@ -344,9 +350,10 @@ def allocate_arrays(dr: DualRotor, nu_bar, force_level, sigma_des) -> Allocation
             y = (sigma_des - rx.k_inflow * x) / ry.k_inflow
             return np.where(swap, y, x), np.where(swap, x, y)
 
-        # q/a first, where a real second root exists; else c/q, or the vertex
+        # q/a first, where a real second root exists and a < 0 (as in allocate,
+        # q/a is never in the box elsewhere); else c/q, or the vertex
         upper = speeds(q / a)
-        upper_in = real & (a != 0.0) & inside(dr.speed_box, upper)
+        upper_in = real & (a < 0.0) & inside(dr.speed_box, upper)
         lower = speeds(np.where(real, c / q, -b / (2.0 * a)))
     v1, v2 = np.where(upper_in, upper[0], lower[0]), np.where(upper_in, upper[1], lower[1])
     feasible = inside(dr.speed_box, (v1, v2))

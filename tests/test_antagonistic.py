@@ -409,8 +409,22 @@ class TestPassivePromptnessRelation:
         values = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (3, 1))
         assert passive_promptness_relation(*valued_fibers(values, values)).is_monotone.all()
         values[degenerate, 2] = values[degenerate, 1]
-        with pytest.raises(ValueError, match="degenerate path"):
+        with pytest.raises(ValueError, match=r"degenerate relation: steps 1 and 2 share the "
+                           r"\(passive, promptness\) pair \(2\.0, 2\.0\)$"):
             passive_promptness_relation(*valued_fibers(values, values))
+
+    def test_distinct_points_with_one_pair_name_the_steps_and_the_pair(self):
+        # linear channels of passive coefficient 1 each: the points (1, 1), (2, 2)
+        # and (3, 3) are distinct, but every (passive, promptness) pair is (2, sqrt 2)
+        linear = ChannelLaw(output_fn=lambda u: u, output_sensitivity_fn=lambda u: 1.0,
+                            passive_coeff_fn=lambda u: 1.0, inverse_fn=lambda y: y)
+        act = AntagonisticActuator(linear, linear)
+        path = trace_fiber(act, (1.0, 1.0), 3.0, 3)
+        assert path.points.tolist() == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+        with pytest.raises(ValueError) as error:
+            passive_promptness_relation(act, path)
+        assert str(error.value) == ("degenerate relation: steps 0 and 1 share the "
+                                    f"(passive, promptness) pair (2.0, {math.sqrt(2.0)})")
 
     def test_a_step_with_one_zero_increment_is_not_degenerate(self):
         # fiber 1's passive ties at one step while its promptness rises

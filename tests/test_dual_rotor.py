@@ -17,7 +17,8 @@ from vada.antagonistic import (
     task_output,
     trace_fiber,
 )
-from vada import verify
+from vada import dual_rotor, verify
+from vada._array import inside
 from vada.dual_rotor import (
     AllocationResult,
     DualRotor,
@@ -40,6 +41,13 @@ NAN_BOUND = DualRotor.identical(AffineThrustModel(k_thrust=1e300, k_inflow=1e-30
 # the same overflow in numpy, as entry 0 of array coefficients
 NAN_BOUND_ARRAYS = DualRotor.identical(
     AffineThrustModel(k_thrust=np.array([1e300, 1.0]), k_inflow=np.array([1e-300, 1.0])))
+# (fwd, bwd, nu_bar, force_level, sigma_des) of a request made from the in-box
+# speeds (2.7552725445327653, 1.0002293166833027e-09): its root in the box is q/a
+BOX_FLOOR_REQUEST = (
+    AffineThrustModel(1.369084675764101e-17, 0.6453154246899666),
+    AffineThrustModel(1.1172961613108712, 0.8758553222625347),
+    -0.00028240462166544497, 0.0005021210295731119, 1.7780198730878225,
+)
 
 
 def random_rotor(rng, symmetric=False):
@@ -285,15 +293,14 @@ class TestAllocate:
     def test_a_request_at_the_box_floor_takes_the_root_q_over_a(self):
         # k_T1 is 1e-17 and v2 is 4e-10 of v1: c/q, the root where F rises
         # along the damping line, rounds to a negative speed, and q/a is in the box
-        fwd, bwd = (1.369084675764101e-17, 0.6453154246899666), (1.1172961613108712, 0.8758553222625347)
-        nu_bar, force, sigma_des = -0.00028240462166544497, 0.0005021210295731119, 1.7780198730878225
-        dr = DualRotor(AffineThrustModel(*fwd), AffineThrustModel(*bwd))
+        fwd, bwd, nu_bar, force, sigma_des = BOX_FLOOR_REQUEST
+        dr = DualRotor(fwd, bwd)
         made_from = (2.7552725445327653, 1.0002293166833027e-09)
         assert (net_force(dr, made_from, nu_bar), damping_at_trim(dr, made_from, nu_bar)) == (force, sigma_des)
         speeds = (2.7552725458903278, 2.5351744663883446e-16)
         result = allocate(dr, TrimPoint(nu_bar=nu_bar, force_level=force), sigma_des)
         assert (result.feasible, result.speeds) == (True, speeds)
-        one = DualRotor(*(AffineThrustModel(np.array([k_t]), np.array([k_d])) for k_t, k_d in (fwd, bwd)))
+        one = DualRotor(*(AffineThrustModel(np.array([m.k_thrust]), np.array([m.k_inflow])) for m in (fwd, bwd)))
         batch = allocate_arrays(one, np.array([nu_bar]), np.array([force]), np.array([sigma_des]))
         assert batch.feasible.tolist() == [True]
         assert (batch.speeds[0].tolist(), batch.speeds[1].tolist()) == ([speeds[0]], [speeds[1]])
@@ -412,7 +419,7 @@ class TestAllocateFeasibilityOracle:
 
 class TestAllocationResult:
     """A frozen dataclass built positionally by a hand-written __init__ that fills
-    the instance with one dict update: value semantics, each field in its place."""
+    the instance with item stores: value semantics, each field in its place."""
 
     def result(self, force=3.0):
         return allocate(DualRotor.identical(UNIT), TrimPoint(nu_bar=0.0, force_level=force), 4.0)
@@ -662,6 +669,141 @@ class TestAllocateArrays:
             allocate_arrays(dr, np.zeros(3), np.zeros(3), np.array([1.0, sigma_des, -2.0]))
         assert str(batch.value) == str(alone.value)
         assert "-2.0" not in str(batch.value)
+
+
+def reference_allocate(dr, trim, sigma_des):
+    """allocate with its former candidate order, which tried q/a before c/q
+    wherever a != 0, whatever a's sign; with the a and the discriminant it
+    solved (after any 2^e scaling)."""
+    fwd, bwd = dr.rotor_fwd, dr.rotor_bwd
+    g = trim.force_level + trim.nu_bar * sigma_des
+    swap = bwd.k_inflow < fwd.k_inflow
+    rx, ry = (bwd, fwd) if swap else (fwd, bwd)
+    a, b, c = dual_rotor._allocation_quadratic(rx, ry, -g if swap else g, sigma_des)
+    disc = b * b - 4.0 * a * c
+    if not disc < math.inf and all(map(math.isfinite, (a, b, c))):
+        e = 510 - math.frexp(max(abs(a), abs(b), abs(c)))[1]
+        a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
+        disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        xs = (-b / (2.0 * a),)
+    else:
+        q = -0.5 * (b + math.sqrt(disc))
+        xs = (c / q,) if a == 0.0 else (q / a, c / q)
+    for x in xs:
+        y = (sigma_des - rx.k_inflow * x) / ry.k_inflow
+        v1, v2 = (y, x) if swap else (x, y)
+        feasible = inside(dr.speed_box, (v1, v2))
+        if feasible:
+            break
+    reason = "" if feasible else (
+        "differential mode exceeds common mode" if min(v1, v2) <= 0 else "speed box violation")
+    return dual_rotor._allocation(dr, trim.nu_bar, v1, v2, feasible, reason), a, disc
+
+
+def candidate_corpus(seed, n=600):
+    """Requests as (fwd, bwd, nu_bar, force_level, sigma_des): every fourth
+    pair of rotors identical (a = 0), the others distinct (a of either
+    sign), half of them at a nonzero trim, made from speeds of which some
+    are negative and with the force scaled by 1, 10 or -10 (infeasible
+    requests and ones with no real root); then a NaN force, coefficients
+    that overflow, quadratics scaled by 2^e and the box-floor request."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    while len(corpus) < n:
+        fwd = AffineThrustModel(*rng.uniform(0.05, 5.0, 2).tolist())
+        bwd = fwd if len(corpus) % 4 == 0 else AffineThrustModel(*rng.uniform(0.05, 5.0, 2).tolist())
+        nu_bar = float(rng.choice([0.0, rng.uniform(-20.0, 20.0)]))
+        v1, v2 = rng.uniform(-5.0, 20.0, 2).tolist()
+        force = (fwd.k_thrust * v1 * v1 - fwd.k_inflow * nu_bar * v1
+                 - (bwd.k_thrust * v2 * v2 + bwd.k_inflow * nu_bar * v2))
+        sigma_des = fwd.k_inflow * v1 + bwd.k_inflow * v2
+        if sigma_des > 0.0:
+            corpus.append((fwd, bwd, nu_bar, force * float(rng.choice([1.0, 10.0, -10.0])), sigma_des))
+    big, distinct = AffineThrustModel(1e300, 1.0), AffineThrustModel(2e300, 3.0)
+    return corpus + [
+        (UNIT, UNIT, 0.0, math.nan, 2.0),
+        (UNIT, AffineThrustModel(3.0, 2.0), 1.0, math.nan, 2.0),
+        (UNIT, UNIT, 0.0, 1.0, 1e160),
+        (UNIT, AffineThrustModel(1.0, 2.0), 0.0, 1.0, 1e160),
+        (AffineThrustModel(1e155, 1.0), AffineThrustModel(1e155, 1.0), 0.0, 5e154, 1.0),
+        (big, big, 0.0, 5e299, 1.0),
+        (big, distinct, 0.0, 1.44e300 - 0.5e300, 2.7),
+        BOX_FLOOR_REQUEST,
+    ]
+
+
+def result_bits(speeds, force, damping):
+    """Each entry's two speeds, force and damping as the bits of their
+    floats, so -0.0 and NaN compare as themselves."""
+    return np.stack([*speeds, force, damping], axis=-1).view(np.uint64)
+
+
+class TestCandidateOrder:
+    """Trying q/a only where a < 0 leaves every result as it was when q/a was
+    tried wherever a != 0: q < 0 and the box floors are >= 0, so q/a is never
+    in the box where a > 0."""
+
+    @pytest.mark.parametrize("box", [((0.0, math.inf), (0.0, math.inf)), ((1.0, 10.0), (1.0, 10.0))],
+                             ids=["default", "finite"])
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+    def test_a_seeded_corpus_allocates_as_the_reference_bit_for_bit(self, monkeypatch, box, zero):
+        # zero is the a of identical rotors, -0.0 through a patched quadratic
+        quadratic = dual_rotor._allocation_quadratic
+
+        def with_zero(*args):
+            a, b, c = quadratic(*args)
+            return np.where(a == 0.0, zero, a) if isinstance(a, np.ndarray) else (
+                zero if a == 0.0 else a), b, c
+
+        monkeypatch.setattr(dual_rotor, "_allocation_quadratic", with_zero)
+        corpus = candidate_corpus(31)
+        rows, kinds = [], set()
+        for fwd, bwd, nu_bar, force, sigma_des in corpus:
+            dr, trim = DualRotor(fwd, bwd, speed_box=box), TrimPoint(nu_bar, force)
+            result = allocate(dr, trim, sigma_des)
+            expected, a, disc = reference_allocate(dr, trim, sigma_des)
+            assert result_bits(result.speeds, result.achieved_force, result.achieved_damping).tolist() \
+                == result_bits(expected.speeds, expected.achieved_force, expected.achieved_damping).tolist()
+            assert (result.feasible, result.reason) == (expected.feasible, expected.reason)
+            rows.append(expected)
+            kinds.add(("vertex" if disc < 0.0 else "+" if a > 0.0 else "-" if a < 0.0 else repr(a),
+                       result.feasible))
+        assert kinds == {("+", True), ("+", False), ("-", True), ("-", False), (repr(zero), True),
+                         (repr(zero), False), ("vertex", False)}
+        rotors = [AffineThrustModel(np.array([m.k_thrust for m in ms]), np.array([m.k_inflow for m in ms]))
+                  for ms in list(zip(*corpus))[:2]]
+        with np.errstate(all="ignore"):
+            batch = allocate_arrays(DualRotor(*rotors, speed_box=box),
+                                    *(np.array(column) for column in list(zip(*corpus))[2:]))
+        columns = [np.array([getattr(r, name) for r in rows]) for name in
+                   ("speeds", "achieved_force", "achieved_damping", "feasible", "reason")]
+        assert np.array_equal(result_bits(batch.speeds, batch.achieved_force, batch.achieved_damping),
+                              result_bits(columns[0].T, *columns[1:3]))
+        assert np.array_equal(batch.feasible, columns[3]) and np.array_equal(batch.reason, columns[4])
+
+    @pytest.mark.parametrize("request_, sign, calls", [
+        ((UNIT, UNIT, 0.0, 4.0, 5.0), 0.0, 1),
+        ((UNIT, AffineThrustModel(1.0, 2.0), 0.0, 4.0, 5.0), 1.0, 1),
+        # a = -1: the roots are x = 47, whose y is -21, and x = 3
+        ((UNIT, AffineThrustModel(5.0, 2.0), 0.0, 4.0, 5.0), -1.0, 2),
+        (BOX_FLOOR_REQUEST, -1.0, 1),
+    ], ids=["identical", "a-positive", "a-negative", "box-floor"])
+    def test_the_box_is_checked_once_per_candidate_tried(self, monkeypatch, request_, sign, calls):
+        fwd, bwd, nu_bar, force, sigma_des = request_
+        dr, trim = DualRotor(fwd, bwd), TrimPoint(nu_bar, force)
+        expected, a, _ = reference_allocate(dr, trim, sigma_des)
+        assert math.copysign(1.0, a) * (a != 0.0) == sign
+        checks = []
+
+        def counted(box, u):
+            checks.append(u)
+            return inside(box, u)
+
+        monkeypatch.setattr(dual_rotor, "inside", counted)
+        result = allocate(dr, trim, sigma_des)
+        assert len(checks) == calls
+        assert result == expected and expected.feasible
 
 
 FLOOR_BOX = ((1.0, math.inf), (1.0, math.inf))

@@ -11,6 +11,7 @@ from .aero import (
     monotone_regime_bound,
     speed_sensitivity,
     thrust,
+    thrust_inverse,
 )
 from .antagonistic import (
     AntagonisticActuator,

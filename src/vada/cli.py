@@ -188,10 +188,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     try:
-        out_dir = None
-        if args.out is not None:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
         # a run checks its own outputs for non-finite numbers and reports
         # them in one line, so numpy's floating-point warnings only add noise
         with np.errstate(all="ignore"):
@@ -202,6 +198,11 @@ def main(argv=None) -> int:
                 )
             if args.seed is not None and cfg.scenario == "verify":
                 cfg = replace(cfg, params={**cfg.params, "seed": args.seed})
+            # made only for a run that loads, so a config fault leaves no directory
+            out_dir = None
+            if args.out is not None:
+                out_dir = Path(args.out)
+                out_dir.mkdir(parents=True, exist_ok=True)
             return RUNNERS[args.scenario](cfg, out_dir)
     except core.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

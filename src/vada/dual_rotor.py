@@ -6,7 +6,8 @@ trim-linearized damping, the bridge into the antagonistic core (force
 promptness is the core's, read through it), and the inverse (force,
 damping) -> speeds allocation live here. The net force, the bridge's
 channels and the allocator's achieved force all read aero's one thrust
-polynomial, and box checks are _array's.
+polynomial, the channels' inverses read aero's thrust_inverse, and box
+checks are _array's.
 net_force and damping_at_trim also take a pair of speed arrays, with
 float or array rotor coefficients. as_antagonistic_at_trim takes array
 rotor coefficients and an array trim, for a batch of fibers traced in one
@@ -29,6 +30,7 @@ from .aero import (
     inflow_sensitivity,
     monotone_regime_bound,
     speed_sensitivity,
+    thrust_inverse,
     thrust_polynomial,
 )
 from .antagonistic import AntagonisticActuator, ChannelLaw, promptness
@@ -134,15 +136,12 @@ def as_antagonistic_at_trim(
     """View the dual rotor at a fixed trim as a generic antagonistic actuator.
 
     Channel maps: h1(v) = T1(v, nu_bar), h2(v) = T2(v, -nu_bar), with the
-    per-rotor inflow sensitivities as passive coefficients. Requires the
-    whole speed box to sit in the monotone regime (dT/dv > 0), checked at
-    the box lower bounds; a NaN trim is refused.
-
-    Each inverse is the larger root of k_T v^2 - b v - y = 0 with
-    b = k_D nu_in and D = b^2 + 4 k_T y: (b + sqrt(D)) / (2 k_T) for b >= 0
-    and 2 y / (sqrt(D) - b) for b < 0, so neither form subtracts nearly
-    equal numbers (Higham, Accuracy and Stability of Numerical Algorithms,
-    1.8). A thrust with no root (D < 0) gives NaN.
+    per-rotor inflow sensitivities as passive coefficients: each channel
+    binds aero's thrust_polynomial, speed_sensitivity, inflow_sensitivity
+    and thrust_inverse at its rotor's trim inflow, as vsa's bridge binds
+    its TendonLaw. Requires the whole speed box to sit in the monotone
+    regime (dT/dv > 0), checked at the box lower bounds; a NaN trim is
+    refused.
 
     Batches: an array nu_bar and array rotor coefficients broadcast against
     the fiber grid S + (steps,) of trace_fiber (coefficients of shape
@@ -150,27 +149,16 @@ def as_antagonistic_at_trim(
     each). Floats and arrays take the one trim check, which holds at every
     entry; the first refused entry in C order raises the message of its own
     trim, so a float nu_bar against array coefficients reports the float.
-    Each inverse picks its form per entry, on the sign of that entry's
-    inflow (-0.0 takes the first), so every entry equals the scalar inverse
-    bit for bit; both forms are computed, which only trace_fiber's error
-    state keeps quiet.
+    An array trim's inverse picks its form per entry, as thrust_inverse does.
     """
     _require_monotone_trim(dr, nu_bar)
 
     def channel(model: AffineThrustModel, inflow) -> ChannelLaw:
-        k_t, b = model.k_thrust, model.k_inflow * inflow
         return ChannelLaw(
             output_fn=lambda v: thrust_polynomial(model, v, inflow),
             output_sensitivity_fn=lambda v: speed_sensitivity(model, v, inflow),
             passive_coeff_fn=lambda v: inflow_sensitivity(model, v, inflow),
-            # a float inflow keeps the scalar forms: np.where on it made a VADA fiber
-            # op 4-7 % slower (medians of 40 interleaved rounds, two runs)
-            inverse_fn=(
-                _inverse_per_entry(k_t, b, inflow >= 0.0) if isinstance(inflow, np.ndarray)
-                else (lambda y: (b + np.sqrt(b * b + 4.0 * k_t * y)) / (2.0 * k_t))
-                if inflow >= 0.0
-                else (lambda y: 2.0 * y / (np.sqrt(b * b + 4.0 * k_t * y) - b))
-            ),
+            inverse_fn=lambda y: thrust_inverse(model, y, inflow),
         )
 
     return AntagonisticActuator(
@@ -178,17 +166,6 @@ def as_antagonistic_at_trim(
         channel_minus=channel(dr.rotor_bwd, -nu_bar),
         admissible_box=dr.speed_box,
     )
-
-
-def _inverse_per_entry(k_t, b, with_inflow):
-    """The channel inverse of array coefficients or inflows: each entry takes
-    the form its scalar inverse takes, (b + sqrt(D)) / (2 k_T) where
-    with_inflow holds and 2 y / (sqrt(D) - b) elsewhere, from the same
-    operations, so it equals that inverse bit for bit."""
-    def inverse(y):
-        root = np.sqrt(b * b + 4.0 * k_t * y)
-        return np.where(with_inflow, (b + root) / (2.0 * k_t), 2.0 * y / (root - b))
-    return inverse
 
 
 def _require_monotone_trim(dr: DualRotor, nu) -> None:

@@ -77,7 +77,8 @@ class InputSchedule:
         # written so that a NaN breakpoint fails them
         if any(not b > a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError(f"breakpoints must be strictly increasing: {self.breakpoints}")
-        if self.breakpoints and not self.breakpoints[0] > 0.0:
+        # the length, not the truth value, which an array of two or more refuses
+        if len(self.breakpoints) and not self.breakpoints[0] > 0.0:
             raise ValueError("breakpoints must be positive times")
         # a NaN or infinite force would fill the trajectory with NaN
         if not all(map(math.isfinite, self.forces)):

@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vada.aero import (
     monotone_regime_bound,
     speed_sensitivity,
     thrust,
+    thrust_inverse,
 )
 
 FD_H = 1e-5
@@ -207,6 +209,70 @@ class TestMonotoneRegime:
         eps = 1e-6
         assert speed_sensitivity(model, v, bound - eps) > 0.0
         assert speed_sensitivity(model, v, bound + eps) < 0.0
+
+
+def exact_thrust_inverse(k_thrust, k_inflow, y, nu_in):
+    """The larger root of k_T v^2 - k_D nu_in v - y to 60 digits, for the
+    float inputs taken as exact. The form that does not cancel, as in the
+    float: the textbook one cancels in decimal too when b < 0 and y is small."""
+    with localcontext(Context(prec=60)):
+        k_t, y = Decimal(k_thrust), Decimal(y)
+        b = Decimal(k_inflow) * Decimal(nu_in)
+        root = (b * b + 4 * k_t * y).sqrt()
+        return (b + root) / (2 * k_t) if b >= 0 else 2 * y / (root - b)
+
+
+def inverse_grid(n=4000, seed=37):
+    """k_T, k_D log-uniform in [0.05, 5]; inflows of both signs, |nu_in|
+    log-uniform in [1e-12, 1e2], with +0.0, -0.0 and -5e-324 (whose b
+    underflows to -0.0 where k_D < 0.5) among them; y log-uniform in
+    [1e-300, 1e300], where b^2 + 4 k_T y stays finite."""
+    rng = np.random.default_rng(seed)
+    k_thrust, k_inflow = 10.0 ** rng.uniform(np.log10(0.05), np.log10(5.0), (2, n))
+    nu_in = 10.0 ** rng.uniform(-12.0, 2.0, n) * rng.choice([1.0, -1.0], n)
+    nu_in[: 3 * 20] = np.repeat([0.0, -0.0, -5e-324], 20)
+    y = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    return k_thrust, k_inflow, y, nu_in
+
+
+class TestThrustInverse:
+    def test_within_3_ulp_of_the_exact_root(self):
+        k_thrust, k_inflow, y, nu_in = inverse_grid()
+        b = k_inflow * nu_in
+        assert ((nu_in < 0.0) & (b == 0.0) & np.signbit(b)).any()  # b underflowed to -0.0
+        worst = 0.0
+        for k_t, k_d, yi, nu in zip(*(x.tolist() for x in (k_thrust, k_inflow, y, nu_in))):
+            exact = exact_thrust_inverse(k_t, k_d, yi, nu)
+            v = thrust_inverse(AffineThrustModel(k_t, k_d), yi, nu)
+            worst = max(worst, abs(Decimal(float(v)) - exact) / Decimal(math.ulp(float(exact))))
+        assert worst <= 3
+
+    def test_array_calls_equal_float_calls_bit_for_bit(self):
+        k_thrust, k_inflow, y, nu_in = inverse_grid(n=500)
+        models = AffineThrustModel(k_thrust, k_inflow)
+        floats = [thrust_inverse(AffineThrustModel(k_t, k_d), yi, nu) for k_t, k_d, yi, nu
+                  in zip(*(x.tolist() for x in (k_thrust, k_inflow, y, nu_in)))]
+        expected = np.array(floats).view(np.uint64)
+        # an array inflow computes both forms; the one not taken may divide by 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            batch = thrust_inverse(models, y, nu_in)
+        assert np.array_equal(batch.view(np.uint64), expected)
+        # a float inflow against arrays of y and coefficients, per entry too
+        for nu in (-0.0, -1.5, 2.0):
+            one = [thrust_inverse(AffineThrustModel(k_t, k_d), yi, nu) for k_t, k_d, yi
+                   in zip(k_thrust.tolist(), k_inflow.tolist(), y.tolist())]
+            assert np.array_equal(thrust_inverse(models, y, nu).view(np.uint64),
+                                  np.array(one).view(np.uint64))
+
+    def test_a_thrust_with_no_root_is_nan(self):
+        model = AffineThrustModel(k_thrust=1.3, k_inflow=0.6)
+        nu_in = np.array([2.0, -2.0, 0.0, -0.0])
+        b = 0.6 * nu_in
+        y = np.where(b == 0.0, -1.0, -1.5 * b * b / (4.0 * 1.3))  # D < 0
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(thrust_inverse(model, y, nu_in)).all()
+            for yi, nu in zip(y.tolist(), nu_in.tolist()):
+                assert np.isnan(thrust_inverse(model, yi, nu))
 
 
 class TestArrayInputs:

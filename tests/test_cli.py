@@ -1179,6 +1179,25 @@ class TestPathFaults:
         out = str(tmp_path / "taken" / "sub")
         assert_one_error_line(capsys, ["verify", "--config", config, "--out", out], out)
 
+    @pytest.mark.parametrize(
+        "data, argv, names",
+        [({"scenario": "verify", "params": {"seed": "x"}}, [], "params.seed"),
+         ({"scenario": "verify"}, ["--seed", "-1"], "params.seed"),
+         (SIMULATE_CONFIG, [], "but 'verify' was requested")],
+        ids=["config", "seed", "scenario"],
+    )
+    def test_a_config_fault_makes_no_out_directory(self, tmp_path, capsys, data, argv, names):
+        config = write_config(tmp_path, data)
+        out = str(tmp_path / "fresh" / "out")
+        assert_one_error_line(capsys, ["verify", "--config", config, "--out", out, *argv], names)
+        assert not (tmp_path / "fresh").exists()
+
+    def test_a_config_fault_is_reported_before_an_out_fault(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"scenario": "verify", "params": {"seed": "x"}})
+        (tmp_path / "taken").write_text("")
+        out = str(tmp_path / "taken" / "sub")
+        assert_one_error_line(capsys, ["verify", "--config", config, "--out", out], "params.seed")
+
     def test_config_naming_a_directory(self, tmp_path, capsys):
         assert_one_error_line(capsys, ["verify", "--config", str(tmp_path)], str(tmp_path))
 

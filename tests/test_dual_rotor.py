@@ -412,6 +412,11 @@ class TestAllocateFeasibilityOracle:
     def test_speed_ratios_down_to_1e_6(self, seed):
         assert_allocates_as_the_oracle(oracle_corpus(seed, (1e-6, 1.0)))
 
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_speed_ratios_from_1e_14_to_1e_6(self, seed):
+        # the band between the passing one above and item 13's failing one below
+        assert_allocates_as_the_oracle(oracle_corpus(seed, (1e-14, 1e-6)))
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
     def test_speed_ratios_from_1e_18_to_1e_14(self):
         assert_allocates_as_the_oracle(oracle_corpus(2, (1e-18, 1e-14)))

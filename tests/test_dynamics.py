@@ -406,6 +406,18 @@ class TestSimulate:
             with pytest.raises(ValueError, match="strictly increasing"):
                 InputSchedule(speeds=speeds, forces=forces, breakpoints=breakpoints)
 
+    @pytest.mark.parametrize("breakpoints", [[], [0.3], [0.3, 0.6]], ids=["none", "one", "two"])
+    def test_breakpoint_arrays_simulate_as_their_lists(self, breakpoints):
+        # an array of two or more was refused by its truth value, an empty one too
+        n = len(breakpoints) + 1
+        speeds, forces = [(2.0, 1.0), (3.0, 2.0), (2.5, 1.5)][:n], [0.0, 0.4, -0.2][:n]
+        runs = [simulate(unit_body(), InputSchedule(speeds=speeds, forces=forces, breakpoints=b),
+                         0.1, 1.0, 0.01)
+                for b in (breakpoints, np.array(breakpoints, dtype=float))]
+        for name in ("times", "nu", "v1", "v2", "f_ext", "force"):
+            assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+        assert runs[0].segments == runs[1].segments
+
     @pytest.mark.parametrize("breakpoints", [[0.5, math.nan], [math.nan, 0.5], [math.nan]])
     def test_nan_breakpoint_rejected(self, breakpoints):
         # a NaN compares false both ways: accepted, it dropped every segment after it

@@ -7,7 +7,8 @@ fixed-step RK4 simulator is checked against the exact exponential solution.
 Under held inputs the dynamics are affine in nu, so one RK4 step of size h
 is exactly nu - nu_inf -> R(z) (nu - nu_inf) with z = -h c_app / m and
 R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the stability function of classical
-RK4. `simulate` evaluates that recurrence in closed form per input segment.
+RK4. `simulate` evaluates that recurrence in closed form per input segment,
+k steps as nu_inf + (nu_a - nu_inf) exp(k ln R(z)) with ln R(z) taken from z.
 R is positive on the real axis, so the recurrence is stable exactly where
 R(z) < 1, that is z > -2.7852... (Hairer & Wanner, Solving Ordinary
 Differential Equations II, IV.2).
@@ -42,11 +43,18 @@ __all__ = [
 # |z| below this (the negative root of R(z) = 1, -2.78529..., truncated) keeps an
 # RK4 step stable.
 RK4_STABILITY_LIMIT = 2.785
+_LN2 = math.log(2.0)
 
 
 def _stability_increment(z: float) -> float:
     """R(z) - 1, the one place RK4's stability polynomial is written."""
     return z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+
+
+def _stability_rate(z: float) -> float:
+    """ln R(z), the RK4 recurrence's decay rate per step: log1p of R(z) - 1
+    from z, as rounding R(z) itself would cost eps/|z| of it."""
+    return math.log1p(_stability_increment(z))
 
 
 @dataclass(frozen=True)
@@ -125,9 +133,8 @@ class SegmentRecord:
     @property
     def time_constant(self) -> float:
         """-h / ln R(z), the RK4 recurrence's own time constant (NaN for 0
-        steps): m / c_app (1 + z^4/120 + ...), as ln R(z) = z - z^5/120 + ....
-        ln R(z) is log1p of R(z) - 1 from z: r's rounding costs eps/|z|."""
-        return -self.h / math.log1p(_stability_increment(self.z)) if self.steps else math.nan
+        steps): m / c_app (1 + z^4/120 + ...), as ln R(z) = z - z^5/120 + ...."""
+        return -self.h / _stability_rate(self.z) if self.steps else math.nan
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,19 +224,21 @@ def simulate(
     starting from nu_a is nu_inf + (nu_a - nu_inf) R(z)^k, evaluated for
     all k at once. A step beyond the stability limit, where R(z) >= 1 would
     make the recurrence diverge, is a ValueError naming the largest stable
-    dt; near z = 0, R(z) may round to 1, which holds nu (a segment too short
-    to decay). A z that underflows to 0, whose time constant -h / ln R(z)
-    is 0 / 0, or to a subnormal, whose rounding would misreport that time
-    constant, is a ValueError too, as is a dt that is not positive and
-    finite, or a non-finite nu0 or t_end. Each output sample
-    reports the inputs in force at its time and F(v, nu) = F_act(v) - c_app(v) nu;
+    dt. The decay reads ln R(z) from z, so a segment whose R(z) rounds to 1
+    near z = 0 still moves nu by its net force. A z that underflows to 0,
+    whose time constant -h / ln R(z) is 0 / 0, or to a subnormal, whose
+    rounding would misreport that time constant, is a ValueError too, as is
+    a dt that is not positive and finite, or a non-finite nu0 or t_end. Each
+    output sample reports the inputs in force at its time and
+    F(v, nu) = F_act(v) - c_app(v) nu;
     a breakpoint at the last sample's time puts it in the next segment, whose
     speeds are checked against the box too.
 
     A first pass makes every check and fixes each segment's steps; then
     `times` and `nu` are allocated once and each segment's slice is filled in
     place from one float64 array of step indices k: times as a + k h, and
-    the decay by filling the slice with R(z) and raising it to k in place.
+    the decay as exp(k ln R(z)), or as expm1 from nu_a while R(z)^k > 1/2.
+    Where ln R(z) < -1/2 the slice is filled with R(z) and raised to k.
     The input and force columns are left to the Trajectory to build from its
     segment table.
     """
@@ -266,25 +275,40 @@ def simulate(
                 f"R(z) = {r:.6g} >= 1 with z = {z:.6g}; the largest stable dt there is "
                 f"{RK4_STABILITY_LIMIT * body.mass / c_app:.6g}"
             )
-        steps.append((a, n, h, r, nu_inf))
+        steps.append((a, n, h, r, _stability_rate(z), nu_inf))
         fields.append((v, f_ext, c_app, f_act, n, h, z, r, h < dt))
 
-    size = 1 + sum(n for _, n, _, _, _ in steps)
+    size = 1 + sum(step[1] for step in steps)
     times, nu = np.empty(size), np.empty(size)
     times[0], nu[0] = 0.0, float(nu0)
-    # float64, so that neither the product nor the power casts it
-    k = np.arange(1.0, max(n for _, n, _, _, _ in steps) + 1)
+    # float64, so that neither the products nor the power cast it
+    k = np.arange(1.0, max(step[1] for step in steps) + 1)
     lo = 1
-    for a, n, h, r, nu_inf in steps:
-        # a + k * h and nu_inf + (nu_a - nu_inf) * r**k, filled in place
+    for a, n, h, r, rate, nu_inf in steps:
+        # a + k * h and nu_inf + (nu_a - nu_inf) R(z)^k, filled in place
         t_k, nu_k = times[lo : lo + n], nu[lo : lo + n]
         np.multiply(k[:n], h, out=t_k)
         t_k += a
-        # an array base: with a scalar one numpy runs its scalar power loop
-        nu_k.fill(r)
-        np.power(nu_k, k[:n], out=nu_k)
-        nu_k *= float(nu[lo - 1]) - nu_inf
-        nu_k += nu_inf
+        if rate < -0.5:
+            # |z| above ~0.5: the power of the rounded R(z) errs by k eps/2,
+            # less than exp's k |ln R(z)| eps. An array base: with a scalar
+            # one numpy runs its scalar power loop
+            nu_k.fill(r)
+            np.power(nu_k, k[:n], out=nu_k)
+            head, tail = nu_k[:0], nu_k
+        else:
+            # R(z)^k = exp(k ln R(z)). While it is above 1/2, nu is taken as
+            # nu_a + (nu_a - nu_inf) expm1(k ln R(z)), which does not cancel
+            # against a large nu_inf
+            np.multiply(k[:n], rate, out=nu_k)
+            j = min(n, int(_LN2 / -rate))
+            head, tail = nu_k[:j], nu_k[j:]
+            np.expm1(head, out=head)
+            np.exp(tail, out=tail)
+        nu_a = float(nu[lo - 1])
+        nu_k *= nu_a - nu_inf
+        head += nu_a
+        tail += nu_inf
         lo += n
 
     # samples are sorted in time, so segment i holds the samples from the

@@ -504,6 +504,13 @@ class TestSimulate:
         assert (short["steps"], short["r"]) == (1, 1.0)
         assert short["rk4_relative_deviation"] < 1e-12
 
+    def test_a_force_against_vanishing_damping_moves_nu(self, tmp_path, capsys):
+        # c_app = 2e-200 rounds R(z) to 1: it printed "final_nu": 0.0 and exited 0
+        cfg = self.base_config({"speeds": [[1e-200, 1e-200]], "forces": [1.0]}, t_end=1.0)
+        cfg["params"]["dt"] = 0.1
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["final_nu"] - 1.0) <= 1e-12
+
     def test_a_step_whose_z_underflows_exits_2_with_one_line(self, tmp_path, capsys):
         cfg = self.base_config({"speeds": [[1.5, 1.5]], "forces": [0.0]}, t_end=5e-324)
         cfg["params"]["mass"] = 10.0

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 import warnings
@@ -515,6 +516,23 @@ class TestStepwiseOracle:
             assert len(got) == len(want)
             assert all(abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in zip(got, want))
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [InputSchedule.constant((s, s), 1.0) for s in (1e-4, 1e-6, 1e-9, 1e-12, 1e-15, 1e-200)]
+        + [InputSchedule(speeds=[(1e-9, 1e-9), (1e-6, 1e-6), (1e-200, 1e-200), (1.5, 0.5)],
+                         forces=[1.0, -1.0, 0.5, 0.2], breakpoints=[0.3, 0.55, 0.8])],
+        ids=["speeds-1e-4", "speeds-1e-6", "speeds-1e-9", "speeds-1e-12", "speeds-1e-15",
+             "speeds-1e-200", "four-segments"],
+    )
+    def test_small_damping_matches_stepwise_rk4(self, schedule):
+        # nu_inf = 1 / c_app is large: the power of a rounded R(z) missed by
+        # 1.1e-10 at speeds 1e-4, and held nu at 0.0 below 1e-15 while the
+        # force drove it to 1.0
+        traj = simulate(unit_body(), schedule, 0.0, 1.0, 1e-3)
+        times, nus, *_ = stepwise_simulate(unit_body(), schedule, 0.0, 1.0, 1e-3)
+        assert np.array_equal(traj.times, times)
+        assert all(abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in zip(traj.nu, nus))
+
     def test_cases_cover_the_edge_segments(self):
         past_end = at_end = short = 0
         for seed in range(12):
@@ -627,6 +645,38 @@ def test_long_decay_through_underflow_within_one_ulp():
     assert np.all(np.abs(traj.nu[ks] - want) <= np.spacing(np.abs(want)))
     tiny = np.finfo(float).tiny
     assert np.any((want > 0.0) & (want < tiny)) and np.any(want == 0.0)
+
+
+def exact_decay(z, steps, nu_a, nu_inf):
+    """nu_inf + (nu_a - nu_inf) R(z)^k for k = 1..steps, rounded once from
+    50-digit decimal, with R(z) taken exactly from the float z; and ln R(z)."""
+    with decimal.localcontext(prec=50):
+        z, base = decimal.Decimal(z), decimal.Decimal(nu_inf)
+        r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        scale, power, out = decimal.Decimal(nu_a) - base, 1, []
+        for _ in range(steps):
+            power *= r
+            out.append(float(base + scale * power))
+        return np.array(out), float(r.ln())
+
+
+@pytest.mark.parametrize("z", [-1e-6, -1e-4, -1e-2, -0.1, -0.3, -0.45])
+def test_decay_within_its_error_bound_of_the_exact_power(z):
+    # k ln R(z) carries a few eps relative, which exp turns into
+    # k |ln R(z)| eps of R(z)^k; rounding R(z) itself cost k eps/2
+    eps = np.finfo(float).eps
+    for nu_a, f_ext in ((1.0, 2.5), (0.3, 2e6)):  # nu_inf = f_ext / 2: near nu_a, far above it
+        traj = simulate(unit_body(), InputSchedule.constant((1.0, 1.0), f_ext), nu_a, 20_000 * -z / 2, -z / 2)
+        (record,) = traj.segments
+        nu_inf = (record.f_act + record.f_ext) / record.c_app
+        assert record.steps >= 20_000 and record.z == pytest.approx(z, rel=1e-12)
+        want, rate = exact_decay(record.z, record.steps, nu_a, nu_inf)
+        k = np.arange(1.0, record.steps + 1)
+        bound = (4.0 + 2.0 * k * abs(rate)) * eps * max(abs(nu_a), abs(nu_inf))
+        assert np.all(np.abs(traj.nu[1:] - want) <= bound)
+        if z == -1e-6 and nu_inf > 1e3:
+            # the bound is sharp enough to refuse the power of the rounded R(z)
+            assert np.any(np.abs(nu_inf + (nu_a - nu_inf) * record.r**k - want) > 100 * bound)
 
 
 def test_simulate_allocates_only_its_samples():

@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._array import everywhere, first_refused
 from .dual_rotor import DualRotor, damping_at_trim, net_force
 
 __all__ = [
@@ -188,13 +189,27 @@ def active_force(body: BodyConfig, v: Sequence[float]) -> float:
     return net_force(body.dual_rotor, v, 0.0)
 
 
+def _impedance(body: BodyConfig, v: Sequence[float]) -> tuple[float, float]:
+    """(c_app, F_act) at speeds v, floats or arrays: both coefficient
+    functions check v against the speed box, and a c_app that is not
+    positive is a ValueError, an array's for its first refused entry."""
+    c_app = apparent_damping(body, v)
+    if not everywhere(c_app > 0.0):
+        # positive speeds and k_inflow give c_app > 0 unless it underflows
+        _, *v, c_app = first_refused(c_app > 0.0, *v, c_app)
+        raise ValueError(f"apparent damping at speeds {tuple(v)} is {c_app}, not positive")
+    return c_app, active_force(body, v)
+
+
 def equilibrium_velocity(body: BodyConfig, v: Sequence[float]) -> float:
     """Air-relative velocity at which the net force vanishes.
 
     General affine pair: (k_T1 v1^2 - k_T2 v2^2) / (k_D1 v1 + k_D2 v2);
-    for identical rotors this reduces to (k_T / k_D)(v1 - v2).
+    for identical rotors this reduces to (k_T / k_D)(v1 - v2). A damping
+    that underflows to 0 is a ValueError.
     """
-    return active_force(body, v) / apparent_damping(body, v)
+    c_app, f_act = _impedance(body, v)
+    return f_act / c_app
 
 
 def analytic_response(
@@ -202,10 +217,11 @@ def analytic_response(
 ) -> float:
     """Exact solution under constant inputs:
     nu_inf + (nu0 - nu_inf) exp(-c_app t / m); t may be an array of times.
-    apparent_damping checks v against the speed box."""
-    c_app = apparent_damping(body, v)
-    # equilibrium_velocity(body, v) + f_ext / c_app, with c_app computed once
-    nu_inf = active_force(body, v) / c_app + f_ext / c_app
+    v is checked against the speed box, and a c_app that underflows to 0 is
+    a ValueError, as in equilibrium_velocity and simulate."""
+    c_app, f_act = _impedance(body, v)
+    # equilibrium_velocity(body, v) + f_ext / c_app, from the one read
+    nu_inf = f_act / c_app + f_ext / c_app
     return nu_inf + (nu0 - nu_inf) * np.exp(-c_app * np.asarray(t) / body.mass)
 
 
@@ -228,11 +244,11 @@ def simulate(
     near z = 0 still moves nu by its net force. A z that underflows to 0,
     whose time constant -h / ln R(z) is 0 / 0, or to a subnormal, whose
     rounding would misreport that time constant, is a ValueError too, as is
-    a dt that is not positive and finite, or a non-finite nu0 or t_end. Each
-    output sample reports the inputs in force at its time and
-    F(v, nu) = F_act(v) - c_app(v) nu;
+    a c_app that underflows to 0, a dt that is not positive and finite, or a
+    non-finite nu0 or t_end. Each output sample reports the inputs in force
+    at its time and F(v, nu) = F_act(v) - c_app(v) nu;
     a breakpoint at the last sample's time puts it in the next segment, whose
-    speeds are checked against the box too.
+    speeds and damping are checked as the others' are.
 
     A first pass makes every check and fixes each segment's steps; then
     `times` and `nu` are allocated once and each segment's slice is filled in
@@ -253,12 +269,7 @@ def simulate(
 
     steps, fields = [], []  # per segment: how to fill it, and its record after `samples`
     for a, b, v, f_ext in schedule.segments(t_end):
-        # both coefficient functions check v against the speed box
-        c_app = apparent_damping(body, v)
-        if not c_app > 0.0:
-            # positive speeds and k_inflow give c_app > 0 unless it underflows
-            raise ValueError(f"apparent damping at speeds {v} is {c_app}, not positive")
-        f_act = active_force(body, v)
+        c_app, f_act = _impedance(body, v)
         nu_inf = (f_act + f_ext) / c_app
         n = max(1, math.ceil((b - a) / dt - 1e-12))
         h = (b - a) / n
@@ -318,12 +329,12 @@ def simulate(
     counts = [hi - lo for lo, hi in zip([0, *edges], [*edges, size])]
     table = [SegmentRecord(samples, *f) for samples, f in zip(counts, fields)]
     # a breakpoint at the last sample's time gives that sample to a segment
-    # that was not integrated: check its speeds as the others were
+    # that was not integrated: read and check its speeds as the others were
     for i in range(len(fields), len(counts)):
         if counts[i]:
             v = schedule.speeds[i]
-            table.append(SegmentRecord(counts[i], v, schedule.forces[i], apparent_damping(body, v),
-                                       active_force(body, v), 0, 0.0, 0.0, 1.0, False))
+            table.append(SegmentRecord(counts[i], v, schedule.forces[i], *_impedance(body, v),
+                                       0, 0.0, 0.0, 1.0, False))
     return Trajectory(times=times, nu=nu, dt=dt, segments=tuple(table))
 
 

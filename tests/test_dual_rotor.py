@@ -254,7 +254,10 @@ class TestAllocate:
         assert result.speeds[1] <= 0.0  # the unconstrained candidate is reported
 
     def test_roundtrip_random_feasible(self):
+        # the achieved force and damping are net_force and damping_at_trim at
+        # the returned speeds, bit for bit, from allocate and allocate_arrays
         rng = np.random.default_rng(53)
+        requests = []
         for _ in range(1000):
             dr = random_rotor(rng, symmetric=bool(rng.integers(0, 2)))
             v = (rng.uniform(2.0, 15.0), rng.uniform(2.0, 15.0))
@@ -265,6 +268,21 @@ class TestAllocate:
             assert result.feasible
             assert abs(result.achieved_force - f_bar) <= 1e-9 * max(1.0, abs(f_bar))
             assert abs(result.achieved_damping - sigma_des) <= 1e-9 * max(1.0, sigma_des)
+            assert result_bits(result.speeds, result.achieved_force, result.achieved_damping).tolist() \
+                == result_bits(result.speeds, net_force(dr, result.speeds, nu_bar),
+                               damping_at_trim(dr, result.speeds, nu_bar)).tolist()
+            requests.append((dr.rotor_fwd, dr.rotor_bwd, nu_bar, f_bar, sigma_des))
+        columns = list(zip(*requests))
+        rotors = [AffineThrustModel(np.array([m.k_thrust for m in ms]), np.array([m.k_inflow for m in ms]))
+                  for ms in columns[:2]]
+        dr = DualRotor(*rotors, speed_box=((1.0, math.inf), (1.0, math.inf)))
+        nu_bar, f_bar, sigma_des = map(np.array, columns[2:])
+        batch = allocate_arrays(dr, nu_bar, f_bar, sigma_des)
+        assert batch.feasible.all()
+        assert np.array_equal(
+            result_bits(batch.speeds, batch.achieved_force, batch.achieved_damping),
+            result_bits(batch.speeds, net_force(dr, batch.speeds, nu_bar),
+                        damping_at_trim(dr, batch.speeds, nu_bar)))
 
     def test_distinct_rotors_keep_the_in_box_root(self):
         # the other root of the quadratic has a negative forward speed

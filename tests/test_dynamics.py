@@ -209,6 +209,19 @@ class TestAnalyticResponse:
             assert result.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("fn", [
+    equilibrium_velocity,
+    lambda body, v: analytic_response(body, v, 0.0, 0.0, 1.0),
+], ids=["equilibrium_velocity", "analytic_response"])
+def test_a_damping_that_underflows_is_refused_at_its_first_entry(fn):
+    body = unit_body(k_inflow=1e-300)
+    with pytest.raises(ValueError, match=r"speeds \(1e-100, 1e-100\) is 0.0, not positive$"):
+        fn(body, (1e-100, 1e-100))
+    v = np.array([[2.0, 1e-100, 1e-120], [1.0, 1e-100, 1e-120]])
+    with pytest.raises(ValueError, match=r"speeds \(1e-100, 1e-100\) is 0.0, not positive$"):
+        fn(body, v)
+
+
 class TestSimulate:
     def test_equilibrium_is_fixed_point(self):
         body = unit_body()
@@ -474,6 +487,20 @@ class TestSimulate:
             simulate(body, schedule, 0.0, 1.0, 0.1)
         # a breakpoint past the last sample is never reached
         assert simulate(body, schedule, 0.0, 0.95, 0.1).v1[-1] == 2.0
+
+    def test_breakpoint_at_t_end_refuses_the_next_damping_underflow(self):
+        # k_D 1e-300 at speeds 1e-100: c_app underflows to 0 in the last
+        # sample's segment, which an integrated segment refuses as well
+        body = unit_body(k_inflow=1e-300)
+        schedule = InputSchedule(
+            speeds=[(2.0, 1.0), (1e-100, 1e-100)], forces=[0.0, 0.0], breakpoints=[1.0]
+        )
+        message = r"apparent damping at speeds \(1e-100, 1e-100\) is 0.0, not positive"
+        with pytest.raises(ValueError, match=message):
+            simulate(body, schedule, 0.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match=message):
+            simulate(body, schedule, 0.0, 1.1, 0.1)
+        assert simulate(body, schedule, 0.0, 0.95, 0.1).segments[-1].c_app == 3e-300
 
 
 class TestStepwiseOracle:

@@ -138,9 +138,15 @@ FORMULAS = {
         vsa(w, TendonLaw.quadratic, k, x1, 3.0), w(theta)),
     "equilibrium_velocity": lambda w, k, v1, v2: equilibrium_velocity(
         BodyConfig(1.0, DualRotor.identical(rotor(w, k, 1.0))), (w(v1), w(v2))),
+    # the coefficient on k_inflow: its damping underflows to 0 at small speeds
+    "equilibrium_velocity_k_inflow": lambda w, k, v1, v2: equilibrium_velocity(
+        BodyConfig(1.0, DualRotor.identical(rotor(w, 1.0, k))), (w(v1), w(v2))),
     "analytic_response": lambda w, nu0, f_ext, t: analytic_response(
         BodyConfig(1.0, DualRotor.identical(rotor(w, 1.0, 1.0))), (w(3.0), w(1.0)),
         w(nu0), w(f_ext), w(t)),
+    "analytic_response_k_inflow": lambda w, k, v1, v2: analytic_response(
+        BodyConfig(1.0, DualRotor.identical(rotor(w, 1.0, k))), (w(v1), w(v2)),
+        w(0.5), w(1.0), w(2.0)),
     "mode_decomposition": lambda w, _, v1, v2: mode_decomposition((w(v1), w(v2))),
     "allocate": triple_allocation,
 }

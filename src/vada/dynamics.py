@@ -215,14 +215,20 @@ def equilibrium_velocity(body: BodyConfig, v: Sequence[float]) -> float:
 def analytic_response(
     body: BodyConfig, v: Sequence[float], nu0: float, f_ext: float, t: float
 ) -> float:
-    """Exact solution under constant inputs:
-    nu_inf + (nu0 - nu_inf) exp(-c_app t / m); t may be an array of times.
+    """Exact solution under constant inputs, with x = -c_app t / m:
+    nu0 + (nu0 - nu_inf) expm1(x) while exp(x) > 1/2, so that a large nu_inf
+    does not cancel, and nu_inf + (nu0 - nu_inf) exp(x) after, chosen per
+    entry; t may be an array of times.
     v is checked against the speed box, and a c_app that underflows to 0 is
     a ValueError, as in equilibrium_velocity and simulate."""
     c_app, f_act = _impedance(body, v)
     # equilibrium_velocity(body, v) + f_ext / c_app, from the one read
     nu_inf = f_act / c_app + f_ext / c_app
-    return nu_inf + (nu0 - nu_inf) * np.exp(-c_app * np.asarray(t) / body.mass)
+    x = -c_app * np.asarray(t) / body.mass
+    # simulate's fill writes the same two forms, split at an index: a masked
+    # helper shared with it made simulate's ops 25-60 % slower
+    nu = np.where(x > -_LN2, nu0 + (nu0 - nu_inf) * np.expm1(x), nu_inf + (nu0 - nu_inf) * np.exp(x))
+    return nu[()]
 
 
 def simulate(

@@ -139,6 +139,24 @@ class TestModeDecomposition:
         assert equilibrium_velocity(body, stepped) != equilibrium_velocity(body, v)
 
 
+def exact_response(body, v, nu0, f_ext, t):
+    """analytic_response from the floats c_app, F_act, f_ext, m, nu0 and t,
+    each entry rounded once from decimal. expm1(x) is exp(x) - 1 at 40
+    digits beyond x's own exponent: at a fixed 60 digits it rounds to 0
+    near x = 1e-150."""
+    D = decimal.Decimal
+    c, f, m = D(float(apparent_damping(body, v))), D(float(active_force(body, v))), D(body.mass)
+    out = []
+    with decimal.localcontext(prec=60):
+        nu_inf = (f + D(f_ext)) / c
+        for time in t.tolist():
+            x = -c * D(time) / m
+            with decimal.localcontext(prec=40 + max(0, -x.adjusted())):
+                expm1 = x.exp() - 1
+            out.append(float(D(nu0) + (D(nu0) - nu_inf) * expm1))
+    return np.array(out)
+
+
 class TestAnalyticResponse:
     def test_initial_value(self):
         body = unit_body()
@@ -182,6 +200,33 @@ class TestAnalyticResponse:
         pointwise = [analytic_response(body, u, 0.4, -0.2, 0.7) for u in v.T.tolist()]
         np.testing.assert_allclose(batch, pointwise, rtol=1e-15, atol=1e-16)
 
+    def test_within_its_error_bound_of_the_decimal_solution(self):
+        # c/m log-uniform from 1e-200 to 40 on distinct rotors, nu0 near
+        # nu_inf and far from it, sorted times reaching past 30 time constants.
+        # The error is at most C (1 + |x|) eps (|nu0| + |nu|) with C = 4 (the
+        # worst of 2,700 draws read 1.96); the one exp form read 4.5e15
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(16)
+        for i in range(300):
+            k_thrust, k_inflow = rng.uniform(0.5, 2.0, (2, 2))
+            fwd = AffineThrustModel(k_thrust=k_thrust[0], k_inflow=k_inflow[0])
+            bwd = AffineThrustModel(k_thrust=k_thrust[1], k_inflow=k_inflow[1])
+            body = BodyConfig(mass=rng.uniform(0.5, 2.0), dual_rotor=DualRotor(fwd, bwd))
+            rate, ratio = 10 ** rng.uniform(-200.0, math.log10(40.0)), rng.uniform(0.5, 2.0)
+            v1 = rate * body.mass / (k_inflow[0] + k_inflow[1] * ratio)
+            v = (v1, v1 * ratio)
+            c_app, f_act = apparent_damping(body, v), active_force(body, v)
+            # of F_act's sign, so that the two quotients of nu_inf do not cancel
+            f_ext = math.copysign(rng.uniform(0.0, 2.0), f_act)
+            nu_inf = (f_act + f_ext) / c_app
+            nu0 = nu_inf * (1.0 + rng.uniform(-1e-3, 1e-3)) if i % 2 else rng.uniform(-2.0, 2.0)
+            tau = body.mass / c_app
+            t = np.sort(np.concatenate([[0.0], rng.uniform(0.0, 1.0, 8),
+                                        tau * 10 ** rng.uniform(-6.0, 1.5, 8)]))
+            nu, want = analytic_response(body, v, nu0, f_ext, t), exact_response(body, v, nu0, f_ext, t)
+            x = -c_app * t / body.mass
+            assert np.all(np.abs(nu - want) <= 4.0 * (1.0 + np.abs(x)) * eps * (abs(nu0) + np.abs(want)))
+
     def test_damping_is_computed_once_with_the_same_bits(self, monkeypatch):
         rng = np.random.default_rng(28)
         calls = []
@@ -200,7 +245,10 @@ class TestAnalyticResponse:
             nu0, f_ext = rng.uniform(-3.0, 3.0, 2).tolist()
             c_app = apparent_damping(body, v)
             nu_inf = equilibrium_velocity(body, v) + f_ext / apparent_damping(body, v)
-            expected = nu_inf + (nu0 - nu_inf) * np.exp(-c_app * t / body.mass)
+            # expm1 from nu0 while exp(x) > 1/2, exp from nu_inf after
+            x = -c_app * t / body.mass
+            expected = np.where(x > -math.log(2.0), nu0 + (nu0 - nu_inf) * np.expm1(x),
+                                nu_inf + (nu0 - nu_inf) * np.exp(x))
             monkeypatch.setattr(dynamics, "damping_at_trim", counted)
             calls.clear()
             result = analytic_response(body, v, nu0, f_ext, t)
@@ -559,6 +607,11 @@ class TestStepwiseOracle:
         times, nus, *_ = stepwise_simulate(unit_body(), schedule, 0.0, 1.0, 1e-3)
         assert np.array_equal(traj.times, times)
         assert all(abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in zip(traj.nu, nus))
+        if not schedule.breakpoints:
+            # one segment: the exact solution, which cancelled as simulate did
+            exact = analytic_response(unit_body(), schedule.speeds[0], 0.0, schedule.forces[0],
+                                      traj.times)
+            assert all(abs(x - y) <= 1e-12 * max(1.0, abs(y)) for x, y in zip(traj.nu, exact))
 
     def test_cases_cover_the_edge_segments(self):
         past_end = at_end = short = 0

@@ -2,7 +2,8 @@
 
 Every formula in vada takes either floats or equal-shape float arrays; these
 helpers turn an elementwise condition into the one bool that a validity check
-needs, and hold the library's one raising box check and one batch refusal.
+needs, and hold the library's open box, its one raising box check and its
+one batch refusal.
 
 Float range: no formula checks that its result is finite. A float call in
 Python float arithmetic returns inf or NaN silently (thrust at k_T 1e300,
@@ -12,6 +13,8 @@ np.errstate(all="ignore"), as the CLI runs, both give the same value.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,6 +29,11 @@ def everywhere(cond) -> bool:
     per draw), which np.all would make some 0.75 ms of a 4.5 ms run.
     """
     return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+# the default box of actuators and dual rotors: it holds every pair of
+# positive finite numbers
+OPEN_BOX = ((0.0, math.inf), (0.0, math.inf))
 
 
 def inside(box, u):

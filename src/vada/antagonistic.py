@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._array import everywhere, first_refused, inside, require_inside
+from ._array import OPEN_BOX, everywhere, first_refused, inside, require_inside
 
 __all__ = [
     "ChannelLaw",
@@ -92,10 +92,7 @@ class AntagonisticActuator:
     channel_plus: ChannelLaw
     channel_minus: ChannelLaw
     # per-channel open intervals (lower > 0, upper may be inf)
-    admissible_box: tuple[tuple[float, float], tuple[float, float]] = (
-        (0.0, math.inf),
-        (0.0, math.inf),
-    )
+    admissible_box: tuple[tuple[float, float], tuple[float, float]] = OPEN_BOX
 
     def in_box(self, u: Sequence[float]) -> bool:
         """True if u, or every point of a pair of arrays u, lies in the box."""

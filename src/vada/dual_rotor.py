@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._array import everywhere, first_refused, inside, require_inside
+from ._array import OPEN_BOX, everywhere, first_refused, inside, require_inside
 from .aero import (
     AffineThrustModel,
     inflow_sensitivity,
@@ -55,10 +55,7 @@ class DualRotor:
     rotor_fwd: AffineThrustModel   # contributes +T(v1, nu)
     rotor_bwd: AffineThrustModel   # contributes -T(v2, -nu)
     # per-rotor admissible open speed intervals, rad/s
-    speed_box: tuple[tuple[float, float], tuple[float, float]] = (
-        (0.0, math.inf),
-        (0.0, math.inf),
-    )
+    speed_box: tuple[tuple[float, float], tuple[float, float]] = OPEN_BOX
 
     def __post_init__(self):
         for lo, hi in self.speed_box:
@@ -66,9 +63,7 @@ class DualRotor:
                 raise ValueError(f"invalid speed box {self.speed_box}")
 
     @classmethod
-    def identical(cls, model: AffineThrustModel, speed_box=None) -> "DualRotor":
-        if speed_box is None:
-            return cls(rotor_fwd=model, rotor_bwd=model)
+    def identical(cls, model: AffineThrustModel, speed_box=OPEN_BOX) -> "DualRotor":
         return cls(rotor_fwd=model, rotor_bwd=model, speed_box=speed_box)
 
 

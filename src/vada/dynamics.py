@@ -293,7 +293,7 @@ def simulate(
                 f"{RK4_STABILITY_LIMIT * body.mass / c_app:.6g}"
             )
         steps.append((a, n, h, r, _stability_rate(z), nu_inf))
-        fields.append((v, f_ext, c_app, f_act, n, h, z, r, h < dt))
+        fields.append((v, f_ext, c_app, f_act, n, h, z, r, bool(h < dt)))
 
     size = 1 + sum(step[1] for step in steps)
     times, nu = np.empty(size), np.empty(size)

@@ -4,13 +4,17 @@
 the check that backs it, in report order, and that order fixes every draw
 from the seeded generator. A check draws its parameters, evaluates its
 claim at its stated tolerance and returns its outcome (draws, passed,
-worst) through `_outcome`; it names no property. Failures are report
-content, never exceptions. Parameters are drawn as arrays, one entry per
-draw, and each claim is evaluated in numpy passes over all draws: the
-quadrature as one call with a panel count per draw, the VSA fibers as one
-batch per tendon family, each VADA fiber check and the constant-damping
-injection as one batch, and the allocation round trip as one array
-allocation. Only the simulations run once per draw.
+worst); it names no property. A bounded check, one whose claim is a gap
+at most a tolerance, returns through `_bounded`, which takes the worst of
+its per-draw gaps (a NaN gap fails it); a monotonicity check returns its
+least increment through `_outcome`. Failures are report content, never
+exceptions. Parameters are drawn as arrays, one entry per draw, and each
+claim is evaluated in numpy passes over all draws: the quadrature as one
+call with a panel count per draw, the VSA fibers as one batch per tendon
+family, each VADA fiber check and the constant-damping injection as one
+batch (through `_trace`, with rotor pairs from `_random_dual_rotor`), and
+the allocation round trip as one array allocation. Only the simulations
+run once per draw.
 """
 
 from __future__ import annotations
@@ -74,6 +78,14 @@ def _outcome(draws: int, passed, worst) -> dict:
     return {"draws": draws, "passed": bool(passed), "worst": float(worst)}
 
 
+def _bounded(gaps, tol, holds=True) -> dict:
+    """A bounded check's outcome, one draw per entry of gaps: it passes if
+    holds and the worst gap is at most tol. gaps.max() propagates a NaN, so
+    a NaN gap fails the record."""
+    worst = gaps.max()
+    return _outcome(gaps.size, holds and worst <= tol, worst)
+
+
 def _relative_gap(a, b, floor):
     """|a - b| / max(floor, |b|), elementwise."""
     return np.abs(a - b) / np.maximum(floor, np.abs(b))
@@ -96,22 +108,23 @@ def _random_model(rng, n: int) -> AffineThrustModel:
     return AffineThrustModel(k_thrust=rng.uniform(0.1, 2.0, n), k_inflow=rng.uniform(0.1, 2.0, n))
 
 
-def _random_rotor_pairs(rng, symmetric, low: float = 0.1, high: float = 2.0):
-    """(k_thrust, k_inflow), each of shape (2, n): row 0 the forward rotor,
-    row 1 the backward one, equal to row 0 where `symmetric` holds."""
-    n = len(symmetric)
-    k_thrust, k_inflow = rng.uniform(low, high, (2, 2, n))
+def _random_dual_rotor(rng, symmetric, low: float = 0.1, high: float = 2.0, **box) -> DualRotor:
+    """A dual rotor with coefficients of the mask symmetric's shape, drawn as
+    one (2, 2) + symmetric.shape block: (k_thrust, k_inflow), each by
+    (forward, backward) rotor; the backward rotor's equal the forward's
+    where symmetric holds."""
+    k_thrust, k_inflow = rng.uniform(low, high, (2, 2) + symmetric.shape)
     for k in (k_thrust, k_inflow):
         k[1, symmetric] = k[0, symmetric]
-    return k_thrust, k_inflow
-
-
-def _dual_rotor(k_thrust, k_inflow, **box) -> DualRotor:
-    """The dual rotor of whole rows of pair coefficients: row 0 the forward
-    rotor's, row 1 the backward one's."""
     fwd = AffineThrustModel(k_thrust=k_thrust[0], k_inflow=k_inflow[0])
     bwd = AffineThrustModel(k_thrust=k_thrust[1], k_inflow=k_inflow[1])
     return DualRotor(rotor_fwd=fwd, rotor_bwd=bwd, **box)
+
+
+def _trace(act, starts, spans, steps: int):
+    """One batch of fibers through this module's trace_fiber: fiber i starts
+    at row i of the (n, 2) starts and ends at u1 = starts[i, 0] + spans[i]."""
+    return trace_fiber(act, (starts[:, 0], starts[:, 1]), starts[:, 0] + spans, steps)
 
 
 def check_bet_quadrature(rng) -> dict:
@@ -122,8 +135,7 @@ def check_bet_quadrature(rng) -> dict:
     panels = rng.integers(2, 20, draws)
     closed = thrust(derive_coefficients(geom), v, nu_in)
     numeric = bet_numeric_thrust(geom, v, nu_in, panels=panels)
-    worst = _relative_gap(numeric, closed, 1.0).max()
-    return _outcome(draws, worst <= 1e-12, worst)
+    return _bounded(_relative_gap(numeric, closed, 1.0), 1e-12)
 
 
 def check_damping_and_hardening(rng) -> dict:
@@ -134,8 +146,7 @@ def check_damping_and_hardening(rng) -> dict:
     lam = inflow_sensitivity(model, v, nu_in)
     signs_ok = bool((lam > 0.0).all() and (hardening_rate(model, v, nu_in) > 0.0).all())
     fd = -_central_diff(lambda x: thrust(model, v, x), nu_in)
-    worst = _relative_gap(fd, lam, 1e-30).max()
-    return _outcome(draws, signs_ok and worst <= FD_RTOL, worst)
+    return _bounded(_relative_gap(fd, lam, 1e-30), FD_RTOL, holds=signs_ok)
 
 
 def check_vsa_cocontraction(rng) -> dict:
@@ -158,8 +169,7 @@ def check_vsa_cocontraction(rng) -> dict:
             law = getattr(TendonLaw, family)(k)
         cfg = VsaConfig(law=law, pulley_radius=radius, state=(states[:, 0], states[:, 1]))
         act = as_antagonistic(cfg)
-        start = cfg.state
-        path = trace_fiber(act, start, start[0] + spans, 100)
+        path = _trace(act, states, spans, 100)
         for which in ("passive", "promptness"):
             report = monotonicity_sweep(act, path, which)
             ok = ok and report.is_strictly_increasing.all()
@@ -176,9 +186,8 @@ def check_vada_damping(rng, fibers: int = 20, trims: bool = False) -> dict:
     rotor. All fibers are one batch: rotor coefficients and trims of shape
     (fibers, 1) give each fiber its own actuator against its row of 100
     points."""
-    symmetric = np.arange(fibers) % 2 == 0
-    k_thrust, k_inflow = _random_rotor_pairs(rng, symmetric)
-    dr = _dual_rotor(k_thrust[..., None], k_inflow[..., None], speed_box=_FLOOR_BOX)
+    symmetric = np.arange(fibers)[:, None] % 2 == 0
+    dr = _random_dual_rotor(rng, symmetric, speed_box=_FLOOR_BOX)
     if trims:
         cap = 0.3 * np.minimum(
             monotone_regime_bound(dr.rotor_fwd, _SPEED_FLOOR),
@@ -190,8 +199,7 @@ def check_vada_damping(rng, fibers: int = 20, trims: bool = False) -> dict:
     starts = rng.uniform(2.0, 4.0, (fibers, 2))
     spans = rng.uniform(1.0, 3.0, fibers)
     act = _batch_trim_bridge(dr, nu_bars)
-    start = (starts[:, 0], starts[:, 1])
-    path = trace_fiber(act, start, start[0] + spans, 100)
+    path = _trace(act, starts, spans, 100)
     report = monotonicity_sweep(act, path, "passive")
     return _outcome(fibers, report.is_strictly_increasing.all(), report.min_increment.min())
 
@@ -209,8 +217,7 @@ def check_constant_damping_injection(rng) -> dict:
     bridge = _batch_trim_bridge(DualRotor.identical(AffineThrustModel(k_thrust=k_t, k_inflow=k_d)))
     channel = replace(bridge.channel_plus, passive_coeff_fn=lambda v: k_d)  # no v dependence
     act = core.AntagonisticActuator(channel_plus=channel, channel_minus=channel)
-    start = (starts[:, 0], starts[:, 1])
-    path = trace_fiber(act, start, start[0] + 2.0, 50)
+    path = _trace(act, starts, 2.0, 50)
     report = monotonicity_sweep(act, path, "passive")
     return _outcome(fibers, report.is_strictly_increasing.any(), report.min_increment.max())
 
@@ -218,13 +225,12 @@ def check_constant_damping_injection(rng) -> dict:
 def check_trim_damping_fd(rng) -> dict:
     draws = 1000
     symmetric = rng.integers(0, 2, draws).astype(bool)
-    dr = _dual_rotor(*_random_rotor_pairs(rng, symmetric), speed_box=_FLOOR_BOX)
+    dr = _random_dual_rotor(rng, symmetric, speed_box=_FLOOR_BOX)
     v = rng.uniform(1.5, 20.0, (2, draws))
     nu_bar = rng.uniform(-3.0, 3.0, draws)
     sigma = damping_at_trim(dr, v, nu_bar)
     fd = -_central_diff(lambda x: net_force(dr, v, x), nu_bar)
-    worst = _relative_gap(fd, sigma, 1e-30).max()
-    return _outcome(draws, worst <= FD_RTOL, worst)
+    return _bounded(_relative_gap(fd, sigma, 1e-30), FD_RTOL)
 
 
 def check_allocation_roundtrip(rng) -> dict:
@@ -236,10 +242,9 @@ def check_allocation_roundtrip(rng) -> dict:
     what the scalar allocate gives."""
     draws = 1000
     symmetric = rng.integers(0, 2, draws).astype(bool)
-    k_thrust, k_inflow = _random_rotor_pairs(rng, symmetric, 0.05, 5.0)
+    batch = _random_dual_rotor(rng, symmetric, 0.05, 5.0)
     v = rng.uniform(0.01, 50.0, (2, draws))
     nu_bar = rng.uniform(-20.0, 20.0, draws)
-    batch = _dual_rotor(k_thrust, k_inflow)
     force = net_force(batch, v, nu_bar)
     sigma = damping_at_trim(batch, v, nu_bar)
     result = allocate_arrays(batch, nu_bar, force, sigma)
@@ -247,9 +252,8 @@ def check_allocation_roundtrip(rng) -> dict:
         _relative_gap(result.achieved_force, force, 1.0),
         _relative_gap(result.achieved_damping, sigma, 1.0),
     )
-    feasible = result.feasible
-    worst = errors[feasible].max(initial=0.0)
-    return _outcome(draws, feasible.all() and worst <= 1e-9, worst)
+    # errors are never negative, so an infeasible draw's 0.0 hides no feasible error
+    return _bounded(np.where(result.feasible, errors, 0.0), 1e-9, holds=result.feasible.all())
 
 
 def check_impedance_rk4(rng) -> dict:
@@ -263,15 +267,15 @@ def check_impedance_rk4(rng) -> dict:
     nu0 = rng.uniform(-2.0, 2.0, draws)
     f_ext = rng.uniform(-1.0, 1.0, draws)
     t_end = 5.0 / decay
-    worst = 0.0
+    gaps = np.empty(draws)
     columns = (mass, k_t, v1, v2, nu0, f_ext, t_end)
-    for m, k, s1, s2, x0, f, t1 in zip(*(c.tolist() for c in columns)):
+    for i, (m, k, s1, s2, x0, f, t1) in enumerate(zip(*(c.tolist() for c in columns))):
         model = AffineThrustModel(k_thrust=k, k_inflow=1.0)
         body = BodyConfig(mass=m, dual_rotor=DualRotor.identical(model))
         traj = simulate(body, InputSchedule.constant((s1, s2), f), x0, t1, dt)
         exact = analytic_response(body, (s1, s2), x0, f, traj.times)
-        worst = max(worst, float(np.abs(traj.nu - exact).max()))
-    return _outcome(draws, worst <= 1e-8, worst)
+        gaps[i] = np.abs(traj.nu - exact).max()
+    return _bounded(gaps, 1e-8)
 
 
 def check_mode_decoupling(rng) -> dict:
@@ -284,14 +288,11 @@ def check_mode_decoupling(rng) -> dict:
     # differential step: damping stays put, equilibrium velocity moves
     diff = v + np.array([delta, -delta])
     damping, nu_eq = apparent_damping(body, v), equilibrium_velocity(body, v)
-    worst = max(
-        np.abs(equilibrium_velocity(body, co) - nu_eq).max(),
-        np.abs(apparent_damping(body, diff) - damping).max(),
-    )
-    ok = (apparent_damping(body, co) > damping).all() and (
-        equilibrium_velocity(body, diff) != nu_eq
-    ).all()
-    return _outcome(draws, ok and worst <= 1e-12, worst)
+    gaps = np.maximum(np.abs(equilibrium_velocity(body, co) - nu_eq),
+                      np.abs(apparent_damping(body, diff) - damping))
+    ok = (apparent_damping(body, co) > damping).all()
+    ok = ok and (equilibrium_velocity(body, diff) != nu_eq).all()
+    return _bounded(gaps, 1e-12, holds=ok)
 
 
 def check_isomorphism(rng) -> dict:
@@ -304,8 +305,8 @@ def check_isomorphism(rng) -> dict:
         VsaConfig(law=TendonLaw.quadratic(model.k_inflow), pulley_radius=1.0, state=(1.0, 1.0))
     )
     u = rng.uniform(0.5, 20.0, (2, draws))
-    worst = np.abs(core.passive_coefficient(vsa, u) - core.passive_coefficient(vada, u)).max()
-    return _outcome(draws, worst <= 1e-12, worst)
+    gaps = np.abs(core.passive_coefficient(vsa, u) - core.passive_coefficient(vada, u))
+    return _bounded(gaps, 1e-12)
 
 
 def run_verify(seed: int = 0, inject_constant_damping: bool = False) -> dict:

@@ -1,4 +1,6 @@
+import dataclasses
 import decimal
+import json
 import math
 import tracemalloc
 import warnings
@@ -669,6 +671,15 @@ class TestSegmentTable:
         assert first.shortened and second.shortened
         assert first.h == pytest.approx(0.0333 / 4, rel=1e-14)
         assert second.h == pytest.approx((0.1 - 0.0333) / 7, rel=1e-14)
+
+    def test_numpy_breakpoints_and_dt_give_records_that_serialize(self):
+        # h < dt of numpy floats is a numpy.bool_, which json cannot write
+        schedule = InputSchedule(
+            speeds=[(2.0, 1.0), (4.0, 3.0)], forces=[0.0, 0.0], breakpoints=np.array([0.0333])
+        )
+        traj = simulate(unit_body(), schedule, 0.0, 0.1, np.float64(1e-2))
+        assert [type(record.shortened) for record in traj.segments] == [bool, bool]
+        json.dumps([dataclasses.asdict(record) for record in traj.segments])
 
     def test_sample_counts_cover_the_trajectory(self):
         for seed in range(12):

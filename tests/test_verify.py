@@ -40,6 +40,34 @@ def test_injected_constant_damping_sees_exactly_zero_increments():
     assert record["worst"] == 0.0
 
 
+def nan_on_call(original, call):
+    """original, but with entry 0 of its result made NaN on the given call (1-based)."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        result = np.array(original(*args, **kwargs), dtype=float)
+        if len(calls) == call:
+            result.reshape(-1)[0] = np.nan
+        return result
+    return wrapper
+
+
+def test_a_nan_rk4_gap_fails_the_impedance_record(monkeypatch):
+    # the third draw's oracle: a NaN that a running Python max would drop
+    monkeypatch.setattr(verify, "analytic_response", nan_on_call(verify.analytic_response, 3))
+    record = verify.check_impedance_rk4(np.random.default_rng(0))
+    assert record["passed"] is False and np.isnan(record["worst"])
+
+
+def test_a_nan_damping_gap_fails_the_mode_decoupling_record(monkeypatch):
+    # apparent_damping's second call is at the differential step, whose
+    # damping gap a Python max of the two gaps' maxima would drop
+    monkeypatch.setattr(verify, "apparent_damping", nan_on_call(verify.apparent_damping, 2))
+    record = verify.check_mode_decoupling(np.random.default_rng(0))
+    assert record["passed"] is False and np.isnan(record["worst"])
+
+
 @pytest.mark.parametrize(
     "name, owners, least, most, inject",
     [

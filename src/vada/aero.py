@@ -133,12 +133,13 @@ def bet_numeric_thrust(geom: RotorGeometry, v: float, nu_in: float, panels: int 
 
     `panels` is a whole number of at least 2, or an array of them with one
     count per entry, broadcast with the speeds, inflows and geometry fields.
-    An array call computes h = B / (2 panels), the prefactor and
-    theta_0 v^2 once over all entries, sorts the entries stably by panel
+    Every call takes one path: it computes h = B / (2 panels), the prefactor
+    and theta_0 v^2 once over all entries, sorts the entries stably by panel
     count and runs one Simpson pass on each run of equal counts, each row a
     contiguous sum over its nodes; so every entry equals, bit for bit, the
-    int-`panels` call at that entry's count. An array holding a refused
-    count raises the line the int call raises for its first one.
+    int-`panels` call at that entry's count, and a call of floats returns a
+    numpy float. An array holding a refused count raises the line the int
+    call raises for its first one.
     """
     if not everywhere(v > 0.0):
         raise ValueError(f"rotor speed must be strictly positive, got {v}")
@@ -150,8 +151,6 @@ def bet_numeric_thrust(geom: RotorGeometry, v: float, nu_in: float, panels: int 
     prefactor = 0.5 * geom.blade_count * geom.air_density * geom.chord * geom.lift_slope
     pitch_vv = geom.pitch_angle * v * v
     entries = np.broadcast_arrays(panels, h, prefactor, pitch_vv, v, nu_in)
-    if not isinstance(panels, np.ndarray):
-        return _simpson(int(panels), *entries[1:])
     order = np.argsort(entries[0], axis=None, kind="stable")
     panels, h, prefactor, pitch_vv, v, nu_in = (x.ravel()[order] for x in entries)
     starts = np.flatnonzero(np.diff(panels, prepend=-1)).tolist()
@@ -160,7 +159,7 @@ def bet_numeric_thrust(geom: RotorGeometry, v: float, nu_in: float, panels: int 
         group = slice(lo, hi)
         result[order[group]] = _simpson(int(panels[lo]), h[group], prefactor[group],
                                         pitch_vv[group], v[group], nu_in[group])
-    return result.reshape(entries[0].shape)
+    return result.reshape(entries[0].shape)[()]
 
 
 def _simpson(panels: int, h, prefactor, pitch_vv, v, nu_in):

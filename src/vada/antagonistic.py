@@ -224,18 +224,13 @@ def trace_fiber(
         residual = np.abs(_on_grid(minus.output_fn(u2), u1.shape) - target)
         # step 0 is the start, so this also tests the start against the box
         in_box = inside(box, (u1, u2))
-        scale = np.maximum(1.0, abs(level)) if isinstance(level, np.ndarray) else max(1.0, abs(level))
-        passing = in_box & (residual <= FIBER_TOLERANCE * scale)
-        fits = passing.all(axis=-1)
-        if not everywhere(fits):
-            # rounding keeps order, so TOL * max(scale, |h1|) is the larger of the
-            # two products: a point that misses the level's bound may pass on |h1|'s
-            # (a NaN scale or |h1| comes with a NaN residual, which fails both)
-            passing |= in_box & (residual <= FIBER_TOLERANCE * np.abs(h1))
-            fits = passing.all(axis=-1)
+        bound = np.maximum(np.abs(h1), abs(level))
+        np.maximum(bound, 1.0, out=bound)
+        bound *= FIBER_TOLERANCE
+        passing = in_box & (residual <= bound)
     # rounding repeats values on a span of a few ulps, and a non-finite end gives NaN
     increasing = (u1[..., 1:] > u1[..., :-1]).all(axis=-1)
-    ok = increasing & fits
+    ok = increasing & passing.all(axis=-1)
     level = level[..., 0] if isinstance(level, np.ndarray) and level.ndim else float(level)
     if not everywhere(ok):
         k, s1_k, s2_k, end_k, level_k = first_refused(ok, start[0], start[1], u1_end, level)

@@ -6,8 +6,10 @@ from the seeded generator. A check draws its parameters, evaluates its
 claim at its stated tolerance and returns its outcome (draws, passed,
 worst); it names no property. A bounded check, one whose claim is a gap
 at most a tolerance, returns through `_bounded`, which takes the worst of
-its per-draw gaps (a NaN gap fails it); a monotonicity check returns its
-least increment through `_outcome`. Failures are report content, never
+its per-draw gaps; a monotonicity check returns through `_increasing`,
+which takes the least of its fibers' least increments. A NaN gap or
+increment fails its record, and `run_verify` writes a non-finite worst as
+null and fails that record. Failures are report content, never
 exceptions. Parameters are drawn as arrays, one entry per draw, and each
 claim is evaluated in numpy passes over all draws: the quadrature as one
 call with a panel count per draw, the VSA fibers as one batch per tendon
@@ -86,6 +88,14 @@ def _bounded(gaps, tol, holds=True) -> dict:
     return _outcome(gaps.size, holds and worst <= tol, worst)
 
 
+def _increasing(least, holds=True) -> dict:
+    """A monotonicity check's outcome, one draw per entry of least (a fiber's
+    least increment): it passes if holds and every least increment is above
+    0. least.min() propagates a NaN, so a NaN increment fails the record."""
+    worst = least.min()
+    return _outcome(least.size, holds and worst > 0.0, worst)
+
+
 def _relative_gap(a, b, floor):
     """|a - b| / max(floor, |b|), elementwise."""
     return np.abs(a - b) / np.maximum(floor, np.abs(b))
@@ -155,8 +165,7 @@ def check_vsa_cocontraction(rng) -> dict:
     Each family's fibers are one batch: law parameters and radii of shape
     (fibers, 1) give each fiber its own actuator on its row of 100 points."""
     n = 20  # fibers per family
-    worst = math.inf
-    ok = True
+    least, holds = [], True
     for family in ("quadratic", "exponential", "cubic"):
         k = rng.uniform(0.2, 3.0, (n, 1))
         alpha = rng.uniform(0.3, 1.5, (n, 1))
@@ -170,12 +179,11 @@ def check_vsa_cocontraction(rng) -> dict:
         cfg = VsaConfig(law=law, pulley_radius=radius, state=(states[:, 0], states[:, 1]))
         act = as_antagonistic(cfg)
         path = _trace(act, states, spans, 100)
-        for which in ("passive", "promptness"):
-            report = monotonicity_sweep(act, path, which)
-            ok = ok and report.is_strictly_increasing.all()
-            worst = min(worst, report.min_increment.min())
-        ok = ok and passive_promptness_relation(act, path).is_monotone.all()
-    return _outcome(3 * n, ok, worst)
+        sweeps = [monotonicity_sweep(act, path, which) for which in ("passive", "promptness")]
+        least.append(np.minimum(*(sweep.min_increment for sweep in sweeps)))
+        # the relation runs only while every sweep so far has passed
+        holds = holds and least[-1].min() > 0.0 and passive_promptness_relation(act, path).is_monotone.all()
+    return _increasing(np.concatenate(least), holds)
 
 
 def check_vada_damping(rng, fibers: int = 20, trims: bool = False) -> dict:
@@ -188,20 +196,15 @@ def check_vada_damping(rng, fibers: int = 20, trims: bool = False) -> dict:
     points."""
     symmetric = np.arange(fibers)[:, None] % 2 == 0
     dr = _random_dual_rotor(rng, symmetric, speed_box=_FLOOR_BOX)
+    nu_bars = np.zeros((fibers, 1))
     if trims:
-        cap = 0.3 * np.minimum(
-            monotone_regime_bound(dr.rotor_fwd, _SPEED_FLOOR),
-            monotone_regime_bound(dr.rotor_bwd, _SPEED_FLOOR),
-        )
+        cap = 0.3 * np.minimum(*(monotone_regime_bound(r, _SPEED_FLOOR) for r in (dr.rotor_fwd, dr.rotor_bwd)))
         nu_bars = rng.uniform(-cap, cap)
-    else:
-        nu_bars = np.zeros((fibers, 1))
     starts = rng.uniform(2.0, 4.0, (fibers, 2))
     spans = rng.uniform(1.0, 3.0, fibers)
     act = _batch_trim_bridge(dr, nu_bars)
     path = _trace(act, starts, spans, 100)
-    report = monotonicity_sweep(act, path, "passive")
-    return _outcome(fibers, report.is_strictly_increasing.all(), report.min_increment.min())
+    return _increasing(monotonicity_sweep(act, path, "passive").min_increment)
 
 
 def check_constant_damping_injection(rng) -> dict:
@@ -331,6 +334,9 @@ def run_verify(seed: int = 0, inject_constant_damping: bool = False) -> dict:
                        lambda rng: {**check_constant_damping_injection(rng), "note": note}))
     rng = np.random.default_rng(seed)
     records = [{"property": prop_id, **check(rng)} for prop_id, check in claims]
+    # strict JSON has no NaN or Infinity: a record whose worst is one writes null, and fails
+    for record in (r for r in records if not math.isfinite(r["worst"])):
+        record.update(passed=False, worst=None)
     passed = sum(1 for r in records if r["passed"])
     return {
         "seed": seed,

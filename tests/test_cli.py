@@ -617,17 +617,40 @@ class TestVerify:
         assert main(["verify", "--config", config, "--seed", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 4
 
-    def test_non_finite_worst_is_never_printed(self, tmp_path, capsys, monkeypatch):
-        def check_isomorphism(rng):
-            return verify._outcome(1, True, math.nan)
-
-        monkeypatch.setattr(verify, "check_isomorphism", check_isomorphism)
-        config = write_config(tmp_path, {"scenario": "verify", "params": {"seed": 3}})
-        assert main(["verify", "--config", config, "--out", str(tmp_path)]) != 0
+    @staticmethod
+    def run_with_one_failed_record(tmp_path, capsys, seed):
+        """Run verify with --out; return the one record that failed, after
+        checking that the run exits 1 and prints what it writes."""
+        config = write_config(tmp_path, {"scenario": "verify", "params": {"seed": seed}})
+        assert main(["verify", "--config", config, "--out", str(tmp_path)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: verification_report.json: ") and captured.err.count("\n") == 1
-        assert not (tmp_path / "verification_report.json").exists()
+        assert captured.err == ""
+        assert (tmp_path / "verification_report.json").read_text() == captured.out
+        report = json.loads(captured.out)
+        assert report["summary"] == {"total": 10, "passed": 9, "failed": 1} and not report["all_passed"]
+        (failed,) = [r for r in report["records"] if not r["passed"]]
+        return failed
+
+    @pytest.mark.parametrize("worst", [math.nan, math.inf, -math.inf])
+    def test_non_finite_worst_is_written_as_null_and_fails_its_record(self, tmp_path, capsys, monkeypatch,
+                                                                      worst):
+        monkeypatch.setattr(verify, "check_isomorphism", lambda rng: verify._outcome(1, True, worst))
+        failed = self.run_with_one_failed_record(tmp_path, capsys, 3)
+        assert failed == {"property": "vsa-vada-isomorphism", "draws": 1, "passed": False, "worst": None}
+
+    def test_a_nan_from_the_rk4_oracle_fails_its_record_not_the_write(self, tmp_path, capsys, monkeypatch):
+        # a NaN in the oracle's third response is no config fault: the run
+        # reports it in the impedance record and exits 1
+        original, calls = verify.analytic_response, []
+
+        def analytic_response(*args):
+            calls.append(None)
+            nu = original(*args)
+            return np.where(np.arange(nu.size) == 0, math.nan, nu) if len(calls) == 3 else nu
+
+        monkeypatch.setattr(verify, "analytic_response", analytic_response)
+        failed = self.run_with_one_failed_record(tmp_path, capsys, 0)
+        assert failed == {"property": "impedance-rk4-vs-analytic", "draws": 20, "passed": False, "worst": None}
 
 
 UNIT_ROTOR = {"k_thrust": 1.0, "k_inflow": 1.0}

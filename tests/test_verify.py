@@ -68,6 +68,41 @@ def test_a_nan_damping_gap_fails_the_mode_decoupling_record(monkeypatch):
     assert record["passed"] is False and np.isnan(record["worst"])
 
 
+def nan_in_sweep(original, call):
+    """original, but on the given call (1-based) a sweep whose values are
+    NaN at point 50 of fiber 3, so two of that fiber's increments are NaN."""
+    calls = []
+
+    def wrapper(act, path, which):
+        calls.append(None)
+        report = original(act, path, which)
+        if len(calls) != call:
+            return report
+        values = report.values.copy()
+        values[3, 50] = np.nan
+        least = np.diff(values, axis=-1).min(axis=-1)
+        return antagonistic.SweepReport(values, least > 0.0, least)
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "check, call, draws",
+    [
+        # the first family's promptness sweep: a running Python min of the
+        # sweeps' least increments would drop its NaN
+        pytest.param(verify.check_vsa_cocontraction, 2, 60, id="vsa-cocontraction"),
+        pytest.param(verify.check_vada_damping, 1, 20, id="vada-zero-trim"),
+        pytest.param(lambda rng: verify.check_vada_damping(rng, fibers=10, trims=True), 1, 10,
+                     id="vada-at-trim"),
+    ],
+)
+def test_a_nan_increment_fails_the_monotone_record(monkeypatch, check, call, draws):
+    monkeypatch.setattr(verify, "monotonicity_sweep", nan_in_sweep(verify.monotonicity_sweep, call))
+    record = check(np.random.default_rng(0))
+    assert record["draws"] == draws
+    assert record["passed"] is False and np.isnan(record["worst"])
+
+
 @pytest.mark.parametrize(
     "name, owners, least, most, inject",
     [
